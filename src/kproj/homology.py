@@ -203,8 +203,7 @@ def _preimage_generators(f: IntegerMatrix, dst_relations: IntegerMatrix) -> Inte
     """
     block = f.hstack(-dst_relations.transpose())
     kb = kernel_basis(block)
-    rows = [kb.row(i) for i in range(f.cols)]
-    return IntegerMatrix.from_rows(rows, cols=kb.cols)
+    return IntegerMatrix._make(f.cols, kb.cols, kb.entries[:f.cols * kb.cols])
 
 
 @dataclass(frozen=True)
@@ -372,7 +371,9 @@ def complex_from_text(text: str) -> ChainComplex:
     tokens = " ".join(lines[1:]).split()
     pos = 0
     boundaries = []
-    for _ in range(1, len(ranks)):
+    for k in range(1, len(ranks)):
+        if pos + 2 > len(tokens):
+            raise ValueError(f"missing boundary block for degree {k}")
         rows, cols = int(tokens[pos]), int(tokens[pos + 1])
         pos += 2
         body = tokens[pos:pos + rows * cols]

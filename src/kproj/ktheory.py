@@ -314,18 +314,24 @@ def k_groups(space: Space, q: int) -> FgAbelianGroup:
     disjoint basepoint suspends to a wedge of two spheres); projective
     spaces are computed by replaying the induction, never looked up.
     """
-    parity = q % 2
+    return _k_groups_by_parity(space)[q % 2]
+
+
+def _k_groups_by_parity(space: Space) -> tuple[FgAbelianGroup, FgAbelianGroup]:
+    """The K-groups of a space in degrees 0 and 1; at most one replay."""
     if space.kind == "point" or (space.kind == "cpn" and space.parameter == 0):
-        return reduced_sphere_k(parity)
+        return reduced_sphere_k(0), reduced_sphere_k(1)
     if space.kind == "sphere":
         m = space.parameter
-        return reduced_sphere_k(m + parity).direct_sum(reduced_sphere_k(parity))
+        return tuple(reduced_sphere_k(m + parity).direct_sum(reduced_sphere_k(parity))
+                     for parity in (0, 1))
     trace = replay_induction(space.parameter)
-    return trace.k0 if parity == 0 else trace.k1
+    return trace.k0, trace.k1
 
 
 def k_group_table(space: Space, q_min: int, q_max: int) -> KGroupTable:
-    entries = tuple((q, k_groups(space, q)) for q in range(q_min, q_max + 1))
+    groups = _k_groups_by_parity(space)
+    entries = tuple((q, groups[q % 2]) for q in range(q_min, q_max + 1))
     return KGroupTable(space, entries)
 
 
@@ -442,78 +448,78 @@ def _check_window(window: GroupSequence) -> tuple[tuple[bool, ...], bool]:
 
 @lru_cache(maxsize=None)
 def _induction_stages(n: int):
-    """Shared induction state: (steps, reduced K in degree 0, K in degree 1)."""
-    if n == 1:
-        reduced = reduced_sphere_k(2)
-        k1 = reduced_sphere_k(3)
-        base = InductionStep(
-            index=0,
-            kind="base",
-            stage=1,
-            window=(
-                f"reduced K(CP^1) = reduced K(S^2) = {reduced.render()}",
-                f"K^1(CP^1) = reduced K(S^3) = {k1.render()}",
+    """Induction state at CP^n: (steps, reduced K in degree 0, K in degree 1).
+
+    The stages run bottom-up in a loop, so a deep n needs no deep stack.
+    """
+    prev_reduced = reduced_sphere_k(2)
+    prev_k1 = reduced_sphere_k(3)
+    steps = [InductionStep(
+        index=0,
+        kind="base",
+        stage=1,
+        window=(
+            f"reduced K(CP^1) = reduced K(S^2) = {prev_reduced.render()}",
+            f"K^1(CP^1) = reduced K(S^3) = {prev_k1.render()}",
+        ),
+        rules=("projective-line-is-2-sphere", "sphere-axiom-table"),
+        exactness=(),
+        five_lemma=None,
+        conclusion=f"reduced K = {prev_reduced.render()}, K^1 = {prev_k1.render()}",
+    )]
+    for k in range(1, n):
+        # degree-0 window: 0 -> Z^k -> middle -> Z -> (suspension tail)
+        quot = reduced_sphere_k(2 * k + 2)
+        middle = split_free_extension(prev_reduced, quot)
+        tail = GroupPresentation.from_group(prev_k1)
+        window0 = _inclusion_window(k, tail)
+        exact0, verdict0 = _check_window(window0)
+        step0 = InductionStep(
+            index=len(steps),
+            kind="k0-extension",
+            stage=k,
+            window=("0", prev_reduced.render(), middle.render(), quot.render(),
+                    prev_k1.render()),
+            rules=(
+                f"inductive-hypothesis: reduced K(CP^{k}) = {prev_reduced.render()}",
+                f"sphere-axiom-table: reduced K(S^{2 * k + 2}) = {quot.render()}",
+                f"suspension-tail: K^1(CP^{k}) = {prev_k1.render()}",
+                "split-free-extension",
             ),
-            rules=("projective-line-is-2-sphere", "sphere-axiom-table"),
-            exactness=(),
-            five_lemma=None,
-            conclusion=f"reduced K = {reduced.render()}, K^1 = {k1.render()}",
+            exactness=exact0,
+            five_lemma=verdict0,
+            conclusion=f"reduced K(CP^{k + 1}) = {middle.render()}",
         )
-        return (base,), reduced, k1
 
-    steps, prev_reduced, prev_k1 = _induction_stages(n - 1)
-    k = n - 1
+        # degree-1 window: Z -> 0 -> middle -> 0 -> Z^(k+1), middle pinched to 0
+        prev_k0 = split_free_extension(prev_reduced, FgAbelianGroup.free(1))
+        new_k1 = FgAbelianGroup.trivial()
+        window1 = _vanishing_window(
+            GroupPresentation.from_group(reduced_sphere_k(2 * k + 2)),
+            GroupPresentation.from_group(new_k1),
+            GroupPresentation.from_group(prev_k0),
+        )
+        exact1, verdict1 = _check_window(window1)
+        step1 = InductionStep(
+            index=len(steps) + 1,
+            kind="k1-vanishing",
+            stage=k,
+            window=(reduced_sphere_k(2 * k + 2).render(), "0", new_k1.render(), "0",
+                    prev_k0.render()),
+            rules=(
+                f"inductive-hypothesis: K^1(CP^{k}) = {prev_k1.render()}",
+                f"sphere-axiom-table: K^1(S^{2 * k + 2}) = reduced K(S^{2 * k + 3}) = 0",
+                "periodicity: degree -1 equals degree 1",
+                "pinched-between-zeros",
+            ),
+            exactness=exact1,
+            five_lemma=verdict1,
+            conclusion=f"K^1(CP^{k + 1}) = {new_k1.render()}",
+        )
 
-    # degree-0 window: 0 -> Z^k -> middle -> Z -> (suspension tail)
-    quot = reduced_sphere_k(2 * k + 2)
-    middle = split_free_extension(prev_reduced, quot)
-    tail = GroupPresentation.from_group(prev_k1)
-    window0 = _inclusion_window(k, tail)
-    exact0, verdict0 = _check_window(window0)
-    step0 = InductionStep(
-        index=len(steps),
-        kind="k0-extension",
-        stage=k,
-        window=("0", prev_reduced.render(), middle.render(), quot.render(),
-                prev_k1.render()),
-        rules=(
-            f"inductive-hypothesis: reduced K(CP^{k}) = {prev_reduced.render()}",
-            f"sphere-axiom-table: reduced K(S^{2 * k + 2}) = {quot.render()}",
-            f"suspension-tail: K^1(CP^{k}) = {prev_k1.render()}",
-            "split-free-extension",
-        ),
-        exactness=exact0,
-        five_lemma=verdict0,
-        conclusion=f"reduced K(CP^{k + 1}) = {middle.render()}",
-    )
-
-    # degree-1 window: Z -> 0 -> middle -> 0 -> Z^(k+1), middle pinched to 0
-    prev_k0 = split_free_extension(prev_reduced, FgAbelianGroup.free(1))
-    new_k1 = FgAbelianGroup.trivial()
-    window1 = _vanishing_window(
-        GroupPresentation.from_group(reduced_sphere_k(2 * k + 2)),
-        GroupPresentation.from_group(new_k1),
-        GroupPresentation.from_group(prev_k0),
-    )
-    exact1, verdict1 = _check_window(window1)
-    step1 = InductionStep(
-        index=len(steps) + 1,
-        kind="k1-vanishing",
-        stage=k,
-        window=(reduced_sphere_k(2 * k + 2).render(), "0", new_k1.render(), "0",
-                prev_k0.render()),
-        rules=(
-            f"inductive-hypothesis: K^1(CP^{k}) = {prev_k1.render()}",
-            f"sphere-axiom-table: K^1(S^{2 * k + 2}) = reduced K(S^{2 * k + 3}) = 0",
-            "periodicity: degree -1 equals degree 1",
-            "pinched-between-zeros",
-        ),
-        exactness=exact1,
-        five_lemma=verdict1,
-        conclusion=f"K^1(CP^{k + 1}) = {new_k1.render()}",
-    )
-
-    return steps + (step0, step1), middle, new_k1
+        steps += (step0, step1)
+        prev_reduced, prev_k1 = middle, new_k1
+    return tuple(steps), prev_reduced, prev_k1
 
 
 def replay_induction(n: int) -> InductionTrace:

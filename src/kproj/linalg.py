@@ -10,6 +10,7 @@ module runs on Python's arbitrary-precision integers and nothing here
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from math import gcd, prod
 from typing import Sequence
 
@@ -30,8 +31,21 @@ class IntegerMatrix:
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
         for e in self.entries:
-            if not isinstance(e, int):
+            if type(e) is not int:
                 raise ValueError("matrix entries must be exact integers")
+
+    @classmethod
+    def _make(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntegerMatrix":
+        """Internal constructor that skips validation.
+
+        For library results only: the caller guarantees that entries is a
+        tuple of exactly rows * cols values of type int.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "rows", rows)
+        object.__setattr__(obj, "cols", cols)
+        object.__setattr__(obj, "entries", entries)
+        return obj
 
     # ------------------------------------------------------------------
     # constructors
@@ -53,11 +67,17 @@ class IntegerMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        if n < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        entries = [0] * (n * n)
+        entries[::n + 1] = [1] * n
+        return cls._make(n, n, tuple(entries))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return cls._make(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, values: Sequence[int], rows: int, cols: int) -> "IntegerMatrix":
@@ -101,9 +121,6 @@ class IntegerMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
-    def column_matrix(self, j: int) -> "IntegerMatrix":
-        return IntegerMatrix(self.rows, 1, self.column(j))
-
     def row_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -112,12 +129,12 @@ class IntegerMatrix:
     # ------------------------------------------------------------------
 
     def transpose(self) -> "IntegerMatrix":
-        flat = tuple(self.entries[i * self.cols + j]
-                     for j in range(self.cols) for i in range(self.rows))
-        return IntegerMatrix(self.cols, self.rows, flat)
+        a, cols = self.entries, self.cols
+        flat = tuple(chain.from_iterable(a[j::cols] for j in range(cols)))
+        return IntegerMatrix._make(cols, self.rows, flat)
 
     def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.rows, self.cols, tuple(-e for e in self.entries))
+        return IntegerMatrix._make(self.rows, self.cols, tuple(-e for e in self.entries))
 
     def _check_same_shape(self, other: "IntegerMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -125,13 +142,13 @@ class IntegerMatrix:
 
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_same_shape(other)
-        return IntegerMatrix(self.rows, self.cols,
-                             tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return IntegerMatrix._make(self.rows, self.cols,
+                                   tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_same_shape(other)
-        return IntegerMatrix(self.rows, self.cols,
-                             tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return IntegerMatrix._make(self.rows, self.cols,
+                                   tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __mul__(self, scalar: int) -> "IntegerMatrix":
         if not isinstance(scalar, int):
@@ -145,26 +162,30 @@ class IntegerMatrix:
             raise ValueError("inner dimensions do not match")
         n, m, k = self.rows, other.cols, self.cols
         a, b = self.entries, other.entries
-        out = [0] * (n * m)
+        brows = [b[t * m:(t + 1) * m] for t in range(k)]
+        zero_row = (0,) * m
+        out = []
         for i in range(n):
+            # accumulate whole rows of b, skipping the zero entries of a's row
             arow = a[i * k:(i + 1) * k]
-            for t in range(k):
-                av = arow[t]
-                if av:
-                    brow = b[t * m:(t + 1) * m]
-                    base = i * m
-                    for j in range(m):
-                        out[base + j] += av * brow[j]
-        return IntegerMatrix(n, m, tuple(out))
+            acc = None
+            for av, brow in compress(zip(arow, brows), arow):
+                if acc is None:
+                    acc = brow if av == 1 else [av * y for y in brow]
+                else:
+                    acc = [x + av * y for x, y in zip(acc, brow)]
+            out.extend(zero_row if acc is None else acc)
+        return IntegerMatrix._make(n, m, tuple(out))
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
             raise ValueError("row counts do not match")
+        a, b, p, q = self.entries, other.entries, self.cols, other.cols
         flat = []
         for i in range(self.rows):
-            flat.extend(self.row(i))
-            flat.extend(other.row(i))
-        return IntegerMatrix(self.rows, self.cols + other.cols, tuple(flat))
+            flat.extend(a[i * p:(i + 1) * p])
+            flat.extend(b[i * q:(i + 1) * q])
+        return IntegerMatrix._make(self.rows, self.cols + other.cols, tuple(flat))
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
@@ -268,8 +289,12 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
     """
     m, n = a.rows, a.cols
     d = a.row_lists()
-    u = IntegerMatrix.identity(m).row_lists()
-    v = IntegerMatrix.identity(n).row_lists()
+    u = [[0] * m for _ in range(m)]
+    v = [[0] * n for _ in range(n)]
+    for i in range(m):
+        u[i][i] = 1
+    for i in range(n):
+        v[i][i] = 1
 
     def swap_rows(i, j):
         if i != j:
@@ -334,8 +359,10 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
                 swap_cols(t, pj)
                 continue
             # pivot must divide everything that remains, or the invariant
-            # factor chain breaks later
+            # factor chain breaks later; a unit pivot divides everything
             pivot = d[t][t]
+            if pivot == 1 or pivot == -1:
+                break
             violator = None
             for i in range(t + 1, m):
                 row = d[i]
@@ -356,8 +383,8 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
         t += 1
 
     diag = tuple(d[k][k] for k in range(limit) if d[k][k])
-    return SmithForm(diag, IntegerMatrix.from_rows(u, cols=m),
-                     IntegerMatrix.from_rows(v, cols=n), m, n)
+    return SmithForm(diag, IntegerMatrix._make(m, m, tuple(chain.from_iterable(u))),
+                     IntegerMatrix._make(n, n, tuple(chain.from_iterable(v))), m, n)
 
 
 def cokernel(a: IntegerMatrix) -> "FgAbelianGroup":
@@ -380,8 +407,10 @@ def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     form, so they are primitive and extend to a basis of Z^cols.
     """
     form = smith_normal_form(a)
-    cols = [form.v.column(j) for j in range(form.rank, a.cols)]
-    return IntegerMatrix.from_columns(cols, rows=a.cols)
+    n, r = a.cols, form.rank
+    v = form.v.entries
+    flat = tuple(chain.from_iterable(v[i * n + r:(i + 1) * n] for i in range(n)))
+    return IntegerMatrix._make(n, n - r, flat)
 
 
 def is_isomorphism(a: IntegerMatrix) -> bool:
@@ -401,21 +430,19 @@ def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     if a.rows != b.rows:
         raise ValueError("row counts do not match")
     form = smith_normal_form(a)
-    c = form.u @ b
-    n, k = a.cols, b.cols
-    y = [[0] * k for _ in range(n)]
-    for i in range(form.rank):
-        di = form.d[i]
-        for j in range(k):
-            num = c[i, j]
-            if num % di:
+    c = (form.u @ b).entries
+    n, k, rank = a.cols, b.cols, form.rank
+    if any(c[rank * k:]):
+        return None
+    y = [0] * (n * k)
+    for i, di in enumerate(form.d):
+        row = c[i * k:(i + 1) * k]
+        if di != 1:
+            if any(e % di for e in row):
                 return None
-            y[i][j] = num // di
-    for i in range(form.rank, a.rows):
-        for j in range(k):
-            if c[i, j]:
-                return None
-    return form.v @ IntegerMatrix.from_rows(y, cols=k)
+            row = [e // di for e in row]
+        y[i * k:(i + 1) * k] = row
+    return form.v @ IntegerMatrix._make(n, k, tuple(y))
 
 
 def lattice_contains(generators: IntegerMatrix, target: IntegerMatrix) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 from typing import Sequence
 
 from .linalg import IntegerMatrix
@@ -186,7 +185,10 @@ class TruncPoly:
             )
             if not m or (m.group("c") is None and m.group("v") is None):
                 raise ValueError(f"cannot parse polynomial term {term!r}")
-            coeff = Fraction(m.group("c")) if m.group("c") else Fraction(1)
+            try:
+                coeff = Fraction(m.group("c")) if m.group("c") else Fraction(1)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in polynomial term {term!r}") from None
             if m.group("v") is None:
                 degree = 0
             else:
@@ -513,8 +515,3 @@ def power_sum(k: int, n: int) -> MultiPoly:
         exps = tuple(k if j == i else 0 for j in range(n))
         terms[exps] = 1
     return MultiPoly(n, terms)
-
-
-def factorial_fraction(k: int) -> Fraction:
-    """1/k! as an exact rational."""
-    return Fraction(1, factorial(k))

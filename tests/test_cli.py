@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -98,6 +99,14 @@ class TestChCommand:
         assert code == 0
         assert out.strip() == "-1 + x"
 
+    def test_zero_denominator_is_a_one_line_error(self, capsys):
+        code, out, err = run(capsys, "ch", "--rank", "1", "--chern", "1+1/0*x",
+                             "--order", "1")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:")
+
 
 class TestRingCommand:
     def test_human_output(self, capsys):
@@ -196,6 +205,19 @@ class TestTraceCommand:
     def test_invalid_n(self, capsys):
         code, _, err = run(capsys, "trace", "0")
         assert code != 0
+
+    # sha256 of the machine documents; a change to a trace must be
+    # deliberate and re-pin these
+    PINNED = {
+        12: "b55173538b71b761251a25d3ec5169e25abe11f04a9da6383527a2e90cff357f",
+        24: "1bca42d7c6c17a21a86724237065a9ff7cdc3d0127ae959f7382a3bce684553e",
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED))
+    def test_machine_trace_is_byte_identical(self, capsys, n):
+        code, out, err = run(capsys, "--format", "machine", "trace", str(n))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[n]
 
 
 class TestBottCommand:

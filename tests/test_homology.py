@@ -50,6 +50,10 @@ class TestChainComplex:
         z = cpn_complex(3)
         assert complex_from_text(complex_to_text(z)) == z
 
+    def test_text_missing_block_rejected(self):
+        with pytest.raises(ValueError):
+            complex_from_text("1 1\n\n1")
+
 
 class TestHomology:
     def test_projective_plane_even_degree(self):

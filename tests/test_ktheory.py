@@ -1,9 +1,12 @@
+import inspect
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import kproj.ktheory as ktheory_module
 from kproj.homology import cohomology, cpn_complex
 from kproj.ktheory import (
     KClass,
@@ -182,6 +185,18 @@ class TestKGroupTable:
                 if q + 2 in table.degrees():
                     assert table.group(q) == table.group(q + 2)
 
+    def test_one_replay_per_table(self, monkeypatch):
+        calls = []
+
+        def counting_replay(n):
+            calls.append(n)
+            return replay_induction(n)
+
+        monkeypatch.setattr(ktheory_module, "replay_induction", counting_replay)
+        table = k_group_table(Space.cpn(3), -4, 4)
+        assert calls == [3]
+        assert table.group(0) == FgAbelianGroup.free(4)
+
     def test_corrupted_table_rejected(self):
         with pytest.raises(ValueError):
             KGroupTable(Space.sphere(2), ((0, Z), (2, ZERO)))
@@ -221,6 +236,18 @@ class TestReplayInduction:
         marked = [s for s in trace.steps
                   if any("sphere-axiom-table" in r for r in s.rules)]
         assert len(marked) >= 7  # the base plus both windows at each stage
+
+    def test_replay_needs_no_deep_stack(self):
+        # a recursive replay needs a frame per stage; this limit leaves
+        # room for one window's checks but not for 40 stages
+        ktheory_module._induction_stages.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            trace = replay_induction(40)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert trace.k0 == FgAbelianGroup.free(41)
 
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kproj.linalg import (
     FgAbelianGroup,
@@ -295,3 +297,73 @@ class TestMatrixTextFormat:
     def test_malformed(self):
         with pytest.raises(ValueError):
             IntegerMatrix.from_text("2 2\n1 2 3")
+
+
+class TestConstructorValidation:
+    @pytest.mark.parametrize("entries", [(True, False), (1, 2.0)])
+    def test_rejects_entries_not_of_type_int(self, entries):
+        with pytest.raises(ValueError):
+            IntegerMatrix(1, 2, entries)
+
+
+@st.composite
+def small_matrices(draw, rows=st.integers(0, 5), cols=st.integers(0, 5)):
+    """Small matrices shaped like the replay's inputs, and a few that are not.
+
+    Shapes include 0 x k and k x 0.  "block" draws a scaled identity,
+    inclusion or projection block (unit pivots at scale +-1, non-unit
+    ones otherwise); "sign" draws 0/+-1 entries; "dense" draws entries
+    whose pivots are mostly non-units.
+    """
+    rows = draw(rows)
+    cols = draw(cols)
+    kind = draw(st.sampled_from(["block", "sign", "dense"]))
+    if kind == "block":
+        scale = draw(st.sampled_from([1, -1, 2, 6]))
+        entries = [scale if i == j else 0 for i in range(rows) for j in range(cols)]
+    else:
+        values = st.integers(-1, 1) if kind == "sign" else st.integers(-9, 9)
+        entries = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
+    return IntegerMatrix(rows, cols, tuple(entries))
+
+
+def assert_well_formed(m):
+    """What the validating constructor would have checked on an internal result."""
+    assert len(m.entries) == m.rows * m.cols
+    assert all(type(e) is int for e in m.entries)
+
+
+class TestUncheckedResults:
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices())
+    def test_smith_against_the_minors_oracle(self, a):
+        form = smith_normal_form(a)
+        assert form.u @ a @ form.v == IntegerMatrix.diagonal(form.d, a.rows, a.cols)
+        assert abs(form.u.det()) == 1
+        assert abs(form.v.det()) == 1
+        assert list(form.d) == minors_gcd_invariant_factors(a.row_lists())
+        assert all(type(e) is int for e in form.d)
+        assert_well_formed(form.u)
+        assert_well_formed(form.v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices(), st.data())
+    def test_internal_results_are_well_formed(self, a, data):
+        t = a.transpose()
+        assert_well_formed(t)
+        assert t.transpose() == a
+        assert_well_formed(-a)
+        assert_well_formed(a - a)
+        assert_well_formed(a + a)
+        assert_well_formed(a @ t)
+        assert_well_formed(a.hstack(a))
+        kb = kernel_basis(a)
+        assert_well_formed(kb)
+        assert (kb.rows, kb.cols) == (a.cols, a.cols - smith_normal_form(a).rank)
+        assert (a @ kb).is_zero()
+        x = data.draw(small_matrices(rows=st.just(a.cols)))
+        b = a @ x
+        y = solve_integer(a, b)
+        assert y is not None
+        assert_well_formed(y)
+        assert a @ y == b

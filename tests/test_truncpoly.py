@@ -201,6 +201,8 @@ class TestRendering:
             TruncPoly.parse("x^3", order=2)
         with pytest.raises(ValueError):
             TruncPoly.parse("y + 1")
+        with pytest.raises(ValueError):
+            TruncPoly.parse("1/0")
 
     @settings(max_examples=80, deadline=None)
     @given(trunc_polys())
