@@ -36,7 +36,6 @@ from .homology import (
     cpn_complex,
     dual_complex,
     five_lemma_check,
-    homology,
     induced_map_is_isomorphism,
     is_exact_at,
     sphere_complex,

@@ -7,15 +7,19 @@ convention matters: the spaces served here have no odd cohomology, so one
 polynomial degree per even cohomological degree keeps everything dense
 and small, and a truncation order of n reaches cohomological degree 2n.
 
-The character is assembled from the Newton polynomials s_k, the unique
-integer polynomials expressing the k-th power sum in the elementary
-symmetric polynomials.  Only the first few instances are classical
-lore; the general ones come out of the standard recurrence
+The character is rank + sum_k p_k x^k / k!, where p_k is the k-th power
+sum of the Chern roots.  Newton's identities give p_k from the classes:
 
-    p_k = e_1 p_{k-1} - e_2 p_{k-2} + ... + (-1)^k e_{k-1} p_1
-          + (-1)^{k-1} k e_k
+    p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^k c_{k-1} p_1
+          + (-1)^{k-1} k c_k
 
-and are certified against brute-force expansion in the test suite.
+Under the degree-halving convention each c_k is a scalar times x^k, so
+chern_character runs this recurrence on plain integers.  The same
+recurrence, read symbolically, defines the Newton polynomials s_k, the
+unique integer polynomials with p_k = s_k(e_1, .., e_k); newton_s builds
+them for the `newton` subcommand and for the tests, which certify them
+against brute-force expansion and use them as an independent route to
+the character.
 """
 
 from __future__ import annotations
@@ -110,22 +114,21 @@ def line_bundle(order: int, c1: int = 1) -> FormalBundle:
 
 
 def chern_character(bundle: FormalBundle, truncation: int) -> TruncPoly:
-    """Total Chern character: rank + sum of s_k(c_1, .., c_k)/k!.
+    """Total Chern character: rank + sum of p_k/k! x^k.
 
-    Computed in Q[x]/(x^(truncation+1)); the degree-0 coefficient is the
-    rank by construction.
+    Each class c_k is a scalar times x^k, so the power sums p_k follow
+    from Newton's recurrence on plain integers, with p_0 the rank.  The
+    result lives in Q[x]/(x^(truncation+1)).
     """
     if bundle.order != truncation:
         raise ValueError("bundle truncation does not match the requested order")
     n = truncation
-    one = TruncPoly.one(n)
-    values = [TruncPoly.monomial(n, k, bundle.chern_class(k)) if k <= n
-              else TruncPoly.zero(n) for k in range(1, n + 1)]
-    result = TruncPoly.constant(n, bundle.dimension)
+    c = [bundle.chern_class(k) for k in range(n + 1)]
+    p = [bundle.dimension]
     for k in range(1, n + 1):
-        s_k = newton_s(k).expression
-        result = result + Fraction(1, factorial(k)) * s_k.evaluate(values[:k], one)
-    return result
+        pk = sum((-1) ** (j - 1) * c[j] * p[k - j] for j in range(1, k))
+        p.append(pk + (-1) ** (k - 1) * k * c[k])
+    return TruncPoly(n, [Fraction(pk, factorial(k)) for k, pk in enumerate(p)])
 
 
 def whitney_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:

@@ -32,6 +32,9 @@ from .truncpoly import TruncPoly
 
 FORMAT_VERSION = "1"
 
+# s_k has p(k) terms (partitions of k): k = 34 already prints 6.8 MB
+NEWTON_MAX_K = 40
+
 
 @dataclass
 class OutputDocument:
@@ -134,10 +137,10 @@ def _run_ring(args) -> OutputDocument:
         raise ValueError("n must be nonnegative")
     basis = ["1"] + [f"γ^{k}" if k > 1 else "γ" for k in range(1, n + 1)]
     gamma = KClass.gamma(n)
-    table = [
-        [(gamma ** i * gamma ** j).render() for j in range(n + 1)]
-        for i in range(n + 1)
-    ]
+    powers = [KClass.unit(n)]
+    for _ in range(n):
+        powers.append(powers[-1] * gamma)
+    table = [[(a * b).render() for b in powers] for a in powers]
     result = {
         "kind": "ring",
         "n": n,
@@ -181,6 +184,8 @@ def _run_trace(args) -> OutputDocument:
 
 
 def _run_newton(args) -> OutputDocument:
+    if args.k > NEWTON_MAX_K:
+        raise ValueError(f"--k must be at most {NEWTON_MAX_K}: s_k has p(k) terms")
     poly = newton_s(args.k)
     terms = [
         {"exponents": list(e), "coefficient": str(c)}

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .homology import (
     GroupPresentation,
@@ -32,7 +33,7 @@ from .homology import (
     split_free_extension,
 )
 from .linalg import FgAbelianGroup, IntegerMatrix, is_isomorphism
-from .truncpoly import TruncPoly, exp_nilpotent
+from .truncpoly import TruncPoly
 
 
 # ----------------------------------------------------------------------
@@ -220,12 +221,22 @@ def k_ring_mul(a: KClass, b: KClass) -> KClass:
 
 @lru_cache(maxsize=None)
 def _gamma_character_powers(n: int) -> tuple[TruncPoly, ...]:
-    """Powers of exp(x) - 1 in Q[x]/(x^(n+1)), indexed by the exponent."""
-    base = exp_nilpotent(TruncPoly.variable(n)) - TruncPoly.one(n) if n else TruncPoly.zero(0)
-    powers = [TruncPoly.one(n)]
-    for _ in range(n):
-        powers.append(powers[-1] * base)
-    return tuple(powers)
+    """Powers of exp(x) - 1 in Q[x]/(x^(n+1)), indexed by the exponent.
+
+    (exp(x) - 1)^k = sum_m k! S(m, k) x^m / m!, where S(m, k) are the
+    Stirling numbers of the second kind, built row by row from
+    S(m, k) = k S(m-1, k) + S(m-1, k-1): one integer table, no products
+    of truncated polynomials.
+    """
+    stirling = [[1] + [0] * n]
+    for m in range(1, n + 1):
+        prev = stirling[-1]
+        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+    fact = [factorial(m) for m in range(n + 1)]
+    return tuple(
+        TruncPoly(n, [Fraction(fact[k] * stirling[m][k], fact[m]) for m in range(n + 1)])
+        for k in range(n + 1)
+    )
 
 
 def chern_character_map(a: KClass) -> TruncPoly:

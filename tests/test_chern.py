@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kproj.chern import (
     FormalBundle,
@@ -184,3 +186,56 @@ class TestSplittingOracle:
             TruncPoly.zero(order),
         )
         assert lhs == rhs
+
+
+def newton_route_character(bundle, order):
+    """The character through the symbolic s_k, evaluated on TruncPoly values."""
+    one = TruncPoly.one(order)
+    values = [TruncPoly.monomial(order, k, bundle.chern_class(k))
+              for k in range(1, order + 1)]
+    result = TruncPoly.constant(order, bundle.dimension)
+    for k in range(1, order + 1):
+        s_k = newton_s(k).expression
+        result = result + Fraction(1, factorial(k)) * s_k.evaluate(values[:k], one)
+    return result
+
+
+@st.composite
+def integer_bundles(draw, max_order):
+    order = draw(st.integers(0, max_order))
+    # half the draws have every class up to the order in play
+    rank = draw(st.integers(order, order + 2) | st.integers(0, order))
+    classes = [draw(st.integers(-6, 6)) if k <= rank else 0
+               for k in range(1, order + 1)]
+    return FormalBundle(rank, TruncPoly(order, [1] + classes))
+
+
+@st.composite
+def split_roots(draw):
+    order = draw(st.integers(0, 40))
+    size = draw(st.integers(0, order + 2))
+    return draw(st.lists(st.integers(-5, 5), min_size=size, max_size=size)), order
+
+
+class TestIntegerRecurrence:
+    @settings(max_examples=100, deadline=None)
+    @given(integer_bundles(max_order=10))
+    def test_matches_the_newton_polynomial_route(self, bundle):
+        assert chern_character(bundle, bundle.order) == \
+            newton_route_character(bundle, bundle.order)
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_roots())
+    @example((list(range(-9, 32)), 40))
+    def test_split_bundle_is_a_sum_of_exponentials(self, case):
+        roots, order = case
+        # prod(1 + r_i x) has the elementary symmetric polynomials of the
+        # roots as its classes; its character is sum_i exp(r_i x)
+        classes = [1] + [0] * order
+        for r in roots:
+            classes = [c + (r * classes[k - 1] if k else 0)
+                       for k, c in enumerate(classes)]
+        bundle = FormalBundle(len(roots), TruncPoly(order, classes))
+        expected = [Fraction(sum(r ** k for r in roots), factorial(k))
+                    for k in range(order + 1)]
+        assert chern_character(bundle, order) == TruncPoly(order, expected)

@@ -121,6 +121,17 @@ class TestRingCommand:
         doc = run_machine(capsys, "ring", "1")
         assert doc.result["products"] == [["1", "\u03b3"], ["\u03b3", "0"]]
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_products_are_shifted_powers(self, capsys, n):
+        def name(k):
+            return "1" if k == 0 else "\u03b3" if k == 1 else f"\u03b3^{k}"
+
+        doc = run_machine(capsys, "ring", str(n))
+        assert doc.result["products"] == [
+            [name(i + j) if i + j <= n else "0" for j in range(n + 1)]
+            for i in range(n + 1)
+        ]
+
 
 class TestNewtonCommand:
     def test_third_polynomial(self, capsys):
@@ -134,6 +145,14 @@ class TestNewtonCommand:
         terms = {tuple(t["exponents"]): t["coefficient"]
                  for t in doc.result["terms"]}
         assert terms == {(2, 0): "1", (0, 1): "-2"}
+
+    @pytest.mark.parametrize("k", ["41", "1000000"])
+    def test_out_of_range_k_is_a_one_line_error(self, capsys, k):
+        code, out, err = run(capsys, "newton", "--k", k)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:")
 
 
 class TestGrothCommand:
@@ -218,6 +237,32 @@ class TestTraceCommand:
         code, out, err = run(capsys, "--format", "machine", "trace", str(n))
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[n]
+
+
+class TestPinnedDocuments:
+    # sha256 of machine documents of the ring side; a change to one of
+    # them must be deliberate and re-pin it
+    PINNED = {
+        ("ring", "30"):
+            "58173d9ab290dd7add8040e8a23f86ce01df912090cf45db38b4aa5db64a94df",
+        ("ring", "0"):
+            "17ed1e8fb3722e8f98fd6bb1397c66ae2a608561bc9def78cf9fb2d96370fc3d",
+        ("ch", "--rank", "5", "--chern", "1-3x+3x^2+x^3-3x^4+x^5", "--order", "16"):
+            "50edd8274f4940a36303e5ebd2395789d5540c20f5b7e13951642fc088987beb",
+        ("ch", "--rank", "0", "--chern", "1", "--order", "3"):
+            "cb9f7d952cd549edab86d7a27e40e50107b2d2c9b78666e8f09f3963053978ed",
+        ("ch", "cpn:40", "--class=-3,1,0,2,-1,0,0,3,1,-2,0,1,1,0,0,-1,2,0,0,0,1,"
+                         "0,0,0,0,-1,0,0,0,0,2,0,0,0,0,0,0,0,0,0,1"):
+            "1578c3186bc266029527af0faaec54ca9107c2aa9264dff6d744104246077a7c",
+        ("newton", "--k", "8"):
+            "ffb84922b9ccc5c84f29bf9ade865d72a5df5338713fc33f4e8fe17c0de25f03",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(PINNED), ids=" ".join)
+    def test_machine_document_is_byte_identical(self, capsys, argv):
+        code, out, err = run(capsys, "--format", "machine", *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[argv]
 
 
 class TestBottCommand:

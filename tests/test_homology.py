@@ -1,4 +1,6 @@
 import random
+import sys
+import types
 
 import pytest
 
@@ -384,3 +386,12 @@ class TestSplitFreeExtension:
     def test_torsion_quotient_rejected(self):
         with pytest.raises(ValueError):
             split_free_extension(Z, FgAbelianGroup(0, (2,)))
+
+
+def test_package_attribute_is_the_module():
+    import kproj
+    import kproj.homology as module
+
+    assert isinstance(module, types.ModuleType)
+    assert kproj.homology is sys.modules["kproj.homology"]
+    assert module.homology is homology

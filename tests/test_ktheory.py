@@ -25,7 +25,7 @@ from kproj.ktheory import (
     replay_induction,
 )
 from kproj.linalg import FgAbelianGroup
-from kproj.truncpoly import TruncPoly
+from kproj.truncpoly import TruncPoly, exp_nilpotent
 
 Z = FgAbelianGroup.free(1)
 ZERO = FgAbelianGroup.trivial()
@@ -120,6 +120,15 @@ class TestCharacterMap:
                     chern_character_map(a) + chern_character_map(b)
                 assert chern_character_map(a * b) == \
                     chern_character_map(a) * chern_character_map(b)
+
+    def test_gamma_powers_match_repeated_products(self):
+        for n in range(21):
+            base = (exp_nilpotent(TruncPoly.variable(n)) - TruncPoly.one(n)
+                    if n else TruncPoly.zero(0))
+            expected = [TruncPoly.one(n)]
+            for _ in range(n):
+                expected.append(expected[-1] * base)
+            assert ktheory_module._gamma_character_powers(n) == tuple(expected)
 
 
 class TestCharacterMatrix:
