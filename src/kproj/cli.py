@@ -34,6 +34,9 @@ FORMAT_VERSION = "1"
 
 # s_k has p(k) terms (partitions of k): k = 34 already prints 6.8 MB
 NEWTON_MAX_K = 40
+# the degree-k coefficient of ch has a denominator up to k!; at order 1700
+# it exceeds Python's default int-to-str limit of 4300 digits
+CH_MAX_ORDER = 1000
 
 
 @dataclass
@@ -157,6 +160,8 @@ def _run_ch(args) -> OutputDocument:
             raise ValueError("--chern selects the bundle form; drop the space spec")
         if args.rank is None or args.order is None:
             raise ValueError("--chern needs --rank and --order")
+        if args.order > CH_MAX_ORDER:
+            raise ValueError(f"--order must be at most {CH_MAX_ORDER}")
         total = TruncPoly.parse(args.chern, order=args.order)
         bundle = FormalBundle(args.rank, total)
         character = chern_character(bundle, args.order)
@@ -167,6 +172,8 @@ def _run_ch(args) -> OutputDocument:
     space = Space.parse(args.space)
     if space.kind != "cpn":
         raise ValueError("class coefficients make sense on cpn:N only")
+    if space.parameter > CH_MAX_ORDER:
+        raise ValueError(f"ch needs cpn:N with N at most {CH_MAX_ORDER}")
     coeffs = [int(t) for t in args.klass.split(",")]
     if len(coeffs) != space.parameter + 1:
         raise ValueError(

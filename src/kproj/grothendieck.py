@@ -4,10 +4,12 @@ Two carriers are supported: finite commutative monoids given by a Cayley
 table, and free commutative monoids N^k whose elements are exponent
 vectors.  The completion is built from pairs (x, y), thought of as formal
 differences, identified when x + v + t = u + y + t for some translating
-element t.  For finite monoids the quotient is computed by union-find
-over all pairs and then classified as an abelian group in
-invariant-factor form; for N^k the relation is cancellative and the
-completion is Z^k on the nose.
+element t.  A finite monoid M has a least ideal K = M + a, where a is
+the sum of all elements; K is a group, and (x, y) ~ (u, v) exactly when
+x + v + a == u + y + a.  So each pair is keyed in one pass by the group
+difference (x + a) - (y + a) in K, and the quotient is classified as an
+abelian group in invariant-factor form.  For N^k the relation is
+cancellative and the completion is Z^k on the nose.
 
 The word problem for general presented monoids is undecidable, which is
 why exactly these two carriers (and nothing more ambitious) exist here.
@@ -163,24 +165,6 @@ def pair_equivalent(monoid: Monoid, x, y, u, v) -> bool:
                for t in range(monoid.size))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def _classify_group_table(table: Sequence[Sequence[int]]) -> FgAbelianGroup:
     """Invariant factors of a finite abelian group given by its Cayley table.
 
@@ -220,33 +204,25 @@ class GrothendieckGroup:
             self._classes = None
             return
         self.kind = "finite"
-        n = monoid.size
-        pairs = [(x, y) for x in range(n) for y in range(n)]
-        uf = _UnionFind(len(pairs))
-        for a in range(len(pairs)):
-            xa, ya = pairs[a]
-            for b in range(a + 1, len(pairs)):
-                xb, yb = pairs[b]
-                if pair_equivalent(monoid, xa, ya, xb, yb):
-                    uf.union(a, b)
-        roots: dict[int, int] = {}
-        for idx in range(len(pairs)):
-            root = uf.find(idx)
-            if root not in roots:
-                roots[root] = len(roots)
-        self._pair_class = {pairs[idx]: roots[uf.find(idx)] for idx in range(len(pairs))}
-        self._classes = [[] for _ in range(len(roots))]
+        # a, the sum of all elements, lies in every ideal, so K = M + a is
+        # the least ideal: a finite group.  (x, y) ~ (u, v) exactly when
+        # x + v + a == u + y + a, so (x + a) - (y + a) in K keys the class.
+        t, a = monoid.table, 0
+        for x in range(1, monoid.size):
+            a = t[a][x]
+        kernel = set(t[a])
+        minus = {g: h for g in kernel for h in kernel if t[g][h] == a}  # h = a - g
+        keys: dict[int, int] = {}
+        self._pair_class = {}
+        for x in range(monoid.size):
+            for y in range(monoid.size):
+                key = t[x][minus[t[y][a]]]
+                self._pair_class[(x, y)] = keys.setdefault(key, len(keys))
+        self._classes = [[] for _ in range(len(keys))]
         for pair, cls in self._pair_class.items():
             self._classes[cls].append(pair)
-        # induced addition on classes via representatives
-        self._add_table = []
-        for members_a in self._classes:
-            xa, ya = members_a[0]
-            row = []
-            for members_b in self._classes:
-                xb, yb = members_b[0]
-                row.append(self._pair_class[(monoid.add(xa, xb), monoid.add(ya, yb))])
-            self._add_table.append(tuple(row))
+        by_class = list(keys)
+        self._add_table = [tuple(keys[t[g][h]] for h in by_class) for g in by_class]
         self.carrier = _classify_group_table(self._add_table)
 
     # -- class arithmetic -------------------------------------------------
@@ -322,9 +298,6 @@ class CompletionHomomorphism:
                 acc = self.target.add_elements(acc, self.target.scale_element(image, coeff))
             return acc
         return self._data[carrier_class]
-
-    def of_pair(self, x, y):
-        return self(self.group.class_of_pair(x, y))
 
 
 def universal_factor(monoid: Monoid, group: GrothendieckGroup,

@@ -17,6 +17,7 @@ from .linalg import (
     IntegerMatrix,
     cokernel,
     kernel_basis,
+    lattice_contains,
     solve_integer,
 )
 
@@ -155,8 +156,7 @@ class GroupPresentation:
 
     Each row of relations is a relation among the generators.  Maps
     between presented groups are matrices on generator coordinates, so
-    sequences keep enough data for exactness checks; the isomorphism
-    class is recovered on demand via normal_form().
+    sequences keep enough data for exactness checks.
     """
 
     generators: int
@@ -186,13 +186,16 @@ class GroupPresentation:
             rows.append(row)
         return cls(gens, IntegerMatrix.from_rows(rows, cols=gens))
 
-    def normal_form(self) -> FgAbelianGroup:
-        return cokernel(self.relations)
 
-
-def _in_relation_span(relations: IntegerMatrix, columns: IntegerMatrix) -> bool:
-    """True iff every column of `columns` lies in the row span of relations."""
-    return solve_integer(relations.transpose(), columns) is not None
+def _check_well_defined(label: str, f: IntegerMatrix,
+                        src: GroupPresentation, dst: GroupPresentation):
+    """Reject f unless it has src -> dst shape and carries relations into relations."""
+    if f.rows != dst.generators or f.cols != src.generators:
+        raise ValueError(f"{label} has the wrong shape")
+    if src.relations.rows and not lattice_contains(
+        dst.relations.transpose(), f @ src.relations.transpose()
+    ):
+        raise ValueError(f"{label} does not preserve relations")
 
 
 def _preimage_generators(f: IntegerMatrix, dst_relations: IntegerMatrix) -> IntegerMatrix:
@@ -222,13 +225,7 @@ class GroupSequence:
         if len(self.maps) != len(self.groups) - 1:
             raise ValueError("expected one map between consecutive groups")
         for i, f in enumerate(self.maps):
-            src, dst = self.groups[i], self.groups[i + 1]
-            if f.rows != dst.generators or f.cols != src.generators:
-                raise ValueError(f"map {i} has the wrong shape")
-            if src.relations.rows and not _in_relation_span(
-                dst.relations, f @ src.relations.transpose()
-            ):
-                raise ValueError(f"map {i} does not preserve relations")
+            _check_well_defined(f"map {i}", f, self.groups[i], self.groups[i + 1])
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -257,19 +254,14 @@ def induced_map_is_isomorphism(f: IntegerMatrix,
                                src: GroupPresentation,
                                dst: GroupPresentation) -> bool:
     """Isomorphism test for the homomorphism induced by f on presented groups."""
-    if f.rows != dst.generators or f.cols != src.generators:
-        raise ValueError("map has the wrong shape")
-    if src.relations.rows and not _in_relation_span(
-        dst.relations, f @ src.relations.transpose()
-    ):
-        raise ValueError("map does not preserve relations")
+    _check_well_defined("map", f, src, dst)
     # surjective: columns of f plus dst relations span all of Z^generators
     spanning = f.hstack(dst.relations.transpose())
     if not cokernel(spanning.transpose()).is_trivial:
         return False
     # injective: the preimage of dst's relations is contained in src's relations
     pre = _preimage_generators(f, dst.relations)
-    if pre.cols and not _in_relation_span(src.relations, pre):
+    if pre.cols and not lattice_contains(src.relations.transpose(), pre):
         return False
     return True
 
@@ -296,13 +288,7 @@ class Ladder:
         if len(self.top) != 5 or len(self.bottom) != 5 or len(self.verticals) != 5:
             raise ValueError("a ladder needs five columns")
         for i, f in enumerate(self.verticals):
-            src, dst = self.top.groups[i], self.bottom.groups[i]
-            if f.rows != dst.generators or f.cols != src.generators:
-                raise ValueError(f"vertical {i} has the wrong shape")
-            if src.relations.rows and not _in_relation_span(
-                dst.relations, f @ src.relations.transpose()
-            ):
-                raise ValueError(f"vertical {i} does not preserve relations")
+            _check_well_defined(f"vertical {i}", f, self.top.groups[i], self.bottom.groups[i])
 
 
 def five_lemma_check(ladder: Ladder) -> bool:
@@ -319,7 +305,7 @@ def five_lemma_check(ladder: Ladder) -> bool:
     for i in range(4):
         diff = (ladder.verticals[i + 1] @ ladder.top.maps[i]
                 - ladder.bottom.maps[i] @ ladder.verticals[i])
-        if not _in_relation_span(ladder.bottom.groups[i + 1].relations, diff):
+        if not lattice_contains(ladder.bottom.groups[i + 1].relations.transpose(), diff):
             raise FiveLemmaHypothesisError(f"square {i} does not commute")
     for name, row in (("top", ladder.top), ("bottom", ladder.bottom)):
         for i in (1, 2, 3):

@@ -313,9 +313,6 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def extend(self, variable_count: int) -> "MultiPoly":
         """Reinterpret in a larger variable set (new variables unused)."""
         if variable_count < self.variable_count:

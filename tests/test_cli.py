@@ -99,6 +99,23 @@ class TestChCommand:
         assert code == 0
         assert out.strip() == "-1 + x"
 
+    @pytest.mark.parametrize("argv", [
+        ("ch", "--rank", "1", "--chern", "1+x", "--order", "1001"),
+        ("ch", "--rank", "1", "--chern", "1+x", "--order", "1700"),
+        ("ch", "cpn:1001", "--class=" + ",".join(["1"] + ["0"] * 1001)),
+    ])
+    def test_order_above_the_bound_is_a_one_line_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "at most 1000" in err
+
+    def test_order_at_the_bound_is_accepted(self, capsys):
+        doc = run_machine(capsys, "ch", "--rank", "1", "--chern", "1+x",
+                          "--order", "1000")
+        assert len(doc.result["coefficients"]) == 1001
+
     def test_zero_denominator_is_a_one_line_error(self, capsys):
         code, out, err = run(capsys, "ch", "--rank", "1", "--chern", "1+1/0*x",
                              "--order", "1")

@@ -1,6 +1,9 @@
+import math
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kproj.grothendieck import (
     FiniteCommutativeMonoid,
@@ -22,6 +25,43 @@ def truncated_addition_monoid(cap):
 def max_semilattice(n):
     table = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
     return FiniteCommutativeMonoid(table, 0)
+
+
+def monogenic(index, period):
+    """<a | (index + period)a = index*a> with 0 adjoined: element k is ka."""
+    n = index + period
+
+    def reduce(k):
+        return k if k < n else index + (k - index) % period
+    table = tuple(tuple(reduce(i + j) for j in range(n)) for i in range(n))
+    return FiniteCommutativeMonoid(table, 0)
+
+
+def relabel(m, perm):
+    """The same monoid with element x renamed perm[x]."""
+    table = [[0] * m.size for _ in range(m.size)]
+    for x in range(m.size):
+        for y in range(m.size):
+            table[perm[x]][perm[y]] = perm[m.table[x][y]]
+    return FiniteCommutativeMonoid(tuple(map(tuple, table)), perm[m.identity])
+
+
+FACTORS = st.one_of(
+    st.builds(monogenic, st.integers(1, 4), st.integers(1, 4)),
+    st.builds(FiniteCommutativeMonoid.cyclic_group, st.integers(1, 6)),
+    st.builds(truncated_addition_monoid, st.integers(1, 5)),
+    st.builds(max_semilattice, st.integers(1, 6)),
+)
+
+
+@st.composite
+def small_monoids(draw, max_size=12):
+    """One factor, or the product of two if it has <= max_size elements, relabelled."""
+    m = draw(FACTORS)
+    other = draw(st.none() | FACTORS)
+    if other is not None and m.size * other.size <= max_size:
+        m = FiniteCommutativeMonoid.product(m, other)
+    return relabel(m, draw(st.permutations(range(m.size))))
 
 
 ABSORBING = truncated_addition_monoid(1)  # {e, a} with a + a = a
@@ -173,6 +213,73 @@ class TestCompletion:
                         left = (m.add(p1[0], q[0]), m.add(p1[1], q[1]))
                         right = (m.add(p2[0], q[0]), m.add(p2[1], q[1]))
                         assert pair_equivalent(m, *left, *right)
+
+
+class TestCompletionClasses:
+    """The class numbering against the defining relation pair_equivalent."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_monoids())
+    def test_classes_are_the_relation(self, m):
+        g = completion(m)
+        pairs = list(product(range(m.size), repeat=2))
+        for i, p in enumerate(pairs):
+            for q in pairs[i:]:
+                same = g.class_of_pair(*p) == g.class_of_pair(*q)
+                assert same == pair_equivalent(m, *p, *q), (p, q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_monoids())
+    def test_classes_numbered_by_first_pair(self, m):
+        g = completion(m)
+        seen = []
+        for p in product(range(m.size), repeat=2):
+            c = g.class_of_pair(*p)
+            if c not in seen:
+                assert c == len(seen)
+                seen.append(c)
+                assert g.class_members(c)[0] == p
+        assert list(g.classes()) == seen
+        assert g.class_count == len(seen)
+        assert sum(len(g.class_members(c)) for c in seen) == m.size ** 2
+        assert g.carrier.free_rank == 0
+        assert math.prod(g.carrier.torsion) == g.class_count
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_monoids(max_size=8))
+    def test_arithmetic_follows_pairs(self, m):
+        g = completion(m)
+        pairs = list(product(range(m.size), repeat=2))
+        for x, y in pairs:
+            assert g.negate(g.class_of_pair(x, y)) == g.class_of_pair(y, x)
+            for u, v in pairs:
+                assert (g.add(g.class_of_pair(x, y), g.class_of_pair(u, v))
+                        == g.class_of_pair(m.add(x, u), m.add(y, v)))
+
+    @pytest.mark.parametrize("index, period, invariants", [
+        (3, 4, [4]), (2, 6, [6]), (4, 1, []), (1, 4, [4]), (2, 2, [2]),
+    ])
+    def test_monogenic_completes_to_its_cycle(self, index, period, invariants):
+        # the least ideal is the cycle {index*a, .., (index + period - 1)a},
+        # whose identity is neither element 0 nor the monoid's identity
+        g = completion(monogenic(index, period))
+        assert g.class_count == period
+        assert g.carrier == FgAbelianGroup(0, tuple(invariants))
+
+    def test_relabelled_product_with_nontrivial_kernel(self):
+        m = FiniteCommutativeMonoid.product(monogenic(3, 4),
+                                            FiniteCommutativeMonoid.cyclic_group(3))
+        m = relabel(m, [(5 * x + 3) % m.size for x in range(m.size)])
+        g = completion(m)
+        assert m.identity == 3
+        assert g.class_count == 12
+        assert g.carrier == FgAbelianGroup(0, (12,))
+
+    def test_large_truncated_addition_collapses(self):
+        g = completion(truncated_addition_monoid(40))
+        assert g.class_count == 1
+        assert g.carrier.is_trivial
+        assert {g.class_of_pair(x, y) for x in range(41) for y in range(41)} == {0}
 
 
 class TestUniversalFactor:

@@ -228,6 +228,53 @@ class TestExactness:
             assert is_exact_at(s, i)
 
 
+def cyclic_quotient_sequence(order):
+    """0 -> Z --order--> Z -> Z/order -> 0."""
+    groups = (GroupPresentation.trivial(), GroupPresentation.free(1),
+              GroupPresentation.free(1), GroupPresentation(1, mat([[order]])),
+              GroupPresentation.trivial())
+    maps = (IntegerMatrix.zero(1, 0), mat([[order]]), mat([[1]]),
+            IntegerMatrix.zero(0, 1))
+    return GroupSequence(groups, maps)
+
+
+def ladder_with_vertical_three(f, bottom_order):
+    top, bottom = cyclic_quotient_sequence(2), cyclic_quotient_sequence(bottom_order)
+    verticals = (IntegerMatrix.zero(0, 0), mat([[1]]), mat([[1]]), f,
+                 IntegerMatrix.zero(0, 0))
+    return Ladder(top, bottom, verticals)
+
+
+Z_MOD_2 = GroupPresentation(1, mat([[2]]))
+FREE_1 = GroupPresentation.free(1)
+
+
+class TestWellDefinedMaps:
+    """Every constructor and checker rejects a bad map with the same messages."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: GroupSequence((FREE_1, FREE_1), (mat([[1, 0]]),)),
+         "map 0 has the wrong shape"),
+        (lambda: GroupSequence((Z_MOD_2, FREE_1), (mat([[1]]),)),
+         "map 0 does not preserve relations"),
+        (lambda: induced_map_is_isomorphism(mat([[1, 0]]), FREE_1, FREE_1),
+         "map has the wrong shape"),
+        (lambda: induced_map_is_isomorphism(mat([[1]]), Z_MOD_2, FREE_1),
+         "map does not preserve relations"),
+        (lambda: ladder_with_vertical_three(mat([[1, 0]]), 2),
+         "vertical 3 has the wrong shape"),
+        (lambda: ladder_with_vertical_three(mat([[1]]), 4),
+         "vertical 3 does not preserve relations"),
+    ])
+    def test_message(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_well_defined_ladder_accepted(self):
+        assert five_lemma_check(ladder_with_vertical_three(mat([[1]]), 2))
+
+
 class TestInducedIsomorphism:
     def test_identity_on_torsion(self):
         p = GroupPresentation(1, mat([[4]]))
