@@ -37,6 +37,12 @@ NEWTON_MAX_K = 40
 # the degree-k coefficient of ch has a denominator up to k!; at order 1700
 # it exceeds Python's default int-to-str limit of 4300 digits
 CH_MAX_ORDER = 1000
+# ring N renders (N+1)^2 products: ring 200 takes about 3 s and prints
+# 0.7 MB, ring 400 about 20 s and 2.8 MB
+RING_MAX_N = 200
+# trace N and kgroups cpn:N replay the induction, which grows faster than
+# N^2: about 2 s at N = 100 and 10 s at N = 200
+REPLAY_MAX_N = 200
 
 
 @dataclass
@@ -128,6 +134,8 @@ def _run_cohomology(args) -> OutputDocument:
 
 def _run_kgroups(args) -> OutputDocument:
     space = Space.parse(args.space)
+    if space.kind == "cpn":
+        _check_replay_size(space.parameter)
     group = k_groups(space, args.q)
     result = dict(_group_payload(group))
     result["label"] = f"K^{args.q}({space.label()})"
@@ -138,6 +146,8 @@ def _run_ring(args) -> OutputDocument:
     n = args.n
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > RING_MAX_N:
+        raise ValueError(f"n must be at most {RING_MAX_N}")
     basis = ["1"] + [f"γ^{k}" if k > 1 else "γ" for k in range(1, n + 1)]
     gamma = KClass.gamma(n)
     powers = [KClass.unit(n)]
@@ -184,7 +194,13 @@ def _run_ch(args) -> OutputDocument:
     return OutputDocument("ch", inputs, _poly_payload(character))
 
 
+def _check_replay_size(n: int) -> None:
+    if n > REPLAY_MAX_N:
+        raise ValueError(f"the induction replay needs N at most {REPLAY_MAX_N}")
+
+
 def _run_trace(args) -> OutputDocument:
+    _check_replay_size(args.n)
     trace = replay_induction(args.n)
     result = {"kind": "induction-trace", **trace.to_json_dict()}
     return OutputDocument("trace", {"n": args.n}, result)

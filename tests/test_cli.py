@@ -282,6 +282,26 @@ class TestPinnedDocuments:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[argv]
 
 
+class TestSizeLimits:
+    @pytest.mark.parametrize("argv", [
+        ("ring", "201"),
+        ("ring", "1000000"),
+        ("trace", "201"),
+        ("kgroups", "cpn:201"),
+        ("kgroups", "cpn:201", "--q", "1"),
+    ])
+    def test_above_the_bound_is_a_one_line_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "at most 200" in err
+
+    def test_spheres_are_not_replayed_and_not_bounded(self, capsys):
+        doc = run_machine(capsys, "kgroups", "sphere:201", "--q", "1")
+        assert doc.result["text"] == "Z"
+
+
 class TestBottCommand:
     def test_output(self, capsys):
         code, out, _ = run(capsys, "bott-check")

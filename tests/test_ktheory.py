@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kproj.ktheory as ktheory_module
 from kproj.homology import cohomology, cpn_complex
@@ -129,6 +131,20 @@ class TestCharacterMap:
             for _ in range(n):
                 expected.append(expected[-1] * base)
             assert ktheory_module._gamma_character_powers(n) == tuple(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 24).flatmap(
+        lambda n: st.lists(st.sampled_from([0, 0, 0, 1, -1, 7, -30]),
+                           min_size=n + 1, max_size=n + 1)))
+    def test_character_is_the_sum_of_powers_of_exp_minus_one(self, coeffs):
+        n = len(coeffs) - 1
+        base = (exp_nilpotent(TruncPoly.variable(n)) - TruncPoly.one(n)
+                if n else TruncPoly.zero(0))
+        expected, power = TruncPoly.zero(n), TruncPoly.one(n)
+        for c in coeffs:
+            expected = expected + power * c
+            power = power * base
+        assert chern_character_map(KClass(n, tuple(coeffs))) == expected
 
 
 class TestCharacterMatrix:

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kproj.ktheory as ktheory_module
 from kproj.linalg import (
+    SMITH_CACHE_SIZE,
     FgAbelianGroup,
     IntegerMatrix,
     cokernel,
@@ -367,3 +369,33 @@ class TestUncheckedResults:
         assert y is not None
         assert_well_formed(y)
         assert a @ y == b
+
+
+class TestSmithCache:
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices())
+    def test_cached_result_equals_a_fresh_decomposition(self, a):
+        # a zero or empty matrix and its transpose have equal entries in
+        # different shapes, so the cache key must include the shape
+        for m in (a, a.transpose()):
+            cached = smith_normal_form(m)
+            fresh = smith_normal_form.__wrapped__(m)
+            assert cached.d == fresh.d
+            assert cached.u == fresh.u
+            assert cached.v == fresh.v
+            assert (cached.original_rows, cached.original_cols) == (m.rows, m.cols)
+
+    def test_an_equal_matrix_shares_the_result(self):
+        a = IntegerMatrix(3, 3, (2, 4, 4, -6, 6, 12, 10, -4, -16))
+        b = IntegerMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        assert a is not b and a == b
+        assert smith_normal_form(a) is smith_normal_form(b)
+
+    def test_the_replay_hits_a_bounded_cache(self):
+        smith_normal_form.cache_clear()
+        ktheory_module._induction_stages.cache_clear()
+        ktheory_module.replay_induction(20)
+        info = smith_normal_form.cache_info()
+        assert info.hits > 0
+        assert info.maxsize == SMITH_CACHE_SIZE
+        assert info.currsize <= info.maxsize
