@@ -16,7 +16,6 @@ from .linalg import (
     IntegerMatrix,
     SmithForm,
     cokernel,
-    groups_equal,
     is_isomorphism,
     kernel_basis,
     lattice_contains,
@@ -34,7 +33,6 @@ from .homology import (
     complex_from_text,
     complex_to_text,
     cpn_complex,
-    dual_complex,
     five_lemma_check,
     induced_map_is_isomorphism,
     is_exact_at,
@@ -53,10 +51,7 @@ from .grothendieck import (
 from .truncpoly import (
     MultiPoly,
     TruncPoly,
-    elementary_symmetric,
-    exp_nilpotent,
     pairing_matrix,
-    power_sum,
 )
 from .chern import (
     FormalBundle,
@@ -76,7 +71,6 @@ from .ktheory import (
     Space,
     SphereChernImageCertificate,
     bott_check,
-    bott_image,
     bott_matrix,
     ch_image_on_sphere,
     ch_matrix,

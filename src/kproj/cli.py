@@ -43,6 +43,10 @@ RING_MAX_N = 200
 # trace N and kgroups cpn:N replay the induction, which grows faster than
 # N^2: about 2 s at N = 100 and 10 s at N = 200
 REPLAY_MAX_N = 200
+# cohomology of cpn:N or sphere:M builds a cell complex of top degree 2N
+# or M and prints one row per degree: top degree 30000 takes about 2 s
+# and prints 4.8 MB
+COHOMOLOGY_MAX_TOP = 30000
 
 
 @dataclass
@@ -102,6 +106,9 @@ def _poly_payload(p: TruncPoly) -> dict:
 
 
 def _space_complex(space: Space):
+    top = 2 * space.parameter if space.kind == "cpn" else space.parameter
+    if top > COHOMOLOGY_MAX_TOP:
+        raise ValueError(f"the cell complex needs top degree at most {COHOMOLOGY_MAX_TOP}")
     if space.kind == "cpn":
         return cpn_complex(space.parameter)
     if space.kind == "sphere":

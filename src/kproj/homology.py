@@ -89,6 +89,15 @@ class ChainComplex:
         return self.boundaries[k - 1]
 
 
+def _kernel_mod_image(outgoing: IntegerMatrix, incoming: IntegerMatrix) -> FgAbelianGroup:
+    """ker(outgoing) / im(incoming) for composable maps with zero composite."""
+    basis = kernel_basis(outgoing)
+    image = solve_integer(basis, incoming)
+    if image is None:
+        raise RuntimeError("boundary image escaped the kernel; complex invariant broken")
+    return cokernel(image.transpose())
+
+
 def homology(c: ChainComplex, k: int) -> FgAbelianGroup:
     """Degree-k homology ker(boundary_k)/im(boundary_{k+1}).
 
@@ -99,28 +108,16 @@ def homology(c: ChainComplex, k: int) -> FgAbelianGroup:
         raise ValueError("degree out of range")
     if k > c.top:
         return FgAbelianGroup.trivial()
-    basis = kernel_basis(c.boundary(k))
-    image = solve_integer(basis, c.boundary(k + 1))
-    if image is None:
-        raise RuntimeError("boundary image escaped the kernel; complex invariant broken")
-    return cokernel(image.transpose())
-
-
-def dual_complex(c: ChainComplex) -> ChainComplex:
-    """Dual (cochain) complex: reversed ranks, transposed boundaries."""
-    top = c.top
-    ranks = tuple(reversed(c.ranks))
-    bnds = tuple(c.boundary(top - j + 1).transpose() for j in range(1, top + 1))
-    return ChainComplex(ranks, bnds)
+    return _kernel_mod_image(c.boundary(k), c.boundary(k + 1))
 
 
 def cohomology(c: ChainComplex, k: int) -> FgAbelianGroup:
-    """Degree-k cohomology, i.e. homology of the dualized complex."""
+    """Degree-k cohomology: the coboundaries are the transposed boundaries."""
     if k < 0:
         raise ValueError("degree out of range")
     if k > c.top:
         return FgAbelianGroup.trivial()
-    return homology(dual_complex(c), c.top - k)
+    return _kernel_mod_image(c.boundary(k + 1).transpose(), c.boundary(k).transpose())
 
 
 def cpn_complex(n: int) -> ChainComplex:

@@ -121,8 +121,11 @@ class KClass:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("ambient index must be nonnegative")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if len(self.coeffs) != self.n + 1:
+        coeffs = tuple(self.coeffs)
+        object.__setattr__(self, "coeffs", coeffs)
+        if any(type(c) is not int for c in coeffs):
+            raise ValueError("coefficients must be exact integers")
+        if len(coeffs) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} coefficients")
 
     @classmethod
@@ -235,21 +238,6 @@ def _stirling_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _gamma_character_powers(n: int) -> tuple[TruncPoly, ...]:
-    """Powers of exp(x) - 1 in Q[x]/(x^(n+1)), indexed by the exponent.
-
-    Read off the Stirling table: no products of truncated polynomials.
-    """
-    stirling = _stirling_table(n)
-    fact = [factorial(m) for m in range(n + 1)]
-    return tuple(
-        TruncPoly(n, [Fraction(fact[k] * stirling[m][k], fact[m]) if k <= m else 0
-                      for m in range(n + 1)])
-        for k in range(n + 1)
-    )
-
-
 def chern_character_map(a: KClass) -> TruncPoly:
     """Chern character of a virtual class, landing in Q[x]/(x^(n+1)).
 
@@ -278,10 +266,13 @@ def ch_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    powers = _gamma_character_powers(n)
+    stirling = _stirling_table(n)
+    fact = [factorial(m) for m in range(n + 1)]
+    zero = Fraction(0)
     return tuple(
-        tuple(powers[k].coefficient(i) for k in range(n + 1))
-        for i in range(n + 1)
+        tuple(Fraction(fact[k] * row[k], fact[i]) if k <= i else zero
+              for k in range(n + 1))
+        for i, row in enumerate(stirling)
     )
 
 
@@ -587,11 +578,6 @@ def bott_matrix() -> IntegerMatrix:
     return IntegerMatrix.from_columns([unit.coeffs, hopf.coeffs])
 
 
-def bott_image(a1: int, a2: int) -> KClass:
-    """The class a1 * 1 + a2 * hopf on the 2-sphere."""
-    return a1 * KClass.unit(1) + a2 * KClass.hopf(1)
-
-
 def bott_check() -> bool:
     """Desk-scale periodicity instance: the map above is an isomorphism."""
     return is_isomorphism(bott_matrix())
@@ -604,9 +590,10 @@ class SphereChernImageCertificate:
     The reduced K-group of the 2n-sphere is generated by one class beta;
     the certificate pins the character value ch(beta) = coefficient * g
     against a fixed generator g of the top rational cohomology.  The base
-    case is computed outright on the projective line; higher cases follow
-    the periodicity square one suspension at a time, with the sign
-    convention fixed so the coefficient stays +1.
+    case is computed outright on the projective line; each higher case
+    reads the top coefficient of ch(γ^j) on CP^j, and the certified
+    coefficient is the product of these readings, so it is +-1 exactly
+    when every stage's is.
     """
 
     half_dimension: int
@@ -634,11 +621,16 @@ def ch_image_on_sphere(n: int) -> SphereChernImageCertificate:
     """Build the image certificate for the 2n-sphere."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    base = chern_character_map(KClass.gamma(1))
-    coefficient = base.coefficient(1)
-    if coefficient.denominator != 1:
-        raise RuntimeError("base character coefficient is not an integer")
+    coefficient = 1
     steps = ["base: character of the reduced Hopf class on the 2-sphere"]
-    for j in range(2, n + 1):
-        steps.append(f"periodicity-shift: S^{2 * (j - 1)} -> S^{2 * j}, sign +1")
-    return SphereChernImageCertificate(n, int(coefficient), tuple(steps))
+    for j in range(1, n + 1):
+        # γ^j on CP^j pulls back the generator of reduced K(S^(2j)); the top
+        # coefficient of its character is j! S(j, j) / j! = 1
+        top = chern_character_map(KClass(j, (0,) * j + (1,))).coefficient(j)
+        if top.denominator != 1:
+            raise RuntimeError(f"top character coefficient on CP^{j} is not an integer")
+        coefficient *= top.numerator
+        if j > 1:
+            steps.append(f"periodicity-shift: S^{2 * (j - 1)} -> S^{2 * j}, "
+                         f"sign {top.numerator:+d}")
+    return SphereChernImageCertificate(n, coefficient, tuple(steps))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
-from math import gcd, prod
+from math import prod
 from typing import Sequence
 
 
@@ -63,7 +63,7 @@ class IntegerMatrix:
                 raise ValueError("cols argument does not match row width")
         else:
             width = 0 if cols is None else cols
-        flat = tuple(int(e) for r in rows for e in r)
+        flat = tuple(e for r in rows for e in r)
         return cls(len(rows), width, flat)
 
     @classmethod
@@ -87,12 +87,12 @@ class IntegerMatrix:
             raise ValueError("too many diagonal values for the requested shape")
         entries = [0] * (rows * cols)
         for i, v in enumerate(values):
-            entries[i * cols + i] = int(v)
+            entries[i * cols + i] = v
         return cls(rows, cols, tuple(entries))
 
     @classmethod
     def column_vector(cls, values: Sequence[int]) -> "IntegerMatrix":
-        return cls(len(values), 1, tuple(int(v) for v in values))
+        return cls(len(values), 1, tuple(values))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntegerMatrix":
@@ -254,15 +254,13 @@ class SmithForm:
     d: tuple[int, ...]
     u: IntegerMatrix
     v: IntegerMatrix
-    original_rows: int
-    original_cols: int
 
     @property
     def rank(self) -> int:
         return len(self.d)
 
     def diagonal_matrix(self) -> IntegerMatrix:
-        return IntegerMatrix.diagonal(self.d, self.original_rows, self.original_cols)
+        return IntegerMatrix.diagonal(self.d, self.u.rows, self.v.rows)
 
 
 def _min_abs_entry(d: list[list[int]], t: int, m: int, n: int):
@@ -398,7 +396,7 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
 
     diag = tuple(d[k][k] for k in range(limit) if d[k][k])
     return SmithForm(diag, IntegerMatrix._make(m, m, tuple(chain.from_iterable(u))),
-                     IntegerMatrix._make(n, n, tuple(chain.from_iterable(v))), m, n)
+                     IntegerMatrix._make(n, n, tuple(chain.from_iterable(v))))
 
 
 def cokernel(a: IntegerMatrix) -> "FgAbelianGroup":
@@ -482,9 +480,12 @@ class FgAbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        torsion = tuple(self.torsion)
+        object.__setattr__(self, "torsion", torsion)
+        if type(self.free_rank) is not int or any(type(t) is not int for t in torsion):
+            raise ValueError("group invariants must be exact integers")
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion", tuple(int(t) for t in self.torsion))
         for t in self.torsion:
             if t < 2:
                 raise ValueError("torsion coefficients must be at least 2")
@@ -591,16 +592,3 @@ class FgAbelianGroup:
     def scale_element(self, a: Sequence[int], c: int) -> tuple[int, ...]:
         a = self.normalize_element(a)
         return self.normalize_element(tuple(c * x for x in a))
-
-
-def groups_equal(g: FgAbelianGroup, h: FgAbelianGroup) -> bool:
-    """Isomorphism test; sound and complete because both sides are normal forms."""
-    return g == h
-
-
-def content(values: Sequence[int]) -> int:
-    """gcd of a sequence of integers (0 for the empty or all-zero sequence)."""
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .linalg import IntegerMatrix
@@ -214,22 +213,6 @@ def _render_term(c: Fraction, k: int, var: str = "x") -> str:
     return f"{c}*{v}"
 
 
-def exp_nilpotent(p: TruncPoly) -> TruncPoly:
-    """Exponential of a polynomial with zero constant term.
-
-    The argument is nilpotent in the truncated ring, so the series stops
-    at the truncation order and every coefficient is an exact rational.
-    """
-    if p.coeffs[0] != 0:
-        raise ValueError("exp requires a zero constant term")
-    result = TruncPoly.one(p.order)
-    term = TruncPoly.one(p.order)
-    for k in range(1, p.order + 1):
-        term = term * p * Fraction(1, k)
-        result = result + term
-    return result
-
-
 def pairing_matrix(n: int) -> IntegerMatrix:
     """Top-coefficient multiplication pairing of the degree-n truncated ring.
 
@@ -405,35 +388,7 @@ class MultiPoly:
             e >>= 1
         return result
 
-    # -- substitution and evaluation ---------------------------------------
-
-    def substitute(self, values: Sequence["MultiPoly"]) -> "MultiPoly":
-        """Plug a polynomial in for each variable (all in a common ring)."""
-        if len(values) != self.variable_count:
-            raise ValueError("need one substitution value per variable")
-        if not values:
-            nvars = 0
-        else:
-            nvars = values[0].variable_count
-            for v in values:
-                if v.variable_count != nvars:
-                    raise ValueError("substitution values live in different rings")
-        power_cache: dict[tuple[int, int], MultiPoly] = {}
-
-        def power(i: int, e: int) -> MultiPoly:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = values[i] ** e
-            return power_cache[key]
-
-        acc = MultiPoly.zero(nvars)
-        for exps, c in self.terms.items():
-            term = MultiPoly.constant(nvars, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * power(i, e)
-            acc = acc + term
-        return acc
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, values: Sequence, one):
         """Evaluate in any commutative ring given its multiplicative unit.
@@ -486,29 +441,3 @@ class MultiPoly:
 
     def __str__(self) -> str:
         return self.render()
-
-
-def elementary_symmetric(k: int, n: int) -> MultiPoly:
-    """k-th elementary symmetric polynomial in n variables (zero for k > n)."""
-    if k < 0:
-        raise ValueError("index must be nonnegative")
-    if k == 0:
-        return MultiPoly.constant(n, 1)
-    if k > n:
-        return MultiPoly.zero(n)
-    terms = {}
-    for subset in combinations(range(n), k):
-        exps = tuple(1 if i in subset else 0 for i in range(n))
-        terms[exps] = 1
-    return MultiPoly(n, terms)
-
-
-def power_sum(k: int, n: int) -> MultiPoly:
-    """k-th power sum x_1^k + .. + x_n^k."""
-    if k < 1:
-        raise ValueError("index must be at least 1")
-    terms = {}
-    for i in range(n):
-        exps = tuple(k if j == i else 0 for j in range(n))
-        terms[exps] = 1
-    return MultiPoly(n, terms)

@@ -4,13 +4,18 @@ Nothing in here calls the library's Smith machinery: determinants come
 from cofactor expansion, invariant factors from the gcd-of-minors
 characterization, diagonalization from plain repeated-subtraction row and
 column reduction, and finite quotients from literal enumeration of
-canonical representatives.
+canonical representatives.  The polynomial oracles (the exponential
+series, elementary symmetric polynomials and power sums) are built from
+the plain truncated and multivariate polynomial arithmetic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+
+from kproj.truncpoly import MultiPoly, TruncPoly
 
 
 def det_cofactor(rows) -> int:
@@ -209,3 +214,58 @@ def enumerated_cyclic_order(relation_rows, n) -> int | None:
     except ValueError:
         return None
     return max(q.order_of(e) for e in q.elements())
+
+
+# ----------------------------------------------------------------------
+# integer vectors and polynomials
+# ----------------------------------------------------------------------
+
+
+def content(values) -> int:
+    """gcd of a sequence of integers (0 for the empty or all-zero sequence)."""
+    g = 0
+    for v in values:
+        g = gcd(g, v)
+    return g
+
+
+def exp_nilpotent(p: TruncPoly) -> TruncPoly:
+    """Exponential of a polynomial with zero constant term.
+
+    The argument is nilpotent in the truncated ring, so the series stops
+    at the truncation order and every coefficient is an exact rational.
+    """
+    if p.coeffs[0] != 0:
+        raise ValueError("exp requires a zero constant term")
+    result = TruncPoly.one(p.order)
+    term = TruncPoly.one(p.order)
+    for k in range(1, p.order + 1):
+        term = term * p * Fraction(1, k)
+        result = result + term
+    return result
+
+
+def elementary_symmetric(k: int, n: int) -> MultiPoly:
+    """k-th elementary symmetric polynomial in n variables (zero for k > n)."""
+    if k < 0:
+        raise ValueError("index must be nonnegative")
+    if k == 0:
+        return MultiPoly.constant(n, 1)
+    if k > n:
+        return MultiPoly.zero(n)
+    terms = {}
+    for subset in combinations(range(n), k):
+        exps = tuple(1 if i in subset else 0 for i in range(n))
+        terms[exps] = 1
+    return MultiPoly(n, terms)
+
+
+def power_sum(k: int, n: int) -> MultiPoly:
+    """k-th power sum x_1^k + .. + x_n^k."""
+    if k < 1:
+        raise ValueError("index must be at least 1")
+    terms = {}
+    for i in range(n):
+        exps = tuple(k if j == i else 0 for j in range(n))
+        terms[exps] = 1
+    return MultiPoly(n, terms)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kproj.cli import main, parse_document
+from kproj.cli import COHOMOLOGY_MAX_TOP, main, parse_document
 
 
 def run(capsys, *argv):
@@ -300,6 +300,25 @@ class TestSizeLimits:
     def test_spheres_are_not_replayed_and_not_bounded(self, capsys):
         doc = run_machine(capsys, "kgroups", "sphere:201", "--q", "1")
         assert doc.result["text"] == "Z"
+
+    @pytest.mark.parametrize("argv", [
+        ("cohomology", f"cpn:{COHOMOLOGY_MAX_TOP // 2 + 1}"),
+        ("cohomology", f"sphere:{COHOMOLOGY_MAX_TOP + 1}"),
+        ("cohomology", f"sphere:{COHOMOLOGY_MAX_TOP + 1}", "--degree", "0"),
+    ])
+    def test_cohomology_above_the_bound_is_a_one_line_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and f"at most {COHOMOLOGY_MAX_TOP}" in err
+
+    def test_cohomology_at_the_bound_is_accepted(self, capsys):
+        top = COHOMOLOGY_MAX_TOP
+        doc = run_machine(capsys, "cohomology", f"sphere:{top}", "--degree", str(top))
+        assert doc.result["rows"][0]["text"] == "Z"
+        doc = run_machine(capsys, "cohomology", f"cpn:{top // 2}", "--degree", str(top))
+        assert doc.result["rows"][0]["text"] == "Z"
 
 
 class TestBottCommand:

@@ -15,7 +15,6 @@ from kproj.ktheory import (
     KGroupTable,
     Space,
     bott_check,
-    bott_image,
     bott_matrix,
     ch_image_on_sphere,
     ch_matrix,
@@ -27,7 +26,9 @@ from kproj.ktheory import (
     replay_induction,
 )
 from kproj.linalg import FgAbelianGroup
-from kproj.truncpoly import TruncPoly, exp_nilpotent
+from kproj.truncpoly import TruncPoly
+
+from oracles import exp_nilpotent
 
 Z = FgAbelianGroup.free(1)
 ZERO = FgAbelianGroup.trivial()
@@ -124,13 +125,18 @@ class TestCharacterMap:
                     chern_character_map(a) * chern_character_map(b)
 
     def test_gamma_powers_match_repeated_products(self):
+        # column k of the character matrix against the k-th power of
+        # exp(x) - 1, entry by entry and as Fractions
         for n in range(21):
             base = (exp_nilpotent(TruncPoly.variable(n)) - TruncPoly.one(n)
                     if n else TruncPoly.zero(0))
-            expected = [TruncPoly.one(n)]
-            for _ in range(n):
-                expected.append(expected[-1] * base)
-            assert ktheory_module._gamma_character_powers(n) == tuple(expected)
+            matrix = ch_matrix(n)
+            power = TruncPoly.one(n)
+            for k in range(n + 1):
+                column = tuple(row[k] for row in matrix)
+                assert column == power.coeffs
+                assert all(type(e) is Fraction for e in column)
+                power = power * base
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 24).flatmap(
@@ -167,6 +173,14 @@ class TestCharacterMatrix:
                 assert m[i][i] == 1
                 for k in range(i + 1, n + 1):
                     assert m[i][k] == 0
+
+    @settings(max_examples=31, deadline=None)
+    @given(st.integers(0, 30))
+    def test_columns_are_characters_of_gamma_powers(self, n):
+        matrix = ch_matrix(n)
+        for k in range(n + 1):
+            column = tuple(row[k] for row in matrix)
+            assert column == chern_character_map(KClass.gamma(n) ** k).coeffs
 
     def test_determinant_is_one(self):
         # triangular, so the determinant is the diagonal product
@@ -335,10 +349,6 @@ class TestBott:
     def test_check(self):
         assert bott_check() is True
 
-    def test_generator_images(self):
-        assert bott_image(1, 0) == KClass.unit(1)
-        assert bott_image(0, 1) == KClass.hopf(1)
-
 
 class TestSphereImageCertificate:
     def test_base_case(self):
@@ -364,3 +374,31 @@ class TestSphereImageCertificate:
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             ch_image_on_sphere(0)
+
+    @pytest.mark.parametrize("stage", [1, 2, 3])
+    def test_a_doubled_top_coefficient_breaks_the_certificate(self, monkeypatch, stage):
+        honest = ktheory_module.chern_character_map
+
+        def doubled(a):
+            p = honest(a)
+            if a.n != stage:
+                return p
+            return TruncPoly(p.order, p.coeffs[:-1] + (2 * p.coeffs[-1],))
+
+        monkeypatch.setattr(ktheory_module, "chern_character_map", doubled)
+        cert = ch_image_on_sphere(3)
+        assert cert.generator_coefficient == 2
+        assert not cert.image_is_generator_lattice
+        if stage > 1:
+            assert cert.steps[stage - 1].endswith("sign +2")
+
+    def test_a_fractional_top_coefficient_is_an_error(self, monkeypatch):
+        honest = ktheory_module.chern_character_map
+
+        def halved(a):
+            p = honest(a)
+            return TruncPoly(p.order, p.coeffs[:-1] + (p.coeffs[-1] / 2,))
+
+        monkeypatch.setattr(ktheory_module, "chern_character_map", halved)
+        with pytest.raises(RuntimeError):
+            ch_image_on_sphere(2)

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kproj.ktheory as ktheory_module
+from kproj.ktheory import KClass
 from kproj.linalg import (
     SMITH_CACHE_SIZE,
     FgAbelianGroup,
     IntegerMatrix,
     cokernel,
-    content,
-    groups_equal,
     is_isomorphism,
     kernel_basis,
     lattice_contains,
@@ -22,6 +21,7 @@ from kproj.linalg import (
 from oracles import (
     EnumeratedQuotient,
     chain_from_diagonal,
+    content,
     det_cofactor,
     enumerated_cyclic_order,
     minors_gcd_invariant_factors,
@@ -138,7 +138,7 @@ class TestCokernel:
 
     def test_groups_equal_on_cokernel(self):
         g = cokernel(IntegerMatrix.from_rows([[2, 0], [0, 3]]))
-        assert groups_equal(g, FgAbelianGroup(0, (6,)))
+        assert g == FgAbelianGroup(0, (6,))
 
     def test_order_matches_enumeration(self):
         rng = random.Random(5150)
@@ -251,8 +251,8 @@ class TestFgAbelianGroup:
             FgAbelianGroup(0, (4, 2))
 
     def test_structural_equality(self):
-        assert groups_equal(FgAbelianGroup(2, ()), FgAbelianGroup(2, ()))
-        assert not groups_equal(FgAbelianGroup(0, (2, 4)), FgAbelianGroup(0, (8,)))
+        assert FgAbelianGroup(2, ()) == FgAbelianGroup(2, ())
+        assert FgAbelianGroup(0, (2, 4)) != FgAbelianGroup(0, (8,))
 
     def test_direct_sum_renormalizes(self):
         a = FgAbelianGroup(1, (4,))
@@ -306,6 +306,22 @@ class TestConstructorValidation:
     def test_rejects_entries_not_of_type_int(self, entries):
         with pytest.raises(ValueError):
             IntegerMatrix(1, 2, entries)
+
+    # each of these used to be truncated by int() and accepted
+    @pytest.mark.parametrize("build", [
+        lambda: IntegerMatrix.from_rows([[1.5, 2]]),
+        lambda: IntegerMatrix.from_rows([[True, 2]]),
+        lambda: IntegerMatrix.diagonal([2.7], 1, 1),
+        lambda: IntegerMatrix.column_vector([0.9]),
+        lambda: KClass(1, (0.5, 1.9)),
+        lambda: KClass(1, (True, 0)),
+        lambda: FgAbelianGroup(0, (2.5,)),
+        lambda: FgAbelianGroup(True, ()),
+    ], ids=["from_rows-float", "from_rows-bool", "diagonal-float", "column_vector-float",
+            "kclass-float", "kclass-bool", "group-float-torsion", "group-bool-rank"])
+    def test_builders_reject_non_integers(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 @st.composite
@@ -383,7 +399,7 @@ class TestSmithCache:
             assert cached.d == fresh.d
             assert cached.u == fresh.u
             assert cached.v == fresh.v
-            assert (cached.original_rows, cached.original_cols) == (m.rows, m.cols)
+            assert (cached.u.rows, cached.v.rows) == (m.rows, m.cols)
 
     def test_an_equal_matrix_shares_the_result(self):
         a = IntegerMatrix(3, 3, (2, 4, 4, -6, 6, 12, 10, -4, -16))

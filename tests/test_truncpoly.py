@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kproj.linalg import is_isomorphism
-from kproj.truncpoly import (
-    MultiPoly,
-    TruncPoly,
-    elementary_symmetric,
-    exp_nilpotent,
-    pairing_matrix,
-    power_sum,
-)
+from kproj.truncpoly import MultiPoly, TruncPoly, pairing_matrix
+
+from oracles import elementary_symmetric, exp_nilpotent, power_sum
 
 
 def poly(order, *coeffs):
@@ -160,7 +155,7 @@ class TestMultiPoly:
         rng = random.Random(12)
         p = (MultiPoly.variable(2, 0) + 2 * MultiPoly.variable(2, 1)) ** 3
         values = [elementary_symmetric(1, 3), power_sum(2, 3)]
-        composed = p.substitute(values)
+        composed = p.evaluate(values, MultiPoly.constant(3, 1))
         for _ in range(20):
             point = [Fraction(rng.randint(-3, 3)) for _ in range(3)]
             direct = p.evaluate(
