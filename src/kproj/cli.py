@@ -155,11 +155,11 @@ def _run_ring(args) -> OutputDocument:
         raise ValueError("n must be nonnegative")
     if n > RING_MAX_N:
         raise ValueError(f"n must be at most {RING_MAX_N}")
-    basis = ["1"] + [f"γ^{k}" if k > 1 else "γ" for k in range(1, n + 1)]
     gamma = KClass.gamma(n)
     powers = [KClass.unit(n)]
     for _ in range(n):
         powers.append(powers[-1] * gamma)
+    basis = [p.render() for p in powers]
     table = [[(a * b).render() for b in powers] for a in powers]
     result = {
         "kind": "ring",

@@ -129,7 +129,9 @@ class FreeCommutativeMonoid:
             raise ValueError("generator count must be nonnegative")
 
     def element(self, exponents: Sequence[int]) -> tuple[int, ...]:
-        exponents = tuple(int(e) for e in exponents)
+        exponents = tuple(exponents)
+        if any(type(e) is not int for e in exponents):
+            raise ValueError("exponents must be exact integers")
         if len(exponents) != self.generator_count:
             raise ValueError("element has the wrong number of exponents")
         if any(e < 0 for e in exponents):

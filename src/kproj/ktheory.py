@@ -33,7 +33,7 @@ from .homology import (
     split_free_extension,
 )
 from .linalg import FgAbelianGroup, IntegerMatrix, is_isomorphism
-from .truncpoly import TruncPoly
+from .truncpoly import TruncPoly, power, power_names, render_sum, truncated_product
 
 
 # ----------------------------------------------------------------------
@@ -110,9 +110,9 @@ class KClass:
     """Virtual bundle on projective n-space, written in powers of γ.
 
     coeffs[k] multiplies the k-th power of the reduced Hopf class; the
-    constant coefficient is the virtual
-    dimension (g itself has virtual dimension zero), so the class is
-    reduced exactly when coeffs[0] vanishes.
+    constant coefficient is the virtual dimension (γ itself has virtual
+    dimension zero), so the class is reduced exactly when coeffs[0]
+    vanishes.
     """
 
     n: int
@@ -183,43 +183,16 @@ class KClass:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "KClass":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        result = KClass.unit(self.n)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return power(self, exponent, KClass.unit(self.n))
 
     def render(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            magnitude = abs(c)
-            if k == 0:
-                body = str(magnitude)
-            else:
-                name = "γ" if k == 1 else f"γ^{k}"
-                body = name if magnitude == 1 else f"{magnitude}*{name}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append((" - " if c < 0 else " + ") + body)
-        return "".join(parts) if parts else "0"
+        return render_sum(zip(self.coeffs, power_names("γ", self.n)))
 
 
 def k_ring_mul(a: KClass, b: KClass) -> KClass:
     """Product in the truncated power basis: γ^(n+1) = 0."""
     a._check_ambient(b)
-    n = a.n
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a.coeffs):
-        if ai:
-            for j in range(0, n + 1 - i):
-                bj = b.coeffs[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return KClass(n, tuple(out))
+    return KClass(a.n, tuple(truncated_product(a.coeffs, b.coeffs)))
 
 
 @lru_cache(maxsize=1)
@@ -241,7 +214,7 @@ def _stirling_table(n: int) -> tuple[tuple[int, ...], ...]:
 def chern_character_map(a: KClass) -> TruncPoly:
     """Chern character of a virtual class, landing in Q[x]/(x^(n+1)).
 
-    The generator g goes to exp(x) - 1 and the map extends linearly; it
+    The generator γ goes to exp(x) - 1 and the map extends linearly; it
     is a ring homomorphism because the power relation γ^(n+1) = 0 matches
     (exp(x) - 1)^(n+1) = 0 at this truncation.  The degree-m coefficient
     is the integer sum_k c_k k! S(m, k) over the nonzero c_k, divided by m!.
@@ -266,14 +239,8 @@ def ch_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    stirling = _stirling_table(n)
-    fact = [factorial(m) for m in range(n + 1)]
-    zero = Fraction(0)
-    return tuple(
-        tuple(Fraction(fact[k] * row[k], fact[i]) if k <= i else zero
-              for k in range(n + 1))
-        for i, row in enumerate(stirling)
-    )
+    basis = [(0,) * k + (1,) + (0,) * (n - k) for k in range(n + 1)]
+    return tuple(zip(*(chern_character_map(KClass(n, e)).coeffs for e in basis)))
 
 
 # ----------------------------------------------------------------------
@@ -575,7 +542,7 @@ def bott_matrix() -> IntegerMatrix:
     """
     unit = KClass.unit(1)
     hopf = KClass.hopf(1)
-    return IntegerMatrix.from_columns([unit.coeffs, hopf.coeffs])
+    return IntegerMatrix.from_rows(zip(unit.coeffs, hopf.coeffs))
 
 
 def bott_check() -> bool:

@@ -27,6 +27,7 @@ class IntegerMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
+        object.__setattr__(self, "entries", tuple(self.entries))
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
@@ -93,18 +94,6 @@ class IntegerMatrix:
     @classmethod
     def column_vector(cls, values: Sequence[int]) -> "IntegerMatrix":
         return cls(len(values), 1, tuple(values))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntegerMatrix":
-        columns = [tuple(c) for c in columns]
-        if columns:
-            height = len(columns[0])
-            if any(len(c) != height for c in columns):
-                raise ValueError("ragged columns")
-        else:
-            height = 0 if rows is None else rows
-        flat = tuple(columns[j][i] for i in range(height) for j in range(len(columns)))
-        return cls(height, len(columns), flat)
 
     # ------------------------------------------------------------------
     # access
@@ -570,7 +559,9 @@ class FgAbelianGroup:
         return self.free_rank + len(self.torsion)
 
     def normalize_element(self, element: Sequence[int]) -> tuple[int, ...]:
-        element = tuple(int(c) for c in element)
+        element = tuple(element)
+        if any(type(c) is not int for c in element):
+            raise ValueError("element coordinates must be exact integers")
         if len(element) != self.element_length():
             raise ValueError("element has the wrong number of coordinates")
         free = element[:self.free_rank]

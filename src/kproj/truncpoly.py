@@ -5,18 +5,76 @@ TruncPoly models R[x]/(x^(n+1)) with Fraction coefficients; integrality
 is a checkable property of a value, not a separate type, since the same
 carrier has to hold integer cohomology classes and rational character
 expansions.  MultiPoly is a sparse exact multivariate polynomial used as
-the brute-force side of symmetric-function identities.
+the brute-force side of symmetric-function identities.  The truncated
+product, powering and the signed-sum renderer are module functions shared
+by both classes and by the virtual-bundle ring of the ktheory module.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .linalg import IntegerMatrix
 
 _Scalar = (int, Fraction)
+
+
+def truncated_product(a: Sequence, b: Sequence) -> list:
+    """Coefficients of a * b cut at degree len(a) - 1; len(b) == len(a)."""
+    n = len(a)
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(n - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def power(base, exponent: int, one):
+    """base ** exponent by repeated squaring in a commutative ring with unit one."""
+    if exponent < 0:
+        raise ValueError("negative powers are not defined here")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
+
+
+@lru_cache(maxsize=4)
+def power_names(var: str, n: int) -> tuple[str, ...]:
+    """Monomial texts of 1, var, var^2, .., var^n; the constant's is ''."""
+    return ("", var, *(f"{var}^{k}" for k in range(2, n + 1)))[:n + 1]
+
+
+def render_sum(terms) -> str:
+    """Signed sum of (coefficient, monomial text) pairs, zeros skipped.
+
+    A unit coefficient is dropped before a monomial but not on the
+    constant term: "2 - x + 3/2*x^2".
+    """
+    parts = []
+    for c, monomial in terms:
+        if not c:
+            continue
+        if c < 0:
+            sign, mag = (" - " if parts else "-"), -c
+        else:
+            sign, mag = (" + " if parts else ""), c
+        if not monomial:
+            parts.append(sign + str(mag))
+        elif mag == 1:
+            parts.append(sign + monomial)
+        else:
+            parts.append(sign + str(mag) + "*" + monomial)
+    return "".join(parts) if parts else "0"
 
 
 class TruncPoly:
@@ -119,45 +177,17 @@ class TruncPoly:
         if not isinstance(other, TruncPoly):
             return NotImplemented
         self._check_order(other)
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(0, n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return TruncPoly(n, out)
+        return TruncPoly(self.order, truncated_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        result = TruncPoly.one(self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, TruncPoly.one(self.order))
 
     # -- rendering --------------------------------------------------------
 
     def render(self) -> str:
-        terms = [(k, c) for k, c in enumerate(self.coeffs) if c != 0]
-        if not terms:
-            return "0"
-        parts = []
-        for index, (k, c) in enumerate(terms):
-            if index == 0:
-                sign, mag = ("-", -c) if c < 0 else ("", c)
-            else:
-                sign, mag = (" - ", -c) if c < 0 else (" + ", c)
-            parts.append(sign + _render_term(mag, k))
-        return "".join(parts)
+        return render_sum(zip(self.coeffs, power_names("x", self.order)))
 
     def __str__(self) -> str:
         return self.render()
@@ -204,15 +234,6 @@ class TruncPoly:
         return cls(order, out)
 
 
-def _render_term(c: Fraction, k: int, var: str = "x") -> str:
-    if k == 0:
-        return str(c)
-    v = var if k == 1 else f"{var}^{k}"
-    if c == 1:
-        return v
-    return f"{c}*{v}"
-
-
 def pairing_matrix(n: int) -> IntegerMatrix:
     """Top-coefficient multiplication pairing of the degree-n truncated ring.
 
@@ -251,7 +272,9 @@ class MultiPoly:
         self.variable_count = variable_count
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
+            if any(type(e) is not int for e in exps):
+                raise ValueError("exponents must be exact integers")
             if len(exps) != variable_count:
                 raise ValueError("exponent vector has the wrong length")
             if any(e < 0 for e in exps):
@@ -286,10 +309,6 @@ class MultiPoly:
             raise ValueError("variable index out of range")
         exps = tuple(1 if i == index else 0 for i in range(variable_count))
         return cls(variable_count, {exps: 1})
-
-    @classmethod
-    def monomial(cls, variable_count: int, exponents, coefficient=1) -> "MultiPoly":
-        return cls(variable_count, {tuple(exponents): coefficient})
 
     # -- structure --------------------------------------------------------
 
@@ -376,17 +395,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not defined here")
-        result = MultiPoly.constant(self.variable_count, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, exponent, MultiPoly.constant(self.variable_count, 1))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -414,30 +423,13 @@ class MultiPoly:
             names = [f"x{i + 1}" for i in range(self.variable_count)]
         if len(names) != self.variable_count:
             raise ValueError("need one name per variable")
-        if not self.terms:
-            return "0"
         ordered = sorted(self.terms,
                          key=lambda e: (-sum(e), tuple(-x for x in e)))
-        parts = []
-        for index, exps in enumerate(ordered):
-            c = self.terms[exps]
-            if index == 0:
-                sign, mag = ("-", -c) if c < 0 else ("", c)
-            else:
-                sign, mag = (" - ", -c) if c < 0 else (" + ", c)
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                parts.append(f"{sign}{mag}")
-            elif mag == 1:
-                parts.append(sign + "*".join(factors))
-            else:
-                parts.append(f"{sign}{mag}*" + "*".join(factors))
-        return "".join(parts)
+        return render_sum(
+            (self.terms[exps],
+             "*".join(name if e == 1 else f"{name}^{e}"
+                      for name, e in zip(names, exps) if e))
+            for exps in ordered)
 
     def __str__(self) -> str:
         return self.render()

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kproj.ktheory as ktheory_module
+from kproj.grothendieck import FreeCommutativeMonoid
 from kproj.ktheory import KClass
 from kproj.linalg import (
     SMITH_CACHE_SIZE,
@@ -17,6 +18,7 @@ from kproj.linalg import (
     smith_normal_form,
     solve_integer,
 )
+from kproj.truncpoly import MultiPoly
 
 from oracles import (
     EnumeratedQuotient,
@@ -322,6 +324,33 @@ class TestConstructorValidation:
     def test_builders_reject_non_integers(self, build):
         with pytest.raises(ValueError):
             build()
+
+    # elements and exponent vectors that int() used to truncate silently
+    @pytest.mark.parametrize("build", [
+        lambda: FgAbelianGroup(1, (4,)).normalize_element((1.5, 2.7)),
+        lambda: FgAbelianGroup(1, (4,)).normalize_element((True, 1)),
+        lambda: FgAbelianGroup(1, (4,)).add_elements((1, 2), (0, 0.5)),
+        lambda: FgAbelianGroup(1, (4,)).negate_element((1.5, 2)),
+        lambda: FgAbelianGroup(1, (4,)).scale_element((1, False), 3),
+        lambda: FreeCommutativeMonoid(2).element((1.5, 2.9)),
+        lambda: FreeCommutativeMonoid(2).element((True, 0)),
+        lambda: MultiPoly(1, {(1.9,): 1}),
+        lambda: MultiPoly(2, {(1, True): 1}),
+    ], ids=["normalize-float", "normalize-bool", "add-float", "negate-float",
+            "scale-bool", "monoid-float", "monoid-bool", "multipoly-float",
+            "multipoly-bool"])
+    def test_elements_reject_non_integers(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_list_entries_are_stored_as_a_tuple(self):
+        # a list used to reach the Smith memo cache and fail as unhashable
+        from_list = IntegerMatrix(1, 1, [2])
+        from_tuple = IntegerMatrix(1, 1, (2,))
+        assert cokernel(from_list) == FgAbelianGroup.cyclic(2)
+        assert type(from_list.entries) is tuple
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
 
 
 @st.composite

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kproj.ktheory import KClass
 from kproj.linalg import is_isomorphism
-from kproj.truncpoly import MultiPoly, TruncPoly, pairing_matrix
+from kproj.truncpoly import (
+    MultiPoly,
+    TruncPoly,
+    pairing_matrix,
+    power_names,
+    render_sum,
+    truncated_product,
+)
 
 from oracles import elementary_symmetric, exp_nilpotent, power_sum
 
@@ -207,3 +215,172 @@ class TestRendering:
     def test_multipoly_render_order(self):
         p = MultiPoly(3, {(3, 0, 0): 1, (1, 1, 0): -3, (0, 0, 1): 3})
         assert p.render(["e1", "e2", "e3"]) == "e1^3 - 3*e1*e2 + 3*e3"
+
+
+# ----------------------------------------------------------------------
+# the shared core against the per-class code it replaced
+# ----------------------------------------------------------------------
+# KClass, TruncPoly and MultiPoly once each had their own renderer, and
+# KClass powered by repeated multiplication.  Those versions are kept
+# here, verbatim in behaviour, as oracles for truncated_product, power and
+# render_sum.
+
+
+def oracle_kclass_render(coeffs):
+    parts = []
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        magnitude = abs(c)
+        if k == 0:
+            body = str(magnitude)
+        else:
+            name = "γ" if k == 1 else f"γ^{k}"
+            body = name if magnitude == 1 else f"{magnitude}*{name}"
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts) if parts else "0"
+
+
+def oracle_render_term(c, k, var="x"):
+    if k == 0:
+        return str(c)
+    v = var if k == 1 else f"{var}^{k}"
+    if c == 1:
+        return v
+    return f"{c}*{v}"
+
+
+def oracle_truncpoly_render(coeffs):
+    terms = [(k, c) for k, c in enumerate(coeffs) if c != 0]
+    if not terms:
+        return "0"
+    parts = []
+    for index, (k, c) in enumerate(terms):
+        if index == 0:
+            sign, mag = ("-", -c) if c < 0 else ("", c)
+        else:
+            sign, mag = (" - ", -c) if c < 0 else (" + ", c)
+        parts.append(sign + oracle_render_term(mag, k))
+    return "".join(parts)
+
+
+def oracle_multipoly_render(poly, names=None):
+    if names is None:
+        names = [f"x{i + 1}" for i in range(poly.variable_count)]
+    if not poly.terms:
+        return "0"
+    ordered = sorted(poly.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
+    parts = []
+    for index, exps in enumerate(ordered):
+        c = poly.terms[exps]
+        if index == 0:
+            sign, mag = ("-", -c) if c < 0 else ("", c)
+        else:
+            sign, mag = (" - ", -c) if c < 0 else (" + ", c)
+        factors = []
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        if not factors:
+            parts.append(f"{sign}{mag}")
+        elif mag == 1:
+            parts.append(sign + "*".join(factors))
+        else:
+            parts.append(f"{sign}{mag}*" + "*".join(factors))
+    return "".join(parts)
+
+
+def oracle_kclass_power(a, exponent):
+    result = KClass.unit(a.n)
+    for _ in range(exponent):
+        result = result * a
+    return result
+
+
+def naive_truncated_product(a, b):
+    n = len(a)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i + j < n:
+                out[i + j] += a[i] * b[j]
+    return out
+
+
+# 0 and +-1 are the cases the renderer treats specially, so they are drawn often
+int_coefficients = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-40, 40))
+fraction_coefficients = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-1, 2)]),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+
+
+def coefficient_lists(elements, max_order=8):
+    return st.integers(0, max_order).flatmap(
+        lambda n: st.lists(elements, min_size=n + 1, max_size=n + 1))
+
+
+@st.composite
+def multipolys(draw):
+    count = draw(st.integers(0, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * count)
+    terms = draw(st.dictionaries(exponents, fraction_coefficients, max_size=6))
+    names = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(["a", "b", "e1", "e12", "y"]),
+                 min_size=count, max_size=count)))
+    return MultiPoly(count, terms), names
+
+
+class TestSharedCore:
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_lists(int_coefficients))
+    def test_kclass_render_matches_oracle(self, coeffs):
+        a = KClass(len(coeffs) - 1, tuple(coeffs))
+        assert a.render() == oracle_kclass_render(coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_lists(fraction_coefficients))
+    def test_truncpoly_render_matches_oracle(self, coeffs):
+        p = TruncPoly(len(coeffs) - 1, coeffs)
+        assert p.render() == oracle_truncpoly_render(p.coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(multipolys())
+    def test_multipoly_render_matches_oracle(self, poly_and_names):
+        poly, names = poly_and_names
+        assert poly.render(names) == oracle_multipoly_render(poly, names)
+
+    def test_render_fixed_cases(self):
+        assert KClass(3, (-1, 1, -2, 0)).render() == "-1 + γ - 2*γ^2"
+        assert KClass(2, (0, 0, 0)).render() == "0"
+        assert poly(3, 1, 0, Fraction(-3, 2), -1).render() == "1 - 3/2*x^2 - x^3"
+        assert render_sum([(-1, ""), (0, "x"), (5, "y")]) == "-1 + 5*y"
+        assert power_names("γ", 0) == ("",)
+        assert power_names("x", 3) == ("", "x", "x^2", "x^3")
+
+    @settings(max_examples=200, deadline=None)
+    @given(coefficient_lists(int_coefficients, max_order=6), st.integers(0, 8))
+    def test_kclass_power_is_the_repeated_product(self, coeffs, exponent):
+        a = KClass(len(coeffs) - 1, tuple(coeffs))
+        assert a ** exponent == oracle_kclass_power(a, exponent)
+
+    def test_negative_powers_rejected(self):
+        for base in (KClass.gamma(2), TruncPoly.variable(2), MultiPoly.variable(1, 0)):
+            with pytest.raises(ValueError):
+                base ** -1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+        st.lists(st.one_of(int_coefficients, fraction_coefficients),
+                 min_size=n + 1, max_size=n + 1),
+        st.lists(st.one_of(int_coefficients, fraction_coefficients),
+                 min_size=n + 1, max_size=n + 1))))
+    def test_truncated_product_matches_double_loop(self, pair):
+        a, b = pair
+        assert truncated_product(a, b) == naive_truncated_product(a, b)
