@@ -170,19 +170,35 @@ def pair_equivalent(monoid: Monoid, x, y, u, v) -> bool:
 def _classify_group_table(table: Sequence[Sequence[int]]) -> FgAbelianGroup:
     """Invariant factors of a finite abelian group given by its Cayley table.
 
-    The group is presented on one generator per element with relations
-    e_i + e_j - e_{i+j}; the cokernel of that relation matrix recovers the
-    group in normal form.
+    The group is presented on one symbol e_x per element x.  The relations
+    are e_s + e_x - e_{s+x} for every x and every s in a greedy generating
+    set S, where each s lies outside the subgroup of the ones before it,
+    so |S| <= log2 of the order; and e_z = 0 for the identity z, which the
+    others imply unless S is empty.  They present the group: every e_x is
+    a sum of symbols of S, and x -> e_x is additive, since adding one
+    generator at a time turns e_{x+y} into e_x + e_y.  The cokernel of the
+    relation matrix gives the group in normal form.
     """
     c = len(table)
+    zero = next(z for z in range(c) if table[z][z] == z)
+    generators, span = [], {zero}
+    for x in range(c):
+        if x not in span:
+            generators.append(x)
+            # span + <x> is the union of the cosets kx + span until one is span
+            layer = {table[x][h] for h in span}
+            while zero not in layer:
+                span = span | layer
+                layer = {table[x][h] for h in layer}
     rows = []
-    for i in range(c):
-        for j in range(i, c):
+    for s in generators:
+        for x in range(c):
             row = [0] * c
-            row[i] += 1
-            row[j] += 1
-            row[table[i][j]] -= 1
+            row[s] += 1
+            row[x] += 1
+            row[table[s][x]] -= 1
             rows.append(row)
+    rows.append([int(x == zero) for x in range(c)])
     return cokernel(IntegerMatrix.from_rows(rows, cols=c))
 
 

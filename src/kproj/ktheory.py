@@ -171,14 +171,14 @@ class KClass:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return KClass(self.n, tuple(other * c for c in self.coeffs))
         if not isinstance(other, KClass):
             return NotImplemented
         return k_ring_mul(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return self * other
         return NotImplemented
 

@@ -5,12 +5,17 @@ cokernels, linear-system solving over Z, and finitely generated abelian
 groups in invariant-factor normal form.  All arithmetic is exact: the
 module runs on Python's arbitrary-precision integers and nothing here
 (or anywhere downstream) touches floating point.
+
+The Smith transforms are built only for callers that read them:
+invariant factors, ranks and cokernels come from an elimination that
+keeps no transforms, and reduces by nearest-integer quotients so that
+the transforms, when they are built, stay small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, compress
 from math import prod
 from typing import Sequence
@@ -141,7 +146,7 @@ class IntegerMatrix:
                                    tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __mul__(self, scalar: int) -> "IntegerMatrix":
-        if not isinstance(scalar, int):
+        if type(scalar) is not int:
             return NotImplemented
         return IntegerMatrix(self.rows, self.cols, tuple(scalar * e for e in self.entries))
 
@@ -238,33 +243,171 @@ class SmithForm:
     d lists the positive invariant factors, each dividing the next; the
     remainder of the padded diagonal is zero.  u and v are square with
     determinant +-1.
+
+    Every part is computed on first read and then kept.  Reading d or
+    rank first runs an elimination that builds no transforms, which is
+    all that cokernel needs; the first read of u or v runs the same
+    elimination once more with transforms and keeps d, u and v, so a
+    caller that reads a transform first pays for one elimination only.
+    Both runs pivot alike, on the entry of least absolute value (ties to
+    the lowest row, then column), and reduce by nearest-integer
+    quotients; see _eliminate.
     """
 
-    d: tuple[int, ...]
-    u: IntegerMatrix
-    v: IntegerMatrix
+    a: IntegerMatrix
+
+    @cached_property
+    def d(self) -> tuple[int, ...]:
+        return _eliminate(self.a, transforms=False)[0]
+
+    @cached_property
+    def _transforms(self) -> tuple[IntegerMatrix, IntegerMatrix]:
+        d, u, v = _eliminate(self.a, transforms=True)
+        self.__dict__.setdefault("d", d)
+        return u, v
+
+    @property
+    def u(self) -> IntegerMatrix:
+        return self._transforms[0]
+
+    @property
+    def v(self) -> IntegerMatrix:
+        return self._transforms[1]
 
     @property
     def rank(self) -> int:
         return len(self.d)
 
     def diagonal_matrix(self) -> IntegerMatrix:
-        return IntegerMatrix.diagonal(self.d, self.u.rows, self.v.rows)
+        return IntegerMatrix.diagonal(self.d, self.a.rows, self.a.cols)
 
 
 def _min_abs_entry(d: list[list[int]], t: int, m: int, n: int):
+    """(|e|, i, j) for the least nonzero |e| in the block d[t:][t:], or None.
+
+    Ties go to the lowest row, then the lowest column, so a unit in the
+    corner d[t][t] is the answer.
+    """
+    if d[t][t] in (1, -1):
+        return 1, t, t
     best = None
     for i in range(t, m):
-        row = d[i]
-        for j in range(t, n):
-            e = row[j]
-            if e:
-                a = -e if e < 0 else e
-                if best is None or a < best[0]:
-                    best = (a, i, j)
-                    if a == 1:
-                        return best
+        tail = d[i][t:]
+        a = 1 if 1 in tail or -1 in tail else min(map(abs, filter(None, tail)), default=0)
+        if a and (best is None or a < best[0]):
+            j = tail.index(a) if a in tail else len(tail)
+            if -a in tail[:j]:
+                j = tail.index(-a)
+            best = (a, i, t + j)
+            if a == 1:
+                return best
     return best
+
+
+def _eliminate(a: IntegerMatrix, transforms: bool):
+    """Smith elimination of a: (d, u, v), where u and v are None unless transforms.
+
+    Pivoting picks the nonzero entry of least absolute value (ties broken
+    by lowest row then column index), which keeps the output deterministic.
+    Each entry is reduced by the nearest-integer multiple of the pivot, so
+    its remainder is at most half the pivot; that keeps the entries of the
+    transforms small, and d, being unique, does not depend on it.
+    Diagonal entries are normalized positive, the sign being absorbed into
+    the column transform.
+
+    After step t, row and column t of the working matrix are zero off the
+    diagonal, so the row and column operations of later steps touch only
+    its lower-right block.  v is built transposed, so that a column
+    operation on it is a row operation on a list.
+    """
+    m, n = a.rows, a.cols
+    d = a.row_lists()
+    u = vt = None
+    if transforms:
+        u = [[0] * m for _ in range(m)]
+        vt = [[0] * n for _ in range(n)]
+        for i in range(m):
+            u[i][i] = 1
+        for i in range(n):
+            vt[i][i] = 1
+
+    def move_to_pivot(t, i, j):
+        if i != t:
+            d[t], d[i] = d[i], d[t]
+            if transforms:
+                u[t], u[i] = u[i], u[t]
+        if j != t:
+            for row in d[t:]:
+                row[t], row[j] = row[j], row[t]
+            if transforms:
+                vt[t], vt[j] = vt[j], vt[t]
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        found = _min_abs_entry(d, t, m, n)
+        if found is None:
+            break
+        move_to_pivot(t, found[1], found[2])
+        while True:
+            prow = d[t]
+            pivot = prow[t]
+            half = (pivot if pivot > 0 else -pivot) >> 1
+            dirty = False
+            # clear column t below the pivot by row operations
+            for i in range(t + 1, m):
+                row = d[i]
+                if not row[t]:
+                    continue
+                q, r = divmod(row[t], pivot)
+                if (r if r > 0 else -r) > half:
+                    q += 1
+                    r -= pivot
+                if q:
+                    row[t:] = [x - q * y for x, y in zip(row[t:], prow[t:])]
+                    if transforms:
+                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                if r:
+                    dirty = True
+            if not dirty:
+                # column t is clear, so a column operation changes row t only
+                for j in compress(range(t + 1, n), prow[t + 1:]):
+                    q, r = divmod(prow[j], pivot)
+                    if (r if r > 0 else -r) > half:
+                        q += 1
+                        r -= pivot
+                    if q:
+                        prow[j] = r
+                        if transforms:
+                            vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                    if r:
+                        dirty = True
+            if dirty:
+                _, pi, pj = _min_abs_entry(d, t, m, n)
+                move_to_pivot(t, pi, pj)
+                continue
+            # pivot must divide everything that remains, or the invariant
+            # factor chain breaks later; a unit pivot divides everything
+            if pivot == 1 or pivot == -1:
+                break
+            violator = next((i for i in range(t + 1, m)
+                             if any(e % pivot for e in d[i][t + 1:])), None)
+            if violator is None:
+                break
+            prow[t:] = [x + y for x, y in zip(prow[t:], d[violator][t:])]
+            if transforms:
+                u[t] = [x + y for x, y in zip(u[t], u[violator])]
+        if d[t][t] < 0:
+            d[t][t] = -d[t][t]
+            if transforms:
+                vt[t] = [-x for x in vt[t]]
+        t += 1
+
+    diag = tuple(d[k][k] for k in range(limit) if d[k][k])
+    if not transforms:
+        return diag, None, None
+    return (diag, IntegerMatrix._make(m, m, tuple(chain.from_iterable(u))),
+            IntegerMatrix._make(n, n, tuple(chain.from_iterable(zip(*vt)))))
 
 
 # Distinct matrices whose decompositions are kept.  The induction replay
@@ -277,115 +420,14 @@ SMITH_CACHE_SIZE = 16
 
 @lru_cache(maxsize=SMITH_CACHE_SIZE)
 def smith_normal_form(a: IntegerMatrix) -> SmithForm:
-    """Diagonalize a by unimodular row and column operations.
+    """The Smith decomposition of a, computed as its parts are read.
 
-    Pivoting picks the nonzero entry of least absolute value (ties broken
-    by lowest row then column index), which keeps the output deterministic.
-    Diagonal entries are normalized positive, the sign being absorbed into
-    the column transform.
-
-    Results are memoized on the matrix value (an LRU cache of the
+    The elimination is _eliminate's; see SmithForm for which parts cost
+    what.  Results are memoized on the matrix value (an LRU cache of the
     SMITH_CACHE_SIZE most recent distinct matrices), so equal inputs share
     one immutable SmithForm; smith_normal_form.cache_info() counts hits.
     """
-    m, n = a.rows, a.cols
-    d = a.row_lists()
-    u = [[0] * m for _ in range(m)]
-    v = [[0] * n for _ in range(n)]
-    for i in range(m):
-        u[i][i] = 1
-    for i in range(n):
-        v[i][i] = 1
-
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        # row_dst += c * row_src
-        drow, srow = d[dst], d[src]
-        for j in range(n):
-            drow[j] += c * srow[j]
-        drow_u, srow_u = u[dst], u[src]
-        for j in range(m):
-            drow_u[j] += c * srow_u[j]
-
-    def add_col(dst, src, c):
-        # col_dst += c * col_src
-        for row in d:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        found = _min_abs_entry(d, t, m, n)
-        if found is None:
-            break
-        _, pi, pj = found
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        while True:
-            pivot = d[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                e = d[i][t]
-                if e:
-                    q = e // pivot
-                    if q:
-                        add_row(i, t, -q)
-                    if d[i][t]:
-                        dirty = True
-            if not dirty:
-                for j in range(t + 1, n):
-                    e = d[t][j]
-                    if e:
-                        q = e // pivot
-                        if q:
-                            add_col(j, t, -q)
-                        if d[t][j]:
-                            dirty = True
-            if dirty:
-                _, pi, pj = _min_abs_entry(d, t, m, n)
-                swap_rows(t, pi)
-                swap_cols(t, pj)
-                continue
-            # pivot must divide everything that remains, or the invariant
-            # factor chain breaks later; a unit pivot divides everything
-            pivot = d[t][t]
-            if pivot == 1 or pivot == -1:
-                break
-            violator = None
-            for i in range(t + 1, m):
-                row = d[i]
-                for j in range(t + 1, n):
-                    if row[j] % pivot:
-                        violator = i
-                        break
-                if violator is not None:
-                    break
-            if violator is None:
-                break
-            add_row(t, violator, 1)
-        if d[t][t] < 0:
-            for row in d:
-                row[t] = -row[t]
-            for row in v:
-                row[t] = -row[t]
-        t += 1
-
-    diag = tuple(d[k][k] for k in range(limit) if d[k][k])
-    return SmithForm(diag, IntegerMatrix._make(m, m, tuple(chain.from_iterable(u))),
-                     IntegerMatrix._make(n, n, tuple(chain.from_iterable(v))))
+    return SmithForm(a)
 
 
 def cokernel(a: IntegerMatrix) -> "FgAbelianGroup":
@@ -408,8 +450,8 @@ def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     form, so they are primitive and extend to a basis of Z^cols.
     """
     form = smith_normal_form(a)
+    v = form.v.entries  # before rank, so that one elimination fills both
     n, r = a.cols, form.rank
-    v = form.v.entries
     flat = tuple(chain.from_iterable(v[i * n + r:(i + 1) * n] for i in range(n)))
     return IntegerMatrix._make(n, n - r, flat)
 

@@ -19,7 +19,17 @@ from typing import Sequence
 
 from .linalg import IntegerMatrix
 
-_Scalar = (int, Fraction)
+# the exact scalar types; a bool is not one, although it is an int
+_SCALARS = (int, Fraction)
+
+
+def _exact(c) -> Fraction:
+    """c as a Fraction, or ValueError unless it is an exact scalar."""
+    if type(c) is Fraction:
+        return c
+    if type(c) is int:
+        return Fraction(c)
+    raise ValueError("coefficients must be exact integers or fractions")
 
 
 def truncated_product(a: Sequence, b: Sequence) -> list:
@@ -85,7 +95,7 @@ class TruncPoly:
     def __init__(self, order: int, coeffs: Sequence):
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
-        coeffs = tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
+        coeffs = tuple(map(_exact, coeffs))
         if len(coeffs) != order + 1:
             raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
         self.order = order
@@ -149,7 +159,7 @@ class TruncPoly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _Scalar):
+        if type(other) in _SCALARS:
             other = TruncPoly.constant(self.order, other)
         if not isinstance(other, TruncPoly):
             return NotImplemented
@@ -162,7 +172,7 @@ class TruncPoly:
         return TruncPoly(self.order, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if isinstance(other, _Scalar):
+        if type(other) in _SCALARS:
             other = TruncPoly.constant(self.order, other)
         if not isinstance(other, TruncPoly):
             return NotImplemented
@@ -172,7 +182,7 @@ class TruncPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _Scalar):
+        if type(other) in _SCALARS:
             return TruncPoly(self.order, tuple(c * other for c in self.coeffs))
         if not isinstance(other, TruncPoly):
             return NotImplemented
@@ -279,7 +289,7 @@ class MultiPoly:
                 raise ValueError("exponent vector has the wrong length")
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative")
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 cleaned[exps] = cleaned.get(exps, Fraction(0)) + c
         self.terms = {e: c for e, c in cleaned.items() if c}
@@ -341,7 +351,7 @@ class MultiPoly:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _Scalar):
+        if type(other) in _SCALARS:
             other = MultiPoly.constant(self.variable_count, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -362,7 +372,7 @@ class MultiPoly:
                                {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, _Scalar):
+        if type(other) in _SCALARS:
             other = MultiPoly.constant(self.variable_count, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -372,7 +382,7 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _Scalar):
+        if type(other) in _SCALARS:
             if not other:
                 return MultiPoly._make(self.variable_count, {})
             factor = other if type(other) is Fraction else Fraction(other)

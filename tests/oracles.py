@@ -216,6 +216,25 @@ def enumerated_cyclic_order(relation_rows, n) -> int | None:
     return max(q.order_of(e) for e in q.elements())
 
 
+def full_group_presentation(table) -> list[list[int]]:
+    """All m(m+1)/2 relations e_i + e_j - e_{i+j} of a group's Cayley table.
+
+    One symbol per element and one relation per unordered pair; their
+    cokernel is the group.  The library presents the same group on far
+    fewer relations, through a generating set.
+    """
+    m = len(table)
+    rows = []
+    for i in range(m):
+        for j in range(i, m):
+            row = [0] * m
+            row[i] += 1
+            row[j] += 1
+            row[table[i][j]] -= 1
+            rows.append(row)
+    return rows
+
+
 # ----------------------------------------------------------------------
 # integer vectors and polynomials
 # ----------------------------------------------------------------------

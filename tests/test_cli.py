@@ -3,7 +3,13 @@ import json
 
 import pytest
 
-from kproj.cli import COHOMOLOGY_MAX_TOP, main, parse_document
+from kproj.cli import (
+    COHOMOLOGY_MAX_TOP,
+    SMITH_MAX_BITS,
+    SMITH_MAX_SIDE,
+    main,
+    parse_document,
+)
 
 
 def run(capsys, *argv):
@@ -221,6 +227,38 @@ class TestSmithCommand:
         code, _, err = run(capsys, "smith", "--matrix", str(path))
         assert code != 0
         assert "error:" in err
+
+    SIDE, BIG = SMITH_MAX_SIDE, 2 ** SMITH_MAX_BITS
+
+    @staticmethod
+    def write(tmp_path, rows, cols, entries):
+        path = tmp_path / "m.matrix"
+        path.write_text(f"{rows} {cols}\n" + " ".join(map(str, entries)) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("shape, entries, d", [
+        ((SIDE, 1), [2] * SIDE, [2]),
+        ((1, SIDE), [0] * (SIDE - 1) + [3], [3]),
+        ((0, SIDE), [], []),
+        ((2, 2), [BIG - 1, 0, 0, -(BIG - 1)], [BIG - 1, BIG - 1]),
+    ], ids=["rows", "cols", "empty", "entry"])
+    def test_at_the_bound_is_accepted(self, capsys, tmp_path, shape, entries, d):
+        doc = run_machine(capsys, "smith", "--matrix", self.write(tmp_path, *shape, entries))
+        assert doc.result["d"] == d
+
+    @pytest.mark.parametrize("shape, entries", [
+        ((SIDE + 1, 1), [2] * (SIDE + 1)),
+        ((1, SIDE + 1), [0] * SIDE + [3]),
+        ((0, SIDE + 1), []),
+        ((2, 2), [BIG, 0, 0, 1]),
+        ((2, 2), [1, 0, 0, -BIG]),
+    ], ids=["rows", "cols", "empty", "entry", "negative-entry"])
+    def test_above_the_bound_is_a_one_line_error(self, capsys, tmp_path, shape, entries):
+        code, out, err = run(capsys, "smith", "--matrix", self.write(tmp_path, *shape, entries))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:")
 
 
 class TestTraceCommand:

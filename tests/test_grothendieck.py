@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kproj.grothendieck as grothendieck_module
 from kproj.grothendieck import (
     FiniteCommutativeMonoid,
     FreeCommutativeMonoid,
+    _classify_group_table,
     completion,
     pair_equivalent,
     universal_factor,
 )
-from kproj.linalg import FgAbelianGroup
+from kproj.linalg import FgAbelianGroup, IntegerMatrix, cokernel
+
+from oracles import chain_from_diagonal, full_group_presentation
 
 
 def truncated_addition_monoid(cap):
@@ -340,3 +344,43 @@ class TestUniversalFactor:
             values = {target.add_elements(psi[x], target.negate_element(psi[y]))
                       for x, y in g.class_members(c)}
             assert values == {theta(c)}
+
+
+@st.composite
+def cyclic_products(draw):
+    """Cayley table of Z/n1 + .. + Z/nk (k <= 3, order <= 64), labels shuffled."""
+    orders = draw(st.lists(st.integers(1, 8), max_size=3)
+                  .filter(lambda ns: math.prod(ns) <= 64))
+    elements = list(product(*(range(n) for n in orders)))
+    perm = draw(st.permutations(range(len(elements))))
+    index = {e: perm[k] for k, e in enumerate(elements)}
+    table = [[0] * len(elements) for _ in elements]
+    for x in elements:
+        for y in elements:
+            s = tuple((a + b) % n for a, b, n in zip(x, y, orders))
+            table[index[x]][index[y]] = index[s]
+    return orders, tuple(map(tuple, table))
+
+
+class TestGroupTablePresentation:
+    @settings(max_examples=60, deadline=None)
+    @given(cyclic_products())
+    def test_generating_set_presents_the_same_group(self, case):
+        orders, table = case
+        got = _classify_group_table(table)
+        full = IntegerMatrix.from_rows(full_group_presentation(table), cols=len(table))
+        assert got == cokernel(full)
+        assert got == FgAbelianGroup(0, tuple(chain_from_diagonal(orders)))
+
+    def test_trivial_group_is_zero(self):
+        # no generators: only the identity relation keeps e_0 from being free
+        assert _classify_group_table(((0,),)).is_trivial
+
+    def test_relations_grow_with_the_log_of_the_order(self, monkeypatch):
+        rows = []
+        monkeypatch.setattr(grothendieck_module, "cokernel",
+                            lambda a: rows.append(a.rows) or cokernel(a))
+        for chain in ([64], [4, 16], [4, 4, 4], [2] * 6):
+            completion(FiniteCommutativeMonoid.from_invariants(chain))
+        # at most log2(64) = 6 generators, against 64 * 65 / 2 = 2080 pairs
+        assert len(rows) == 4 and max(rows) <= 6 * 64 + 1

@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kproj.ktheory as ktheory_module
+import kproj.linalg as linalg_module
 from kproj.grothendieck import FreeCommutativeMonoid
 from kproj.ktheory import KClass
 from kproj.linalg import (
     SMITH_CACHE_SIZE,
     FgAbelianGroup,
     IntegerMatrix,
+    SmithForm,
     cokernel,
     is_isomorphism,
     kernel_basis,
@@ -444,3 +446,79 @@ class TestSmithCache:
         assert info.hits > 0
         assert info.maxsize == SMITH_CACHE_SIZE
         assert info.currsize <= info.maxsize
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The transforms flag of every Smith elimination, from a cleared cache on."""
+    calls = []
+    original = linalg_module._eliminate
+
+    def counted(a, transforms):
+        calls.append(transforms)
+        return original(a, transforms)
+    monkeypatch.setattr(linalg_module, "_eliminate", counted)
+    smith_normal_form.cache_clear()
+    yield calls
+    smith_normal_form.cache_clear()
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Tall, wide, square and rank-deficient matrices, entries to 9 or 1000."""
+    kind = draw(st.sampled_from(["tall", "wide", "square", "deficient"]))
+    bound = draw(st.sampled_from([9, 1000]))
+    values = st.integers(-bound, bound)
+    long = draw(st.integers(2, 7))
+    short = draw(st.integers(1, long - 1))
+    rows, cols = {"tall": (long, short), "wide": (short, long)}.get(kind, (long, long))
+
+    def matrix(r, c, entries=values):
+        return IntegerMatrix(r, c, tuple(draw(st.lists(entries, min_size=r * c,
+                                                       max_size=r * c))))
+    if kind == "deficient":
+        return matrix(rows, short) @ matrix(short, cols, st.integers(-3, 3))
+    return matrix(rows, cols)
+
+
+class TestLazyTransforms:
+    A = IntegerMatrix(3, 4, (2, 4, 4, 6, -6, 6, 12, 0, 10, -4, -16, 2))
+    B = IntegerMatrix(3, 1, (2, -6, 10))  # the first column of A
+
+    def test_invariant_factors_build_no_transforms(self, eliminations):
+        form = smith_normal_form(self.A)
+        assert form.d == (2, 2, 12)
+        assert form.rank == 3
+        assert cokernel(self.A) == FgAbelianGroup(1, (2, 2, 12))
+        assert form.diagonal_matrix() == IntegerMatrix.diagonal((2, 2, 12), 3, 4)
+        assert eliminations == [False]
+        assert "_transforms" not in vars(form)
+
+    @pytest.mark.parametrize("first", [lambda a, b: kernel_basis(a),
+                                       lambda a, b: solve_integer(a, b)],
+                             ids=["kernel_basis", "solve_integer"])
+    def test_a_transform_reader_runs_one_elimination(self, eliminations, first):
+        first(self.A, self.B)
+        form = smith_normal_form(self.A)
+        for _ in range(2):
+            assert form.u @ self.A @ form.v == form.diagonal_matrix()
+            assert form.rank == 3
+            assert kernel_basis(self.A).cols == 1
+            assert solve_integer(self.A, self.B) is not None
+            assert cokernel(self.A).free_rank == 1
+        assert eliminations == [True]
+
+    @settings(max_examples=150, deadline=None)
+    @given(elimination_inputs())
+    def test_lazily_filled_transforms_decompose_the_matrix(self, a):
+        lazy = SmithForm(a)
+        d = lazy.d
+        u, v = lazy.u, lazy.v
+        assert lazy.d is d
+        assert u @ a @ v == IntegerMatrix.diagonal(d, a.rows, a.cols)
+        assert abs(u.det()) == 1
+        assert abs(v.det()) == 1
+        # reading a transform first gives the same d from the one elimination
+        eager = SmithForm(a)
+        assert eager.v == v and eager.d == d
+        assert d == linalg_module._eliminate(a, False)[0]

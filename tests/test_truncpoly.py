@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kproj.ktheory import KClass
-from kproj.linalg import is_isomorphism
+from kproj.linalg import IntegerMatrix, is_isomorphism
 from kproj.truncpoly import (
     MultiPoly,
     TruncPoly,
@@ -122,6 +122,31 @@ class TestExpNilpotent:
         p = TruncPoly(order, [0] + data.draw(coeffs))
         q = TruncPoly(order, [0] + data.draw(coeffs))
         assert exp_nilpotent(p) * exp_nilpotent(q) == exp_nilpotent(p + q)
+
+
+class TestExactScalars:
+    # a float coefficient used to enter as its binary value, and a bool
+    # passed as a scalar factor; both now fail
+    @pytest.mark.parametrize("build, error", [
+        (lambda: TruncPoly(1, [0.1, 1]), ValueError),
+        (lambda: TruncPoly.constant(2, 0.5), ValueError),
+        (lambda: MultiPoly(1, {(1,): 0.5}), ValueError),
+        (lambda: KClass(1, (0, 1)) * True, TypeError),
+        (lambda: True * KClass(1, (0, 1)), TypeError),
+        (lambda: poly(2, 1, 1) * True, TypeError),
+        (lambda: False * poly(2, 1, 1), TypeError),
+        (lambda: MultiPoly.variable(2, 0) * True, TypeError),
+        (lambda: IntegerMatrix.identity(2) * True, TypeError),
+        (lambda: True * IntegerMatrix.identity(2), TypeError),
+    ], ids=["truncpoly-float", "constant-float", "multipoly-float", "kclass-times-bool",
+            "bool-times-kclass", "truncpoly-times-bool", "bool-times-truncpoly",
+            "multipoly-times-bool", "matrix-times-bool", "bool-times-matrix"])
+    def test_rejects_inexact_scalars(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_an_int_still_scales_a_class(self):
+        assert KClass(1, (0, 1)) * 2 == 2 * KClass(1, (0, 1)) == KClass(1, (0, 2))
 
 
 class TestPairingMatrix:
