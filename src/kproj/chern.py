@@ -24,20 +24,22 @@ the character.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from ._record import Record
 from .truncpoly import MultiPoly, TruncPoly
 
 
-@dataclass(frozen=True)
-class NewtonPolynomial:
+class NewtonPolynomial(Record):
     """The polynomial s_k with p_k = s_k(e_1, .., e_k) identically."""
 
-    k: int
-    expression: MultiPoly
+    _fields = ("k", "expression")
+
+    def __init__(self, k: int, expression: MultiPoly):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "expression", expression)
 
     def variable_names(self) -> list[str]:
         return [f"e{i + 1}" for i in range(self.expression.variable_count)]
@@ -65,8 +67,7 @@ def newton_s(k: int) -> NewtonPolynomial:
     return NewtonPolynomial(k, expr)
 
 
-@dataclass(frozen=True)
-class FormalBundle:
+class FormalBundle(Record):
     """A rank plus a total Chern class, the formal input to the character.
 
     The class is an integer polynomial with constant coefficient exactly 1
@@ -76,21 +77,22 @@ class FormalBundle:
     as given.
     """
 
-    dimension: int
-    total_chern: TruncPoly
+    _fields = ("dimension", "total_chern")
 
-    def __post_init__(self):
-        if self.dimension < 0:
+    def __init__(self, dimension: int, total_chern: TruncPoly):
+        if dimension < 0:
             raise ValueError("bundle dimension must be nonnegative")
-        if not self.total_chern.is_integral():
+        if not total_chern.is_integral():
             raise ValueError("Chern classes must have integer coefficients")
-        if self.total_chern.coefficient(0) != 1:
+        if total_chern.coefficient(0) != 1:
             raise ValueError("the total Chern class must have constant term 1")
-        for k in range(self.dimension + 1, self.total_chern.order + 1):
-            if self.total_chern.coefficient(k):
+        for k in range(dimension + 1, total_chern.order + 1):
+            if total_chern.coefficient(k):
                 raise ValueError(
                     f"class in degree {k} is nonzero beyond the bundle rank"
                 )
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "total_chern", total_chern)
 
     @property
     def order(self) -> int:

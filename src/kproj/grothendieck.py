@@ -17,49 +17,49 @@ why exactly these two carriers (and nothing more ambitious) exist here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
+from ._record import Record
 from .linalg import FgAbelianGroup, IntegerMatrix, cokernel
 
 
-@dataclass(frozen=True)
-class FiniteCommutativeMonoid:
+class FiniteCommutativeMonoid(Record):
     """Commutative monoid on {0, .., n-1} given by its Cayley table.
 
     Commutativity, associativity, and the identity law are verified
     exhaustively at construction; the sizes in play are tiny.
     """
 
-    table: tuple[tuple[int, ...], ...]
-    identity: int
+    _fields = ("table", "identity")
 
-    def __post_init__(self):
-        n = len(self.table)
-        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
+    def __init__(self, table: Sequence[Sequence[int]], identity: int):
+        n = len(table)
+        table = tuple(tuple(row) for row in table)
         if n == 0:
             raise ValueError("a monoid needs at least the identity element")
-        if any(len(row) != n for row in self.table):
+        if any(len(row) != n for row in table):
             raise ValueError("Cayley table must be square")
-        if not 0 <= self.identity < n:
+        if not 0 <= identity < n:
             raise ValueError("identity index out of range")
-        for row in self.table:
+        for row in table:
             for e in row:
                 if not 0 <= e < n:
                     raise ValueError("table entry out of range")
         for x in range(n):
             for y in range(x + 1, n):
-                if self.table[x][y] != self.table[y][x]:
+                if table[x][y] != table[y][x]:
                     raise ValueError(f"table is not commutative at ({x}, {y})")
         for x in range(n):
             for y in range(n):
                 for z in range(n):
-                    if self.table[self.table[x][y]][z] != self.table[x][self.table[y][z]]:
+                    if table[table[x][y]][z] != table[x][table[y][z]]:
                         raise ValueError(f"table is not associative at ({x}, {y}, {z})")
-        e = self.identity
+        e = identity
         for x in range(n):
-            if self.table[e][x] != x or self.table[x][e] != x:
+            if table[e][x] != x or table[x][e] != x:
                 raise ValueError("identity element does not act as identity")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "identity", identity)
 
     @property
     def size(self) -> int:
@@ -118,15 +118,15 @@ class FiniteCommutativeMonoid:
         return cls(table, identity)
 
 
-@dataclass(frozen=True)
-class FreeCommutativeMonoid:
+class FreeCommutativeMonoid(Record):
     """Free commutative monoid N^k; elements are exponent vectors."""
 
-    generator_count: int
+    _fields = ("generator_count",)
 
-    def __post_init__(self):
-        if self.generator_count < 0:
+    def __init__(self, generator_count: int):
+        if generator_count < 0:
             raise ValueError("generator count must be nonnegative")
+        object.__setattr__(self, "generator_count", generator_count)
 
     def element(self, exponents: Sequence[int]) -> tuple[int, ...]:
         exponents = tuple(exponents)

@@ -10,14 +10,14 @@ extensions with free quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .linalg import (
     FgAbelianGroup,
     IntegerMatrix,
     cokernel,
     kernel_basis,
     lattice_contains,
+    smith_normal_form,
     solve_integer,
 )
 
@@ -39,8 +39,7 @@ class FiveLemmaContradictionError(RuntimeError):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainComplex:
+class ChainComplex(Record):
     """Finite chain complex of free Z-modules.
 
     ranks[k] is the rank of the degree-k chain group; boundaries[k-1] is
@@ -49,23 +48,24 @@ class ChainComplex:
     consecutive boundaries whose composite is nonzero.
     """
 
-    ranks: tuple[int, ...]
-    boundaries: tuple[IntegerMatrix, ...] = ()
+    _fields = ("ranks", "boundaries")
 
-    def __post_init__(self):
-        if not self.ranks:
+    def __init__(self, ranks: tuple[int, ...], boundaries: tuple[IntegerMatrix, ...] = ()):
+        if not ranks:
             raise ValueError("a complex needs at least degree 0")
-        if any(r < 0 for r in self.ranks):
+        if any(r < 0 for r in ranks):
             raise ValueError("ranks must be nonnegative")
-        if len(self.boundaries) != len(self.ranks) - 1:
+        if len(boundaries) != len(ranks) - 1:
             raise ValueError("expected one boundary matrix per degree above 0")
-        for k in range(1, len(self.ranks)):
-            b = self.boundaries[k - 1]
-            if b.rows != self.ranks[k - 1] or b.cols != self.ranks[k]:
+        for k in range(1, len(ranks)):
+            b = boundaries[k - 1]
+            if b.rows != ranks[k - 1] or b.cols != ranks[k]:
                 raise ValueError(f"boundary in degree {k} has the wrong shape")
-        for k in range(2, len(self.ranks)):
-            if not (self.boundaries[k - 2] @ self.boundaries[k - 1]).is_zero():
+        for k in range(2, len(ranks)):
+            if not (boundaries[k - 2] @ boundaries[k - 1]).is_zero():
                 raise ValueError(f"boundary composite in degree {k} is nonzero")
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "boundaries", boundaries)
 
     @classmethod
     def with_zero_boundaries(cls, ranks) -> "ChainComplex":
@@ -147,8 +147,7 @@ def sphere_complex(m: int) -> ChainComplex:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Record):
     """Abelian group given by generators and a relation matrix.
 
     Each row of relations is a relation among the generators.  Maps
@@ -156,14 +155,15 @@ class GroupPresentation:
     sequences keep enough data for exactness checks.
     """
 
-    generators: int
-    relations: IntegerMatrix
+    _fields = ("generators", "relations")
 
-    def __post_init__(self):
-        if self.generators < 0:
+    def __init__(self, generators: int, relations: IntegerMatrix):
+        if generators < 0:
             raise ValueError("generator count must be nonnegative")
-        if self.relations.cols != self.generators:
+        if relations.cols != generators:
             raise ValueError("relation matrix width must equal the generator count")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
 
     @classmethod
     def free(cls, rank: int) -> "GroupPresentation":
@@ -195,19 +195,18 @@ def _check_well_defined(label: str, f: IntegerMatrix,
         raise ValueError(f"{label} does not preserve relations")
 
 
-def _preimage_generators(f: IntegerMatrix, dst_relations: IntegerMatrix) -> IntegerMatrix:
-    """Generators of the lattice {x : f @ x lies in the row span of dst_relations}.
+def _preimage_generators(block: IntegerMatrix, width: int) -> IntegerMatrix:
+    """Generators of the lattice {x : f @ x lies in the row span of R}.
 
-    Solutions (x, y) of f x = R^T y form the kernel of [f | -R^T]; the
-    x-parts of a kernel basis generate the preimage lattice.
+    block is [f | -R^T] and width is f.cols.  Solutions (x, y) of
+    f x = R^T y form the kernel of the block; the x-parts of a kernel
+    basis generate the preimage lattice.
     """
-    block = f.hstack(-dst_relations.transpose())
     kb = kernel_basis(block)
-    return IntegerMatrix._make(f.cols, kb.cols, kb.entries[:f.cols * kb.cols])
+    return IntegerMatrix._make(width, kb.cols, kb.entries[:width * kb.cols])
 
 
-@dataclass(frozen=True)
-class GroupSequence:
+class GroupSequence(Record):
     """A finite sequence of presented groups with maps on generators.
 
     maps[i] sends groups[i] to groups[i+1].  Construction verifies the
@@ -215,14 +214,15 @@ class GroupSequence:
     well-defined homomorphism of the presented groups.
     """
 
-    groups: tuple[GroupPresentation, ...]
-    maps: tuple[IntegerMatrix, ...]
+    _fields = ("groups", "maps")
 
-    def __post_init__(self):
-        if len(self.maps) != len(self.groups) - 1:
+    def __init__(self, groups: tuple[GroupPresentation, ...], maps: tuple[IntegerMatrix, ...]):
+        if len(maps) != len(groups) - 1:
             raise ValueError("expected one map between consecutive groups")
-        for i, f in enumerate(self.maps):
-            _check_well_defined(f"map {i}", f, self.groups[i], self.groups[i + 1])
+        for i, f in enumerate(maps):
+            _check_well_defined(f"map {i}", f, groups[i], groups[i + 1])
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "maps", maps)
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -242,7 +242,8 @@ def is_exact_at(s: GroupSequence, i: int) -> bool:
     incoming, outgoing = s.maps[i - 1], s.maps[i]
     relations_t = g.relations.transpose()
     image = incoming.hstack(relations_t)
-    kernel = _preimage_generators(outgoing, s.groups[i + 1].relations).hstack(relations_t)
+    block = outgoing.hstack(-s.groups[i + 1].relations.transpose())
+    kernel = _preimage_generators(block, outgoing.cols).hstack(relations_t)
     return (solve_integer(kernel, image) is not None
             and solve_integer(image, kernel) is not None)
 
@@ -252,15 +253,16 @@ def induced_map_is_isomorphism(f: IntegerMatrix,
                                dst: GroupPresentation) -> bool:
     """Isomorphism test for the homomorphism induced by f on presented groups."""
     _check_well_defined("map", f, src, dst)
-    # surjective: columns of f plus dst relations span all of Z^generators
-    spanning = f.hstack(dst.relations.transpose())
-    if not cokernel(spanning.transpose()).is_trivial:
+    block = f.hstack(-dst.relations.transpose())
+    # the preimage reads the block's transforms first: one elimination serves both tests
+    pre = _preimage_generators(block, f.cols)
+    # surjective: f and R^T span Z^generators, so the block (its invariant factors
+    # those of [f | R^T] and of its transpose) has full row rank and unit factors
+    form = smith_normal_form(block)
+    if form.rank != f.rows or any(x != 1 for x in form.d):
         return False
     # injective: the preimage of dst's relations is contained in src's relations
-    pre = _preimage_generators(f, dst.relations)
-    if pre.cols and not lattice_contains(src.relations.transpose(), pre):
-        return False
-    return True
+    return not pre.cols or lattice_contains(src.relations.transpose(), pre)
 
 
 # ----------------------------------------------------------------------
@@ -268,8 +270,7 @@ def induced_map_is_isomorphism(f: IntegerMatrix,
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Ladder:
+class Ladder(Record):
     """Two five-term sequences joined by vertical maps.
 
     Shapes and well-definedness of the verticals are enforced here;
@@ -277,15 +278,17 @@ class Ladder:
     by five_lemma_check.
     """
 
-    top: GroupSequence
-    bottom: GroupSequence
-    verticals: tuple[IntegerMatrix, ...]
+    _fields = ("top", "bottom", "verticals")
 
-    def __post_init__(self):
-        if len(self.top) != 5 or len(self.bottom) != 5 or len(self.verticals) != 5:
+    def __init__(self, top: GroupSequence, bottom: GroupSequence,
+                 verticals: tuple[IntegerMatrix, ...]):
+        if len(top) != 5 or len(bottom) != 5 or len(verticals) != 5:
             raise ValueError("a ladder needs five columns")
-        for i, f in enumerate(self.verticals):
-            _check_well_defined(f"vertical {i}", f, self.top.groups[i], self.bottom.groups[i])
+        for i, f in enumerate(verticals):
+            _check_well_defined(f"vertical {i}", f, top.groups[i], bottom.groups[i])
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        object.__setattr__(self, "verticals", verticals)
 
 
 def five_lemma_check(ladder: Ladder) -> bool:

@@ -19,11 +19,11 @@ is the only fact taken on faith.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from ._record import Record
 from .homology import (
     GroupPresentation,
     GroupSequence,
@@ -41,25 +41,25 @@ from .truncpoly import TruncPoly, power, power_names, render_sum, truncated_prod
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Record):
     """A projective space (cpn), a sphere, or the one-point space."""
 
-    kind: str
-    parameter: int = 0
+    _fields = ("kind", "parameter")
 
-    def __post_init__(self):
-        if self.kind == "cpn":
-            if self.parameter < 0:
+    def __init__(self, kind: str, parameter: int = 0):
+        if kind == "cpn":
+            if parameter < 0:
                 raise ValueError("projective space index must be nonnegative")
-        elif self.kind == "sphere":
-            if self.parameter < 1:
+        elif kind == "sphere":
+            if parameter < 1:
                 raise ValueError("sphere dimension must be at least 1")
-        elif self.kind == "point":
-            if self.parameter:
+        elif kind == "point":
+            if parameter:
                 raise ValueError("the point takes no parameter")
         else:
-            raise ValueError(f"unknown space kind {self.kind!r}")
+            raise ValueError(f"unknown space kind {kind!r}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parameter", parameter)
 
     @classmethod
     def cpn(cls, n: int) -> "Space":
@@ -105,8 +105,7 @@ class Space:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KClass:
+class KClass(Record):
     """Virtual bundle on projective n-space, written in powers of γ.
 
     coeffs[k] multiplies the k-th power of the reduced Hopf class; the
@@ -115,18 +114,18 @@ class KClass:
     vanishes.
     """
 
-    n: int
-    coeffs: tuple[int, ...]
+    _fields = ("n", "coeffs")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, coeffs: tuple[int, ...]):
+        if n < 0:
             raise ValueError("ambient index must be nonnegative")
-        coeffs = tuple(self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
+        coeffs = tuple(coeffs)
         if any(type(c) is not int for c in coeffs):
             raise ValueError("coefficients must be exact integers")
-        if len(coeffs) != self.n + 1:
-            raise ValueError(f"expected {self.n + 1} coefficients")
+        if len(coeffs) != n + 1:
+            raise ValueError(f"expected {n + 1} coefficients")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls, n: int) -> "KClass":
@@ -260,8 +259,7 @@ def reduced_sphere_k(i: int) -> FgAbelianGroup:
     return FgAbelianGroup.free(1) if i % 2 == 0 else FgAbelianGroup.trivial()
 
 
-@dataclass(frozen=True)
-class KGroupTable:
+class KGroupTable(Record):
     """K-groups of one space over a range of degrees.
 
     Entries are (degree, group) pairs; construction rejects any table that
@@ -269,16 +267,17 @@ class KGroupTable:
     everything derived from the sphere axiom table.
     """
 
-    space: Space
-    entries: tuple[tuple[int, FgAbelianGroup], ...]
+    _fields = ("space", "entries")
 
-    def __post_init__(self):
-        lookup = dict(self.entries)
-        if len(lookup) != len(self.entries):
+    def __init__(self, space: Space, entries: tuple[tuple[int, FgAbelianGroup], ...]):
+        lookup = dict(entries)
+        if len(lookup) != len(entries):
             raise ValueError("duplicate degrees in table")
         for q, group in lookup.items():
             if q + 2 in lookup and lookup[q + 2] != group:
                 raise ValueError(f"table breaks periodicity between {q} and {q + 2}")
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "entries", entries)
 
     def group(self, q: int) -> FgAbelianGroup:
         return dict(self.entries)[q]
@@ -321,18 +320,18 @@ def k_group_table(space: Space, q_min: int, q_max: int) -> KGroupTable:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InductionStep:
+class InductionStep(Record):
     """One checked step of the induction, as recorded in the trace."""
 
-    index: int
-    kind: str
-    stage: int
-    window: tuple[str, ...]
-    rules: tuple[str, ...]
-    exactness: tuple[bool, ...]
-    five_lemma: bool | None
-    conclusion: str
+    _fields = ("index", "kind", "stage", "window", "rules", "exactness", "five_lemma",
+               "conclusion")
+
+    def __init__(self, index: int, kind: str, stage: int, window: tuple[str, ...],
+                 rules: tuple[str, ...], exactness: tuple[bool, ...], five_lemma: bool | None,
+                 conclusion: str):
+        for name, value in zip(self._fields, (index, kind, stage, window, rules, exactness,
+                                              five_lemma, conclusion)):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -347,15 +346,15 @@ class InductionStep:
         }
 
 
-@dataclass(frozen=True)
-class InductionTrace:
+class InductionTrace(Record):
     """Machine-checkable record of the replayed induction."""
 
-    n: int
-    steps: tuple[InductionStep, ...]
-    reduced_k0: FgAbelianGroup
-    k0: FgAbelianGroup
-    k1: FgAbelianGroup
+    _fields = ("n", "steps", "reduced_k0", "k0", "k1")
+
+    def __init__(self, n: int, steps: tuple[InductionStep, ...], reduced_k0: FgAbelianGroup,
+                 k0: FgAbelianGroup, k1: FgAbelianGroup):
+        for name, value in zip(self._fields, (n, steps, reduced_k0, k0, k1)):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -550,8 +549,7 @@ def bott_check() -> bool:
     return is_isomorphism(bott_matrix())
 
 
-@dataclass(frozen=True)
-class SphereChernImageCertificate:
+class SphereChernImageCertificate(Record):
     """Certificate that the character embeds reduced sphere K-theory as Z.
 
     The reduced K-group of the 2n-sphere is generated by one class beta;
@@ -563,9 +561,12 @@ class SphereChernImageCertificate:
     when every stage's is.
     """
 
-    half_dimension: int
-    generator_coefficient: int
-    steps: tuple[str, ...]
+    _fields = ("half_dimension", "generator_coefficient", "steps")
+
+    def __init__(self, half_dimension: int, generator_coefficient: int, steps: tuple[str, ...]):
+        object.__setattr__(self, "half_dimension", half_dimension)
+        object.__setattr__(self, "generator_coefficient", generator_coefficient)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def sphere_dimension(self) -> int:

@@ -14,32 +14,31 @@ the transforms, when they are built, stay small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, compress
 from math import prod
-from typing import Sequence
+
+from ._record import Record
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(Record):
     """Immutable integer matrix; entries stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...] = ()
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence[int] = ()):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
+        entries = tuple(entries)
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        for e in entries:
             if type(e) is not int:
                 raise ValueError("matrix entries must be exact integers")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def _make(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntegerMatrix":
@@ -236,8 +235,7 @@ class IntegerMatrix:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Record):
     """Unimodular decomposition u @ a @ v == diagonal(d), padded to a's shape.
 
     d lists the positive invariant factors, each dividing the next; the
@@ -254,7 +252,10 @@ class SmithForm:
     quotients; see _eliminate.
     """
 
-    a: IntegerMatrix
+    _fields = ("a",)
+
+    def __init__(self, a: IntegerMatrix):
+        object.__setattr__(self, "a", a)
 
     @cached_property
     def d(self) -> tuple[int, ...]:
@@ -498,8 +499,7 @@ def lattice_contains(generators: IntegerMatrix, target: IntegerMatrix) -> bool:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FgAbelianGroup:
+class FgAbelianGroup(Record):
     """Finitely generated abelian group in invariant-factor normal form.
 
     free_rank copies of Z plus cyclic factors Z/torsion[i] where each
@@ -507,22 +507,22 @@ class FgAbelianGroup:
     equality therefore decides isomorphism.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        torsion = tuple(self.torsion)
-        object.__setattr__(self, "torsion", torsion)
-        if type(self.free_rank) is not int or any(type(t) is not int for t in torsion):
+    def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
+        torsion = tuple(torsion)
+        if type(free_rank) is not int or any(type(t) is not int for t in torsion):
             raise ValueError("group invariants must be exact integers")
-        if self.free_rank < 0:
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError("torsion coefficients must be at least 2")
-        for s, t in zip(self.torsion, self.torsion[1:]):
+        for s, t in zip(torsion, torsion[1:]):
             if t % s:
                 raise ValueError("torsion coefficients must form a divisibility chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @classmethod
     def trivial(cls) -> "FgAbelianGroup":

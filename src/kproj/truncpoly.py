@@ -13,9 +13,9 @@ by both classes and by the virtual-bundle ring of the ktheory module.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 from .linalg import IntegerMatrix
 
@@ -207,20 +207,24 @@ class TruncPoly:
         """Inverse of render; also accepts loose input like "1+2x+x^2".
 
         If order is omitted, it is taken to be the highest degree present.
+        Every sign must lead a term and every "*" stand before x: "1-+x",
+        "1+x+", "-" and "2*-x" are rejected.
         """
         compact = re.sub(r"\s+", "", text)
         if not compact:
             raise ValueError("empty polynomial text")
         coeffs: dict[int, Fraction] = {}
-        for match in re.finditer(r"[+-]?[^+-]+", compact):
-            term = match.group(0)
+        # one piece per term: cut before every sign but a leading one
+        for term in re.split(r"(?<=.)(?=[+-])", compact):
             sign = Fraction(1)
             if term[0] in "+-":
                 if term[0] == "-":
                     sign = Fraction(-1)
                 term = term[1:]
+                if not term:
+                    raise ValueError(f"sign without a term in polynomial text {text!r}")
             m = re.fullmatch(
-                r"(?:(?P<c>\d+(?:/\d+)?)\*?)?(?P<v>x(?:\^(?P<e>\d+))?)?", term
+                r"(?:(?P<c>\d+(?:/\d+)?)(?:\*(?=x))?)?(?P<v>x(?:\^(?P<e>\d+))?)?", term
             )
             if not m or (m.group("c") is None and m.group("v") is None):
                 raise ValueError(f"cannot parse polynomial term {term!r}")

@@ -5,6 +5,7 @@ import pytest
 
 from kproj.cli import (
     COHOMOLOGY_MAX_TOP,
+    GROTH_MAX_ORDER,
     SMITH_MAX_BITS,
     SMITH_MAX_SIDE,
     main,
@@ -122,6 +123,14 @@ class TestChCommand:
                           "--order", "1000")
         assert len(doc.result["coefficients"]) == 1001
 
+    @pytest.mark.parametrize("chern", ["1-+2x", "1+2x+", "-"])
+    def test_stray_sign_is_a_one_line_error(self, capsys, chern):
+        code, out, err = run(capsys, "ch", "--rank", "2", "--chern", chern, "--order", "2")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "sign" in err
+
     def test_zero_denominator_is_a_one_line_error(self, capsys):
         code, out, err = run(capsys, "ch", "--rank", "1", "--chern", "1+1/0*x",
                              "--order", "1")
@@ -200,6 +209,26 @@ class TestGrothCommand:
         path.write_text("2 0\n0 1\n0 1\n")  # not commutative
         code, _, err = run(capsys, "groth", "--table", str(path))
         assert code != 0
+
+    @pytest.mark.parametrize("body", [True, False], ids=["cyclic-table", "header-only"])
+    def test_order_above_the_bound_is_a_one_line_error(self, capsys, tmp_path, body):
+        # the header alone is rejected: the bound is checked before any entry is read
+        n = GROTH_MAX_ORDER + 1
+        rows = [" ".join(str((i + j) % n) for j in range(n)) for i in range(n)] if body else []
+        path = tmp_path / "big.table"
+        path.write_text("\n".join([f"{n} 0", *rows]) + "\n")
+        code, out, err = run(capsys, "groth", "--table", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and f"at most {GROTH_MAX_ORDER}" in err
+
+    def test_order_at_the_bound_passes_the_header_check(self, capsys, tmp_path):
+        path = tmp_path / "header.table"
+        path.write_text(f"{GROTH_MAX_ORDER} 0\n")
+        code, _, err = run(capsys, "groth", "--table", str(path))
+        assert code == 2
+        assert f"expected {GROTH_MAX_ORDER ** 2} table entries, got 0" in err
 
 
 class TestSmithCommand:

@@ -24,7 +24,10 @@ from kproj.homology import (
     sphere_complex,
     split_free_extension,
 )
-from kproj.linalg import FgAbelianGroup, IntegerMatrix, solve_integer
+import kproj.linalg as linalg_module
+from kproj.linalg import FgAbelianGroup, IntegerMatrix, smith_normal_form, solve_integer
+
+from oracles import det_cofactor
 
 Z = FgAbelianGroup.free(1)
 ZERO = FgAbelianGroup.trivial()
@@ -340,6 +343,40 @@ class TestInducedIsomorphism:
         src = GroupPresentation(1, mat([[4]]))
         dst = GroupPresentation(1, mat([[2]]))
         assert not induced_map_is_isomorphism(mat([[1]]), src, dst)
+
+    @pytest.mark.parametrize("f, dst", [
+        ([[1], [0]], GroupPresentation.free(2)),  # rank below the generator count
+        ([[1], [1]], GroupPresentation(2, mat([[0, 2]]))),  # Z -> Z + Z/2 misses (0, 1)
+        ([[3]], GroupPresentation.free(1)),  # full rank, invariant factor 3
+    ])
+    def test_injective_but_not_surjective(self, f, dst):
+        assert not induced_map_is_isomorphism(mat(f), GroupPresentation.free(1), dst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                           min_size=n, max_size=n)))
+    def test_free_square_maps_against_the_determinant(self, rows):
+        free = GroupPresentation.free(len(rows))
+        assert induced_map_is_isomorphism(mat(rows), free, free) == \
+            (abs(det_cofactor(rows)) == 1)
+
+    def test_one_elimination_per_block(self, monkeypatch):
+        # the surjectivity test reads the invariant factors of the block whose
+        # transforms the preimage already computed, so no d-only elimination runs
+        flags = []
+        original = linalg_module._eliminate
+
+        def counted(a, transforms):
+            flags.append(transforms)
+            return original(a, transforms)
+        monkeypatch.setattr(linalg_module, "_eliminate", counted)
+        smith_normal_form.cache_clear()
+        p = GroupPresentation(1, mat([[4]]))
+        assert induced_map_is_isomorphism(mat([[3]]), p, p)
+        assert not induced_map_is_isomorphism(mat([[2]]), p, p)
+        smith_normal_form.cache_clear()
+        assert flags and all(flags)
 
 
 def identity_ladder(seq):

@@ -1,0 +1,231 @@
+"""The record classes: value semantics, immutability, validation, and the import path."""
+
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import kproj
+from kproj._record import Record
+from kproj.chern import FormalBundle, NewtonPolynomial, newton_s
+from kproj.cli import FORMAT_VERSION, OutputDocument
+from kproj.grothendieck import FiniteCommutativeMonoid, FreeCommutativeMonoid
+from kproj.homology import ChainComplex, GroupPresentation, GroupSequence, Ladder
+from kproj.ktheory import (
+    InductionStep,
+    InductionTrace,
+    KClass,
+    KGroupTable,
+    Space,
+    SphereChernImageCertificate,
+    replay_induction,
+)
+from kproj.linalg import FgAbelianGroup, IntegerMatrix, SmithForm
+from kproj.truncpoly import TruncPoly
+
+Z = FgAbelianGroup.free(1)
+ZERO = FgAbelianGroup.trivial()
+FREE1 = GroupPresentation.free(1)
+
+
+def five_term_sequence():
+    groups = (GroupPresentation.trivial(), FREE1, FREE1, GroupPresentation.trivial(),
+              GroupPresentation.trivial())
+    maps = (IntegerMatrix.zero(1, 0), IntegerMatrix.identity(1), IntegerMatrix.zero(0, 1),
+            IntegerMatrix.zero(0, 0))
+    return GroupSequence(groups, maps)
+
+
+def ladder():
+    row = five_term_sequence()
+    return Ladder(row, row, tuple(IntegerMatrix.identity(g.generators) for g in row.groups))
+
+
+def induction_step():
+    return InductionStep(index=0, kind="base", stage=1, window=("Z",), rules=("r",),
+                         exactness=(), five_lemma=None, conclusion="Z")
+
+
+# one factory per record class; each call builds a fresh object with the same fields
+FACTORIES = {
+    "IntegerMatrix": lambda: IntegerMatrix(2, 2, (1, 2, 3, 4)),
+    "SmithForm": lambda: SmithForm(IntegerMatrix(1, 2, (2, 4))),
+    "FgAbelianGroup": lambda: FgAbelianGroup(1, (2, 4)),
+    "ChainComplex": lambda: ChainComplex((1, 0, 1), (IntegerMatrix.zero(1, 0),
+                                                     IntegerMatrix.zero(0, 1))),
+    "GroupPresentation": lambda: GroupPresentation(2, IntegerMatrix(1, 2, (2, 0))),
+    "GroupSequence": five_term_sequence,
+    "Ladder": ladder,
+    "Space": lambda: Space("cpn", 3),
+    "KClass": lambda: KClass(2, (1, 0, -1)),
+    "KGroupTable": lambda: KGroupTable(Space.sphere(2), ((0, FgAbelianGroup(2)), (1, ZERO))),
+    "InductionStep": induction_step,
+    "InductionTrace": lambda: InductionTrace(1, (induction_step(),), Z, FgAbelianGroup(2), ZERO),
+    "SphereChernImageCertificate": lambda: SphereChernImageCertificate(2, 1, ("base",)),
+    "FiniteCommutativeMonoid": lambda: FiniteCommutativeMonoid(((0, 1), (1, 0)), 0),
+    "FreeCommutativeMonoid": lambda: FreeCommutativeMonoid(2),
+    "NewtonPolynomial": lambda: NewtonPolynomial(2, newton_s(2).expression),
+    "FormalBundle": lambda: FormalBundle(1, TruncPoly.parse("1+x")),
+    "OutputDocument": lambda: OutputDocument("ring", {"n": 1}, {"kind": "ring"}),
+}
+FROZEN = [name for name in FACTORIES if name != "OutputDocument"]
+
+
+def test_the_table_covers_every_record_class():
+    exported = {name for name, value in vars(kproj).items()
+                if isinstance(value, type) and issubclass(value, Record)}
+    assert set(FACTORIES) == exported | {"OutputDocument"}
+    assert len(FACTORIES) == 18
+
+
+@pytest.mark.parametrize("name", FACTORIES)
+def test_equal_fields_give_equal_objects(name):
+    a, b = FACTORIES[name](), FACTORIES[name]()
+    assert a is not b
+    assert a == b and not a != b
+    assert repr(a) == repr(b)
+    assert repr(a).startswith(f"{name}({type(a)._fields[0]}=")
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_equal_objects_have_equal_hashes(name):
+    a, b = FACTORIES[name](), FACTORIES[name]()
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_unequal_fields_give_unequal_objects():
+    assert IntegerMatrix(1, 1, (1,)) != IntegerMatrix(1, 1, (2,))
+    assert IntegerMatrix(1, 2, (0, 0)) != IntegerMatrix(2, 1, (0, 0))
+    assert Space("cpn", 1) != Space("cpn", 2)
+    assert FgAbelianGroup(1, (2,)) != FgAbelianGroup(1, (4,))
+    assert KClass(1, (0, 1)) != KClass(1, (1, 0))
+
+
+def test_different_classes_never_compare_equal():
+    objects = [FACTORIES[name]() for name in FACTORIES]
+    for i, a in enumerate(objects):
+        assert a != tuple(getattr(a, f) for f in a._fields)
+        for j, b in enumerate(objects):
+            assert (a == b) == (i == j)
+    # the same field values in another class
+    assert FreeCommutativeMonoid(2) != SmithForm(2)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_fields_cannot_be_assigned_or_deleted(name):
+    a = FACTORIES[name]()
+    for f in a._fields:
+        before = getattr(a, f)
+        with pytest.raises(AttributeError):
+            setattr(a, f, before)
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+        assert getattr(a, f) is before
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+def test_repr_names_every_field():
+    assert repr(IntegerMatrix(1, 1, (5,))) == "IntegerMatrix(rows=1, cols=1, entries=(5,))"
+    assert repr(Space.point()) == "Space(kind='point', parameter=0)"
+
+
+def test_defaults_and_keyword_arguments():
+    assert IntegerMatrix(0, 3) == IntegerMatrix.zero(0, 3)
+    with pytest.raises(ValueError, match="expected 4 entries, got 0"):
+        IntegerMatrix(2, 2)
+    assert IntegerMatrix(rows=1, cols=2, entries=[3, 4]) == IntegerMatrix(1, 2, (3, 4))
+    assert IntegerMatrix(1, 2, [3, 4]).entries == (3, 4)
+    assert Space("point") == Space.point() == Space(kind="point", parameter=0)
+    assert FgAbelianGroup(3) == FgAbelianGroup(free_rank=3, torsion=[])
+    assert FgAbelianGroup(0, [2, 4]).torsion == (2, 4)
+    assert ChainComplex((1,)).boundaries == ()
+    assert KClass(n=1, coeffs=[1, 2]).coeffs == (1, 2)
+    assert FiniteCommutativeMonoid([[0]], identity=0).table == ((0,),)
+    assert OutputDocument("ring", {}, {}).format_version == FORMAT_VERSION
+
+
+def test_output_document_is_mutable_and_unhashable():
+    doc = FACTORIES["OutputDocument"]()
+    doc.result = {"kind": "other"}
+    doc.extra = 1
+    del doc.extra
+    assert doc.result == {"kind": "other"}
+    assert doc != FACTORIES["OutputDocument"]()
+    with pytest.raises(TypeError):
+        hash(doc)
+
+
+def test_replayed_records_compare_by_value():
+    a, b = replay_induction(3), replay_induction(3)
+    assert a == b and hash(a) == hash(b)
+    assert a.steps[1] == InductionStep(**{f: getattr(a.steps[1], f) for f in a.steps[1]._fields})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: IntegerMatrix(-1, 0), "dimensions must be nonnegative"),
+    (lambda: IntegerMatrix(1, 2, (1,)), "expected 2 entries, got 1"),
+    (lambda: IntegerMatrix(1, 1, (1.0,)), "exact integers"),
+    (lambda: FgAbelianGroup(1.0), "exact integers"),
+    (lambda: FgAbelianGroup(0, (True,)), "exact integers"),
+    (lambda: FgAbelianGroup(-1), "free rank must be nonnegative"),
+    (lambda: FgAbelianGroup(0, (1,)), "at least 2"),
+    (lambda: FgAbelianGroup(0, (4, 2)), "divisibility chain"),
+    (lambda: ChainComplex(()), "at least degree 0"),
+    (lambda: ChainComplex((1, -1)), "ranks must be nonnegative"),
+    (lambda: ChainComplex((1, 1)), "one boundary matrix per degree"),
+    (lambda: ChainComplex((1, 1), (IntegerMatrix.zero(2, 1),)), "degree 1 has the wrong shape"),
+    (lambda: ChainComplex((1, 1, 1), (IntegerMatrix(1, 1, (1,)),) * 2),
+     "composite in degree 2 is nonzero"),
+    (lambda: GroupPresentation(-1, IntegerMatrix.zero(0, 0)), "generator count"),
+    (lambda: GroupPresentation(2, IntegerMatrix.zero(0, 1)), "relation matrix width"),
+    (lambda: GroupSequence((FREE1, FREE1), ()), "one map between consecutive groups"),
+    (lambda: GroupSequence((FREE1, FREE1), (IntegerMatrix.zero(2, 1),)),
+     "map 0 has the wrong shape"),
+    (lambda: GroupSequence((GroupPresentation(1, IntegerMatrix(1, 1, (2,))), FREE1),
+                           (IntegerMatrix.identity(1),)), "map 0 does not preserve relations"),
+    (lambda: Ladder(*(five_term_sequence(),) * 2, ()), "five columns"),
+    (lambda: Ladder(*(five_term_sequence(),) * 2, (IntegerMatrix.zero(1, 1),) * 5),
+     "vertical 0 has the wrong shape"),
+    (lambda: Space("cpn", -1), "projective space index"),
+    (lambda: Space("sphere", 0), "sphere dimension"),
+    (lambda: Space("point", 1), "takes no parameter"),
+    (lambda: Space("torus"), "unknown space kind"),
+    (lambda: KClass(-1, ()), "ambient index"),
+    (lambda: KClass(1, (1, Fraction(1, 2))), "exact integers"),
+    (lambda: KClass(1, (1,)), "expected 2 coefficients"),
+    (lambda: KGroupTable(Space.point(), ((0, Z), (0, Z))), "duplicate degrees"),
+    (lambda: KGroupTable(Space.point(), ((0, Z), (2, ZERO))), "breaks periodicity"),
+    (lambda: FiniteCommutativeMonoid((), 0), "at least the identity"),
+    (lambda: FiniteCommutativeMonoid(((0, 1),), 0), "must be square"),
+    (lambda: FiniteCommutativeMonoid(((0,),), 1), "identity index out of range"),
+    (lambda: FiniteCommutativeMonoid(((1,),), 0), "entry out of range"),
+    (lambda: FiniteCommutativeMonoid(((0, 1), (0, 1)), 0), "not commutative at (0, 1)"),
+    (lambda: FiniteCommutativeMonoid(((0, 1, 2), (1, 2, 0), (2, 0, 0)), 0),
+     "not associative at (1, 1, 2)"),
+    (lambda: FiniteCommutativeMonoid(((0, 0), (0, 0)), 0), "does not act as identity"),
+    (lambda: FreeCommutativeMonoid(-1), "generator count"),
+    (lambda: FormalBundle(-1, TruncPoly.one(1)), "bundle dimension"),
+    (lambda: FormalBundle(1, TruncPoly(1, (1, Fraction(1, 2)))), "integer coefficients"),
+    (lambda: FormalBundle(1, TruncPoly(1, (2, 0))), "constant term 1"),
+    (lambda: FormalBundle(1, TruncPoly(2, (1, 0, 1))), "degree 2 is nonzero beyond"),
+])
+def test_validation_errors(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert message in str(info.value)
+
+
+def test_import_loads_no_dataclasses():
+    # -S: without site, which may import typing on its own
+    src = Path(kproj.__file__).resolve().parent.parent
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import kproj.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'typing', 'ast', 'dis', "
+            "'tokenize') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

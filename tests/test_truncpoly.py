@@ -232,6 +232,20 @@ class TestRendering:
         with pytest.raises(ValueError):
             TruncPoly.parse("1/0")
 
+    @pytest.mark.parametrize("text", [
+        "1-+x", "1+-x", "1--x", "--x", "1+x+", "1+x-", "-", "+", "1 - + 2x",
+        "2*", "2*-x", "1+2*-x", "x*",
+    ])
+    def test_parse_rejects_stray_signs_and_stars(self, text):
+        # every sign must lead a term and every star a variable; a stray
+        # one was once dropped, so "1-+x" read as 1 + x
+        with pytest.raises(ValueError):
+            TruncPoly.parse(text, order=2)
+
+    def test_parse_keeps_single_signs(self):
+        assert TruncPoly.parse("+x-1") == poly(1, -1, 1)
+        assert TruncPoly.parse("1-2x+3*x^2") == poly(2, 1, -2, 3)
+
     @settings(max_examples=80, deadline=None)
     @given(trunc_polys())
     def test_roundtrip(self, p):
