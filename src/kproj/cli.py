@@ -47,14 +47,18 @@ REPLAY_MAX_N = 200
 # or M and prints one row per degree: top degree 30000 takes about 2 s
 # and prints 4.8 MB
 COHOMOLOGY_MAX_TOP = 30000
-# smith --matrix eliminates without transforms, in time growing with the
-# side and with the entry size: a 100 x 100 square with 24-bit entries
-# takes 8-10 s end to end, with 64-bit entries about 27 s in-process
+# smith --matrix finds the invariant factors by a fraction-free pass and an
+# elimination modulo a multiple of a determinantal divisor, in time growing
+# with the side and with the entry size: a 100 x 100 square with random
+# 24-bit entries takes 1.5-1.9 s end to end, and 2^23 times a random
+# {-1, 0, 1} matrix, whose 100 factors are all large, about 1.6 s; with
+# 64-bit entries about 8 s in-process
 SMITH_MAX_SIDE = 100
 SMITH_MAX_BITS = 24
-# groth --table validates a table of order n in O(n^3) and classifies its
-# group on up to n log2(n) relations: (Z/2)^5 + (Z/3)^2, the worst table of
-# order 288, takes about 9 s end to end, (Z/2)^6 + Z/5 at 320 about 13 s
+# groth --table validates a table of order n in O(n^3), which is most of
+# its time, and classifies its group on one relation per generator of a
+# greedy generating set: tables of order 288 take 2-3 s end to end, and
+# orders 384 and 512 about 6 s and 13 s in-process
 GROTH_MAX_ORDER = 288
 
 

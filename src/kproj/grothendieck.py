@@ -170,36 +170,35 @@ def pair_equivalent(monoid: Monoid, x, y, u, v) -> bool:
 def _classify_group_table(table: Sequence[Sequence[int]]) -> FgAbelianGroup:
     """Invariant factors of a finite abelian group given by its Cayley table.
 
-    The group is presented on one symbol e_x per element x.  The relations
-    are e_s + e_x - e_{s+x} for every x and every s in a greedy generating
-    set S, where each s lies outside the subgroup of the ones before it,
-    so |S| <= log2 of the order; and e_z = 0 for the identity z, which the
-    others imply unless S is empty.  They present the group: every e_x is
-    a sum of symbols of S, and x -> e_x is additive, since adding one
-    generator at a time turns e_{x+y} into e_x + e_y.  The cokernel of the
-    relation matrix gives the group in normal form.
+    The group is presented on a greedy generating set S = (s_1, .., s_t),
+    where each s_j lies outside the span H of the ones before it.  Walking
+    the cosets k s_j + H for k = 1, 2, .. gives each new element its
+    coordinates over S, until some k s_j + h is the identity: then
+    k e_j + coords(h) = 0 is the relation of s_j, with k the index of H
+    in H + <s_j>.  The t relations form a lower-triangular t x t matrix
+    whose determinant is the product of the indices, the order of the
+    group; they hold in the group, so the lattice they span has the same
+    index as the lattice of all relations, and the two are equal.  The
+    cokernel of the relation matrix gives the group in normal form.
     """
-    c = len(table)
-    zero = next(z for z in range(c) if table[z][z] == z)
-    generators, span = [], {zero}
-    for x in range(c):
-        if x not in span:
-            generators.append(x)
-            # span + <x> is the union of the cosets kx + span until one is span
-            layer = {table[x][h] for h in span}
-            while zero not in layer:
-                span = span | layer
-                layer = {table[x][h] for h in layer}
+    zero = next(z for z in range(len(table)) if table[z][z] == z)
+    coords = {zero: ()}
     rows = []
-    for s in generators:
-        for x in range(c):
-            row = [0] * c
-            row[s] += 1
-            row[x] += 1
-            row[table[s][x]] -= 1
-            rows.append(row)
-    rows.append([int(x == zero) for x in range(c)])
-    return cokernel(IntegerMatrix.from_rows(rows, cols=c))
+    for x in range(len(table)):
+        if x in coords:
+            continue
+        # layer k maps each k x + h to the h of the span it came from
+        layer, k = {table[x][h]: h for h in coords}, 1
+        while zero not in layer:
+            for y, h in layer.items():
+                coords[y] = coords[h] + (k,)
+            layer, k = {table[x][y]: h for y, h in layer.items()}, k + 1
+        rows.append(coords[layer[zero]] + (k,))
+        for h in coords:
+            if len(coords[h]) < len(rows):
+                coords[h] += (0,)
+    t = len(rows)
+    return cokernel(IntegerMatrix.from_rows([row + (0,) * (t - len(row)) for row in rows], cols=t))
 
 
 class GrothendieckGroup:

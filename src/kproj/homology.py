@@ -10,6 +10,8 @@ extensions with free quotient.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from ._record import Record
 from .linalg import (
     FgAbelianGroup,
@@ -50,7 +52,8 @@ class ChainComplex(Record):
 
     _fields = ("ranks", "boundaries")
 
-    def __init__(self, ranks: tuple[int, ...], boundaries: tuple[IntegerMatrix, ...] = ()):
+    def __init__(self, ranks: Sequence[int], boundaries: Sequence[IntegerMatrix] = ()):
+        ranks, boundaries = tuple(ranks), tuple(boundaries)
         if not ranks:
             raise ValueError("a complex needs at least degree 0")
         if any(r < 0 for r in ranks):
@@ -216,7 +219,8 @@ class GroupSequence(Record):
 
     _fields = ("groups", "maps")
 
-    def __init__(self, groups: tuple[GroupPresentation, ...], maps: tuple[IntegerMatrix, ...]):
+    def __init__(self, groups: Sequence[GroupPresentation], maps: Sequence[IntegerMatrix]):
+        groups, maps = tuple(groups), tuple(maps)
         if len(maps) != len(groups) - 1:
             raise ValueError("expected one map between consecutive groups")
         for i, f in enumerate(maps):
@@ -281,7 +285,8 @@ class Ladder(Record):
     _fields = ("top", "bottom", "verticals")
 
     def __init__(self, top: GroupSequence, bottom: GroupSequence,
-                 verticals: tuple[IntegerMatrix, ...]):
+                 verticals: Sequence[IntegerMatrix]):
+        verticals = tuple(verticals)
         if len(top) != 5 or len(bottom) != 5 or len(verticals) != 5:
             raise ValueError("a ladder needs five columns")
         for i, f in enumerate(verticals):

@@ -19,6 +19,7 @@ is the only fact taken on faith.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -269,7 +270,8 @@ class KGroupTable(Record):
 
     _fields = ("space", "entries")
 
-    def __init__(self, space: Space, entries: tuple[tuple[int, FgAbelianGroup], ...]):
+    def __init__(self, space: Space, entries: Sequence[tuple[int, FgAbelianGroup]]):
+        entries = tuple((q, group) for q, group in entries)
         lookup = dict(entries)
         if len(lookup) != len(entries):
             raise ValueError("duplicate degrees in table")

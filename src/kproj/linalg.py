@@ -6,18 +6,19 @@ groups in invariant-factor normal form.  All arithmetic is exact: the
 module runs on Python's arbitrary-precision integers and nothing here
 (or anywhere downstream) touches floating point.
 
-The Smith transforms are built only for callers that read them:
-invariant factors, ranks and cokernels come from an elimination that
-keeps no transforms, and reduces by nearest-integer quotients so that
-the transforms, when they are built, stay small.
+The Smith transforms are built only for callers that read them.
+Invariant factors, ranks and cokernels come from one fraction-free pass,
+which gives the rank and a multiple D of a determinantal divisor, and
+then from an elimination modulo D, whose entries stay below D however
+large the minors grow.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
-from itertools import chain, compress
-from math import prod
+from itertools import chain, compress, repeat
+from math import gcd, prod
 
 from ._record import Record
 
@@ -188,25 +189,8 @@ class IntegerMatrix(Record):
         """Fraction-free (Bareiss) determinant; exact for any size."""
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.row_lists()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        minor, gcds = _bareiss(self)
+        return minor if len(gcds) > self.rows else 0
 
     # ------------------------------------------------------------------
     # text format: first line "rows cols", then rows of integers
@@ -243,13 +227,12 @@ class SmithForm(Record):
     determinant +-1.
 
     Every part is computed on first read and then kept.  Reading d or
-    rank first runs an elimination that builds no transforms, which is
-    all that cokernel needs; the first read of u or v runs the same
-    elimination once more with transforms and keeps d, u and v, so a
-    caller that reads a transform first pays for one elimination only.
-    Both runs pivot alike, on the entry of least absolute value (ties to
-    the lowest row, then column), and reduce by nearest-integer
-    quotients; see _eliminate.
+    rank first builds no transforms: d comes from _invariant_factors,
+    which works modulo a multiple of a determinantal divisor, and that is
+    all that cokernel needs.  The first read of u or v runs _eliminate,
+    which builds both transforms; it keeps d, u and v, so a caller that
+    reads a transform first pays for one elimination only.  d is unique,
+    so it does not depend on which routine found it.
     """
 
     _fields = ("a",)
@@ -259,11 +242,11 @@ class SmithForm(Record):
 
     @cached_property
     def d(self) -> tuple[int, ...]:
-        return _eliminate(self.a, transforms=False)[0]
+        return _invariant_factors(self.a)
 
     @cached_property
     def _transforms(self) -> tuple[IntegerMatrix, IntegerMatrix]:
-        d, u, v = _eliminate(self.a, transforms=True)
+        d, u, v = _eliminate(self.a)
         self.__dict__.setdefault("d", d)
         return u, v
 
@@ -281,6 +264,161 @@ class SmithForm(Record):
 
     def diagonal_matrix(self) -> IntegerMatrix:
         return IntegerMatrix.diagonal(self.d, self.a.rows, self.a.cols)
+
+
+def _bareiss(a: IntegerMatrix) -> tuple[int, list[int]]:
+    """Fraction-free (Bareiss) elimination of a: (minor, gcds).
+
+    Each pivot is the first nonzero entry, below the rows already used,
+    of the leftmost column that has one.  After k pivots every working
+    entry below and to the right of them is a (k+1)-minor of a
+    (Sylvester's identity), so gcds[k + 1], the gcd of the next pivot's
+    row and column, is a multiple of the determinantal divisor
+    Delta_{k+1}, the gcd of all (k+1)-minors.  gcds runs from gcds[0] = 1
+    to gcds[rank]; minor is the last pivot times the sign of the row
+    swaps, which is det(a) when a is a nonsingular square.
+    """
+    rows = a.row_lists()
+    m = a.rows
+    prev = sign = 1
+    gcds = [1]
+    k = 0
+    for c in range(a.cols):
+        if k == m:
+            break
+        p = next((i for i in range(k, m) if rows[i][c]), None)
+        if p is None:
+            continue
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        pivot = rows[k][c]
+        tail = rows[k][c + 1:]
+        gcds.append(gcd(*tail, *(row[c] for row in rows[k:])))
+        for row in rows[k + 1:]:
+            e = row[c]
+            if e:
+                row[c + 1:] = [(x * pivot - e * y) // prev for x, y in zip(row[c + 1:], tail)]
+            elif pivot != prev:
+                row[c + 1:] = [x * pivot // prev for x in row[c + 1:]]
+        prev = pivot
+        k += 1
+    return sign * prev, gcds
+
+
+def _invariant_factors(a: IntegerMatrix) -> tuple[int, ...]:
+    """The invariant factors of a, without transforms and without coefficient growth.
+
+    One Bareiss pass gives the rank r and, in gcds[k], a multiple of the
+    determinantal divisor Delta_k = d_1 ... d_k for each k <= r.  For a
+    nonsingular square a, d_1, .., d_{r-1} come from _diagonal_mod modulo
+    gcds[r - 1] and d_r = |det a| / (d_1 ... d_{r-1}); the r-minors there
+    are all det a, so gcds[r] would be no smaller than |det a|.  For any
+    other a, d_1, .., d_r come from _diagonal_mod modulo gcds[r].  A
+    modulus of 1 makes every factor it covers 1.
+    """
+    minor, gcds = _bareiss(a)
+    rank = len(gcds) - 1
+    square = a.rows == a.cols == rank > 0
+    k = rank - square
+    d = [1] * k if gcds[k] == 1 else _diagonal_mod(a, gcds[k], k)
+    if square:
+        d.append(abs(minor) // prod(d))
+    return tuple(d)
+
+
+def _gcd_step(a: int, b: int) -> tuple[int, int, int, int]:
+    """(x, y, b/h, a/h) with x a + y b = h = gcd(a, b), for a that does not divide b.
+
+    The map (s, t) -> (x s + y t, (b/h) s - (a/h) t) has determinant -1
+    and sends (a, b) to (h, 0).
+    """
+    h = gcd(a, b)
+    y = pow(b // h, -1, a // h)
+    return (h - y * b) // a, y, b // h, a // h
+
+
+def _diagonal_mod(a: IntegerMatrix, modulus: int, k: int) -> list[int]:
+    """The first k invariant factors of a, given a multiple of d_1 ... d_k as modulus.
+
+    With L the row lattice of a, Z^cols / (L + modulus Z^cols) is the sum
+    of the Z/gcd(d_i, modulus), which is Z/d_i for i <= k, and of copies
+    of Z/modulus.  So a Smith elimination over Z/modulus finds d_1, ..,
+    d_k first, while its entries stay in [0, modulus).  Each step pivots
+    on an entry e of least gcd(e, modulus), scaled by a unit to
+    g = gcd(e, modulus).  It clears the pivot's column by row operations:
+    an exact multiple of the pivot row where g divides the entry, else a
+    _gcd_step, which makes g a proper divisor of itself.  While the pivot
+    row has an entry that g does not divide, it goes on with the
+    transpose, which has the same invariant factors; and, as in
+    _eliminate, a row with such an entry is first added to the pivot
+    row.  Then column operations would clear the pivot row alone, so the
+    pivot row and column are dropped.
+
+    The modulus is c times the product of the factors not yet found, and
+    stays so: after a factor g > 1, every entry and every factor left is
+    a multiple of g, so the entries are divided by g and the modulus by
+    g once for the factor found and once for each factor left, and the
+    later factors are multiplied back.  So the modulus stays near the
+    size of the factors left, however large they are.
+    """
+    w = [[x % modulus for x in row] for row in a.row_lists()]
+    d = []
+    scale = 1
+    while len(d) < k:
+        g = modulus
+        for i, row in enumerate(w):
+            gs = list(map(gcd, row, repeat(modulus)))
+            least = min(gs)
+            if least < g:
+                g, pi, pj = least, i, gs.index(least)
+                if g == 1:
+                    break
+        if g == modulus:
+            # the block is zero: every factor left is the modulus
+            return d + [scale * modulus] * (k - len(d))
+        w[0], w[pi] = w[pi], w[0]
+        for row in w:
+            row[0], row[pj] = row[pj], row[0]
+        if w[0][0] != g:
+            # pivot / g is a unit modulo modulus / g; lift its inverse to a unit
+            step = modulus // g
+            u = pow(w[0][0] // g, -1, step)
+            while gcd(u, modulus) > 1:
+                u += step
+            w[0] = [u * x % modulus for x in w[0]]
+        while True:
+            prow = w[0]
+            for i in range(1, len(w)):
+                row = w[i]
+                e = row[0]
+                if not e % g:
+                    if e:
+                        q = e // g
+                        w[i] = [(x - q * y) % modulus for x, y in zip(row, prow)]
+                    continue
+                x, y, p, q = _gcd_step(g, e)
+                prow, w[i] = ([(x * s + y * t) % modulus for s, t in zip(prow, row)],
+                              [(p * s - q * t) % modulus for s, t in zip(prow, row)])
+                g = prow[0]
+            w[0] = prow
+            if any(e % g for e in prow):
+                w = [list(column) for column in zip(*w)]
+                continue
+            if g == 1:
+                break
+            violator = next((row for row in w[1:] if any(e % g for e in row)), None)
+            if violator is None:
+                break
+            w[0] = [(s + t) % modulus for s, t in zip(prow, violator)]
+        d.append(scale * g)
+        if g == 1:
+            w = [row[1:] for row in w[1:]]
+            continue
+        modulus //= g ** (k - len(d) + 1)
+        scale *= g
+        w = [[x // g % modulus for x in row[1:]] for row in w[1:]]
+    return d
 
 
 def _min_abs_entry(d: list[list[int]], t: int, m: int, n: int):
@@ -305,8 +443,8 @@ def _min_abs_entry(d: list[list[int]], t: int, m: int, n: int):
     return best
 
 
-def _eliminate(a: IntegerMatrix, transforms: bool):
-    """Smith elimination of a: (d, u, v), where u and v are None unless transforms.
+def _eliminate(a: IntegerMatrix):
+    """Smith elimination of a with its transforms: (d, u, v).
 
     Pivoting picks the nonzero entry of least absolute value (ties broken
     by lowest row then column index), which keeps the output deterministic.
@@ -323,25 +461,21 @@ def _eliminate(a: IntegerMatrix, transforms: bool):
     """
     m, n = a.rows, a.cols
     d = a.row_lists()
-    u = vt = None
-    if transforms:
-        u = [[0] * m for _ in range(m)]
-        vt = [[0] * n for _ in range(n)]
-        for i in range(m):
-            u[i][i] = 1
-        for i in range(n):
-            vt[i][i] = 1
+    u = [[0] * m for _ in range(m)]
+    vt = [[0] * n for _ in range(n)]
+    for i in range(m):
+        u[i][i] = 1
+    for i in range(n):
+        vt[i][i] = 1
 
     def move_to_pivot(t, i, j):
         if i != t:
             d[t], d[i] = d[i], d[t]
-            if transforms:
-                u[t], u[i] = u[i], u[t]
+            u[t], u[i] = u[i], u[t]
         if j != t:
             for row in d[t:]:
                 row[t], row[j] = row[j], row[t]
-            if transforms:
-                vt[t], vt[j] = vt[j], vt[t]
+            vt[t], vt[j] = vt[j], vt[t]
 
     t = 0
     limit = min(m, n)
@@ -366,8 +500,7 @@ def _eliminate(a: IntegerMatrix, transforms: bool):
                     r -= pivot
                 if q:
                     row[t:] = [x - q * y for x, y in zip(row[t:], prow[t:])]
-                    if transforms:
-                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                 if r:
                     dirty = True
             if not dirty:
@@ -379,8 +512,7 @@ def _eliminate(a: IntegerMatrix, transforms: bool):
                         r -= pivot
                     if q:
                         prow[j] = r
-                        if transforms:
-                            vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
                     if r:
                         dirty = True
             if dirty:
@@ -396,17 +528,13 @@ def _eliminate(a: IntegerMatrix, transforms: bool):
             if violator is None:
                 break
             prow[t:] = [x + y for x, y in zip(prow[t:], d[violator][t:])]
-            if transforms:
-                u[t] = [x + y for x, y in zip(u[t], u[violator])]
+            u[t] = [x + y for x, y in zip(u[t], u[violator])]
         if d[t][t] < 0:
             d[t][t] = -d[t][t]
-            if transforms:
-                vt[t] = [-x for x in vt[t]]
+            vt[t] = [-x for x in vt[t]]
         t += 1
 
     diag = tuple(d[k][k] for k in range(limit) if d[k][k])
-    if not transforms:
-        return diag, None, None
     return (diag, IntegerMatrix._make(m, m, tuple(chain.from_iterable(u))),
             IntegerMatrix._make(n, n, tuple(chain.from_iterable(zip(*vt)))))
 
@@ -423,8 +551,7 @@ SMITH_CACHE_SIZE = 16
 def smith_normal_form(a: IntegerMatrix) -> SmithForm:
     """The Smith decomposition of a, computed as its parts are read.
 
-    The elimination is _eliminate's; see SmithForm for which parts cost
-    what.  Results are memoized on the matrix value (an LRU cache of the
+    See SmithForm for which parts cost what.  Results are memoized on the matrix value (an LRU cache of the
     SMITH_CACHE_SIZE most recent distinct matrices), so equal inputs share
     one immutable SmithForm; smith_normal_form.cache_info() counts hits.
     """

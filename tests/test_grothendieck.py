@@ -373,14 +373,17 @@ class TestGroupTablePresentation:
         assert got == FgAbelianGroup(0, tuple(chain_from_diagonal(orders)))
 
     def test_trivial_group_is_zero(self):
-        # no generators: only the identity relation keeps e_0 from being free
+        # no generators: the relation matrix is 0 x 0 and presents the trivial group
         assert _classify_group_table(((0,),)).is_trivial
 
     def test_relations_grow_with_the_log_of_the_order(self, monkeypatch):
-        rows = []
+        shapes = []
         monkeypatch.setattr(grothendieck_module, "cokernel",
-                            lambda a: rows.append(a.rows) or cokernel(a))
+                            lambda a: shapes.append((a.rows, a.cols)) or cokernel(a))
         for chain in ([64], [4, 16], [4, 4, 4], [2] * 6):
             completion(FiniteCommutativeMonoid.from_invariants(chain))
-        # at most log2(64) = 6 generators, against 64 * 65 / 2 = 2080 pairs
-        assert len(rows) == 4 and max(rows) <= 6 * 64 + 1
+        # one relation on each of at most log2(64) = 6 generators, against
+        # 64 * 65 / 2 = 2080 pairs on 64 symbols
+        assert len(shapes) == 4
+        assert all(rows == cols <= 6 for rows, cols in shapes)
+        assert shapes[0] == (1, 1) and shapes[3] == (6, 6)

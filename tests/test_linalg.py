@@ -450,14 +450,17 @@ class TestSmithCache:
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The transforms flag of every Smith elimination, from a cleared cache on."""
-    calls = []
-    original = linalg_module._eliminate
+    """Which routine ran for every Smith computation, from a cleared cache on.
 
-    def counted(a, transforms):
-        calls.append(transforms)
-        return original(a, transforms)
-    monkeypatch.setattr(linalg_module, "_eliminate", counted)
+    "d" is _invariant_factors, which builds no transforms; "transforms" is
+    _eliminate, which builds u and v.
+    """
+    calls = []
+    for name, label in (("_invariant_factors", "d"), ("_eliminate", "transforms")):
+        def counted(a, original=getattr(linalg_module, name), label=label):
+            calls.append(label)
+            return original(a)
+        monkeypatch.setattr(linalg_module, name, counted)
     smith_normal_form.cache_clear()
     yield calls
     smith_normal_form.cache_clear()
@@ -491,7 +494,7 @@ class TestLazyTransforms:
         assert form.rank == 3
         assert cokernel(self.A) == FgAbelianGroup(1, (2, 2, 12))
         assert form.diagonal_matrix() == IntegerMatrix.diagonal((2, 2, 12), 3, 4)
-        assert eliminations == [False]
+        assert eliminations == ["d"]
         assert "_transforms" not in vars(form)
 
     @pytest.mark.parametrize("first", [lambda a, b: kernel_basis(a),
@@ -506,7 +509,7 @@ class TestLazyTransforms:
             assert kernel_basis(self.A).cols == 1
             assert solve_integer(self.A, self.B) is not None
             assert cokernel(self.A).free_rank == 1
-        assert eliminations == [True]
+        assert eliminations == ["transforms"]
 
     @settings(max_examples=150, deadline=None)
     @given(elimination_inputs())
@@ -521,4 +524,104 @@ class TestLazyTransforms:
         # reading a transform first gives the same d from the one elimination
         eager = SmithForm(a)
         assert eager.v == v and eager.d == d
-        assert d == linalg_module._eliminate(a, False)[0]
+        assert d == linalg_module._eliminate(a)[0]
+
+
+@pytest.fixture
+def modular_steps(monkeypatch):
+    """The moduli of _diagonal_mod and the (pivot, entry) pairs of its gcd steps."""
+    steps = {"moduli": [], "gcd": []}
+    original_mod, original_step = linalg_module._diagonal_mod, linalg_module._gcd_step
+
+    def diagonal_mod(a, modulus, k):
+        steps["moduli"].append(modulus)
+        return original_mod(a, modulus, k)
+
+    def gcd_step(a, b):
+        steps["gcd"].append((a, b))
+        return original_step(a, b)
+    monkeypatch.setattr(linalg_module, "_diagonal_mod", diagonal_mod)
+    monkeypatch.setattr(linalg_module, "_gcd_step", gcd_step)
+    return steps
+
+
+@st.composite
+def modular_inputs(draw):
+    """Tall, wide, square, rank-deficient, 0 x n and n x 0 matrices.
+
+    The entries share small factors, so that the modulus is often above 1.
+    """
+    kind = draw(st.sampled_from(["tall", "wide", "square", "deficient", "no rows", "no cols"]))
+    long = draw(st.integers(2, 5))
+    short = draw(st.integers(1, long - 1))
+    rows, cols = {"tall": (long, short), "wide": (short, long), "no rows": (0, long),
+                  "no cols": (long, 0)}.get(kind, (long, long))
+    values = st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, -4, 6, 8, 9, 12, -12, 30])
+
+    def matrix(r, c):
+        return IntegerMatrix(r, c, tuple(draw(st.lists(values, min_size=r * c,
+                                                       max_size=r * c))))
+    if kind == "deficient":
+        return matrix(rows, short) @ matrix(short, cols)
+    return matrix(rows, cols)
+
+
+def unimodular(rows):
+    m = IntegerMatrix.from_rows(rows)
+    assert abs(m.det()) == 1
+    return m
+
+
+class TestModularInvariantFactors:
+    @settings(max_examples=300, deadline=None)
+    @given(modular_inputs())
+    def test_invariant_factors_read_first_match_the_minors_oracle(self, a):
+        form = SmithForm(a)
+        assert list(form.d) == minors_gcd_invariant_factors(a.row_lists())
+        assert form.rank == len(form.d)
+        assert "_transforms" not in vars(form)
+
+    def test_nonsingular_square_with_a_modulus_above_one(self, modular_steps):
+        u = unimodular([[1, 2, 0], [0, 1, 3], [0, 0, 1]])
+        v = unimodular([[1, 0, 0], [2, 1, 0], [1, -1, 1]])
+        a = u @ IntegerMatrix.diagonal((2, 4, 8), 3, 3) @ v
+        assert SmithForm(a).d == (2, 4, 8)
+        # the modulus covers d_1 d_2 = 8; d_3 = |det| / 8
+        assert len(modular_steps["moduli"]) == 1
+        assert modular_steps["moduli"][0] % 8 == 0
+
+    def test_tall_matrix_with_a_modulus_above_one(self, modular_steps):
+        u = unimodular([[1, 0, 0, 0], [3, 1, 0, 0], [0, -2, 1, 0], [1, 0, 1, 1]])
+        v = unimodular([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+        a = u @ IntegerMatrix.diagonal((2, 4, 8), 4, 3) @ v
+        assert SmithForm(a).d == (2, 4, 8)
+        assert len(modular_steps["moduli"]) == 1
+        assert modular_steps["moduli"][0] % 64 == 0
+
+    @pytest.mark.parametrize("rows, d", [
+        ([[6], [12]], (6,)),  # zero modulo the modulus 6
+        ([[1 << 23, 0, 1 << 23], [0, 1 << 23, 3 << 23]], (1 << 23, 1 << 23)),
+        ([[1, 0], [0, 6 << 40], [0, 0]], (1, 6 << 40)),
+    ])
+    def test_large_or_repeated_factors(self, modular_steps, rows, d):
+        assert SmithForm(IntegerMatrix.from_rows(rows)).d == d
+        assert len(modular_steps["moduli"]) == 1
+
+    @pytest.mark.parametrize("rows, d", [
+        ([[3, 0, 0], [0, 0, 2]], (1, 6)),  # wide: modulus 6, pivot 2 against 3
+        ([[2, 3, 0], [0, 0, 2], [4, 3, 0]], (1, 2, 6)),  # nonsingular square
+    ])
+    def test_an_entry_the_pivot_does_not_divide_takes_a_gcd_step(self, modular_steps, rows, d):
+        a = IntegerMatrix.from_rows(rows)
+        assert SmithForm(a).d == d
+        assert modular_steps["moduli"] == [6]
+        assert (2, 3) in modular_steps["gcd"]
+
+    @pytest.mark.parametrize("rows, d", [
+        ([[2, 3], [0, 6]], (1, 12)),  # square: the 1-minors are coprime, d_2 = |det|
+        ([[1, 0, 0], [0, 2, 3]], (1, 1)),  # wide: the 2-minors 2 and 3 are coprime
+        ([[5]], (5,)),
+    ])
+    def test_a_unit_modulus_needs_no_elimination(self, modular_steps, rows, d):
+        assert SmithForm(IntegerMatrix.from_rows(rows)).d == d
+        assert modular_steps == {"moduli": [], "gcd": []}

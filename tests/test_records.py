@@ -148,6 +148,32 @@ def test_defaults_and_keyword_arguments():
     assert OutputDocument("ring", {}, {}).format_version == FORMAT_VERSION
 
 
+# list-built and tuple-built values of the records whose fields hold sequences
+LIST_BUILT = {
+    "ChainComplex": (lambda: ChainComplex([1, 0, 1], [IntegerMatrix.zero(1, 0),
+                                                      IntegerMatrix.zero(0, 1)]),
+                     FACTORIES["ChainComplex"]),
+    "GroupSequence": (lambda: GroupSequence(list(five_term_sequence().groups),
+                                            list(five_term_sequence().maps)),
+                      five_term_sequence),
+    "Ladder": (lambda: Ladder(five_term_sequence(), five_term_sequence(),
+                              [IntegerMatrix.identity(g.generators)
+                               for g in five_term_sequence().groups]),
+               ladder),
+    "KGroupTable": (lambda: KGroupTable(Space.sphere(2), [[0, FgAbelianGroup(2)], [1, ZERO]]),
+                    FACTORIES["KGroupTable"]),
+}
+
+
+@pytest.mark.parametrize("name", LIST_BUILT)
+def test_list_arguments_are_stored_as_tuples(name):
+    from_lists, from_tuples = (build() for build in LIST_BUILT[name])
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    for value in from_lists._values(from_lists):
+        assert not isinstance(value, list)
+
+
 def test_output_document_is_mutable_and_unhashable():
     doc = FACTORIES["OutputDocument"]()
     doc.result = {"kind": "other"}
