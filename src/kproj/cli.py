@@ -41,7 +41,7 @@ CH_MAX_ORDER = 1000
 # 0.7 MB, ring 400 about 20 s and 2.8 MB
 RING_MAX_N = 200
 # trace N and kgroups cpn:N replay the induction, which grows faster than
-# N^2: about 2 s at N = 100 and 10 s at N = 200
+# N^2: about 0.6-0.9 s at N = 100 and 4.5-5.5 s at N = 200
 REPLAY_MAX_N = 200
 # cohomology of cpn:N or sphere:M builds a cell complex of top degree 2N
 # or M and prints one row per degree: top degree 30000 takes about 2 s

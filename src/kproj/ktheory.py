@@ -385,10 +385,8 @@ def _inclusion_window(k: int, tail: GroupPresentation) -> GroupSequence:
         GroupPresentation.free(1),
         tail,
     )
-    incl = IntegerMatrix.from_rows(
-        [[1 if i == j else 0 for j in range(k)] for i in range(k + 1)], cols=k
-    )
-    proj = IntegerMatrix.from_rows([[0] * k + [1]], cols=k + 1)
+    incl = IntegerMatrix._make(k + 1, k, IntegerMatrix.identity(k).entries + (0,) * k)
+    proj = IntegerMatrix._make(1, k + 1, (0,) * k + (1,))
     maps = (
         IntegerMatrix.zero(k, 0),
         incl,

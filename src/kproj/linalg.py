@@ -19,6 +19,7 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
 from math import gcd, prod
+from operator import add, itemgetter, neg, sub
 
 from ._record import Record
 
@@ -34,9 +35,8 @@ class IntegerMatrix(Record):
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        for e in entries:
-            if type(e) is not int:
-                raise ValueError("matrix entries must be exact integers")
+        if not set(map(type, entries)) <= {int}:
+            raise ValueError("matrix entries must be exact integers")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
@@ -49,9 +49,8 @@ class IntegerMatrix(Record):
         tuple of exactly rows * cols values of type int.
         """
         obj = object.__new__(cls)
-        object.__setattr__(obj, "rows", rows)
-        object.__setattr__(obj, "cols", cols)
-        object.__setattr__(obj, "entries", entries)
+        fields = obj.__dict__
+        fields["rows"], fields["cols"], fields["entries"] = rows, cols, entries
         return obj
 
     # ------------------------------------------------------------------
@@ -69,8 +68,7 @@ class IntegerMatrix(Record):
                 raise ValueError("cols argument does not match row width")
         else:
             width = 0 if cols is None else cols
-        flat = tuple(e for r in rows for e in r)
-        return cls(len(rows), width, flat)
+        return cls(len(rows), width, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
@@ -92,13 +90,8 @@ class IntegerMatrix(Record):
         if len(values) > min(rows, cols):
             raise ValueError("too many diagonal values for the requested shape")
         entries = [0] * (rows * cols)
-        for i, v in enumerate(values):
-            entries[i * cols + i] = v
+        entries[:len(values) * (cols + 1):cols + 1] = values
         return cls(rows, cols, tuple(entries))
-
-    @classmethod
-    def column_vector(cls, values: Sequence[int]) -> "IntegerMatrix":
-        return cls(len(values), 1, tuple(values))
 
     # ------------------------------------------------------------------
     # access
@@ -117,7 +110,8 @@ class IntegerMatrix(Record):
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def row_lists(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        a, c = self.entries, self.cols
+        return [list(a[i * c:(i + 1) * c]) for i in range(self.rows)]
 
     # ------------------------------------------------------------------
     # algebra
@@ -125,11 +119,15 @@ class IntegerMatrix(Record):
 
     def transpose(self) -> "IntegerMatrix":
         a, cols = self.entries, self.cols
-        flat = tuple(chain.from_iterable(a[j::cols] for j in range(cols)))
-        return IntegerMatrix._make(cols, self.rows, flat)
+        if self.rows > 1 and cols > 1:  # else the row-major order is unchanged
+            flat = []
+            for j in range(cols):
+                flat += a[j::cols]
+            a = tuple(flat)
+        return IntegerMatrix._make(cols, self.rows, a)
 
     def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix._make(self.rows, self.cols, tuple(-e for e in self.entries))
+        return IntegerMatrix._make(self.rows, self.cols, tuple(map(neg, self.entries)))
 
     def _check_same_shape(self, other: "IntegerMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
@@ -138,17 +136,17 @@ class IntegerMatrix(Record):
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_same_shape(other)
         return IntegerMatrix._make(self.rows, self.cols,
-                                   tuple(a + b for a, b in zip(self.entries, other.entries)))
+                                   tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         self._check_same_shape(other)
         return IntegerMatrix._make(self.rows, self.cols,
-                                   tuple(a - b for a, b in zip(self.entries, other.entries)))
+                                   tuple(map(sub, self.entries, other.entries)))
 
     def __mul__(self, scalar: int) -> "IntegerMatrix":
         if type(scalar) is not int:
             return NotImplemented
-        return IntegerMatrix(self.rows, self.cols, tuple(scalar * e for e in self.entries))
+        return IntegerMatrix._make(self.rows, self.cols, tuple(map(scalar.__mul__, self.entries)))
 
     __rmul__ = __mul__
 
@@ -156,34 +154,40 @@ class IntegerMatrix(Record):
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         n, m, k = self.rows, other.cols, self.cols
+        if not n * m * k:
+            return IntegerMatrix.zero(n, m)
         a, b = self.entries, other.entries
-        brows = [b[t * m:(t + 1) * m] for t in range(k)]
         zero_row = (0,) * m
         out = []
-        for i in range(n):
-            # accumulate whole rows of b, skipping the zero entries of a's row
-            arow = a[i * k:(i + 1) * k]
-            acc = None
-            for av, brow in compress(zip(arow, brows), arow):
-                if acc is None:
-                    acc = brow if av == 1 else [av * y for y in brow]
-                else:
-                    acc = [x + av * y for x, y in zip(acc, brow)]
-            out.extend(zero_row if acc is None else acc)
+        for i in range(0, n * k, k):
+            arow = a[i:i + k]
+            # accumulate the rows of b that a's row has nonzero entries for
+            acc = zero_row
+            for t in compress(range(k), arow):
+                brow = b[t * m:(t + 1) * m]
+                av = arow[t]
+                if av != 1:
+                    brow = map(av.__mul__, brow)
+                acc = brow if acc is zero_row else list(map(add, acc, brow))
+            out.extend(acc)
         return IntegerMatrix._make(n, m, tuple(out))
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
             raise ValueError("row counts do not match")
+        if not other.cols:  # matrices are immutable, so a side may be shared
+            return self
+        if not self.cols:
+            return other
         a, b, p, q = self.entries, other.entries, self.cols, other.cols
         flat = []
         for i in range(self.rows):
-            flat.extend(a[i * p:(i + 1) * p])
-            flat.extend(b[i * q:(i + 1) * q])
-        return IntegerMatrix._make(self.rows, self.cols + other.cols, tuple(flat))
+            flat += a[i * p:(i + 1) * p]
+            flat += b[i * q:(i + 1) * q]
+        return IntegerMatrix._make(self.rows, p + q, tuple(flat))
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
 
     def det(self) -> int:
         """Fraction-free (Bareiss) determinant; exact for any size."""
@@ -199,7 +203,7 @@ class IntegerMatrix(Record):
     def to_text(self) -> str:
         lines = [f"{self.rows} {self.cols}"]
         for i in range(self.rows):
-            lines.append(" ".join(str(e) for e in self.row(i)))
+            lines.append(" ".join(map(str, self.row(i))))
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -211,7 +215,7 @@ class IntegerMatrix(Record):
         body = tokens[2:]
         if len(body) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
-        return cls(rows, cols, tuple(int(t) for t in body))
+        return cls(rows, cols, tuple(map(int, body)))
 
 
 # ----------------------------------------------------------------------
@@ -461,12 +465,8 @@ def _eliminate(a: IntegerMatrix):
     """
     m, n = a.rows, a.cols
     d = a.row_lists()
-    u = [[0] * m for _ in range(m)]
-    vt = [[0] * n for _ in range(n)]
-    for i in range(m):
-        u[i][i] = 1
-    for i in range(n):
-        vt[i][i] = 1
+    u = [[0] * i + [1] + [0] * (m - i - 1) for i in range(m)]
+    vt = [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
     def move_to_pivot(t, i, j):
         if i != t:
@@ -490,17 +490,15 @@ def _eliminate(a: IntegerMatrix):
             half = (pivot if pivot > 0 else -pivot) >> 1
             dirty = False
             # clear column t below the pivot by row operations
-            for i in range(t + 1, m):
+            for i in compress(range(t + 1, m), map(itemgetter(t), d[t + 1:])):
                 row = d[i]
-                if not row[t]:
-                    continue
                 q, r = divmod(row[t], pivot)
                 if (r if r > 0 else -r) > half:
                     q += 1
                     r -= pivot
                 if q:
-                    row[t:] = [x - q * y for x, y in zip(row[t:], prow[t:])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    row[t:] = map(sub, row[t:], map(q.__mul__, prow[t:]))
+                    u[i] = list(map(sub, u[i], map(q.__mul__, u[t])))
                 if r:
                     dirty = True
             if not dirty:
@@ -512,7 +510,7 @@ def _eliminate(a: IntegerMatrix):
                         r -= pivot
                     if q:
                         prow[j] = r
-                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                        vt[j] = list(map(sub, vt[j], map(q.__mul__, vt[t])))
                     if r:
                         dirty = True
             if dirty:
@@ -524,14 +522,14 @@ def _eliminate(a: IntegerMatrix):
             if pivot == 1 or pivot == -1:
                 break
             violator = next((i for i in range(t + 1, m)
-                             if any(e % pivot for e in d[i][t + 1:])), None)
+                             if any(map(pivot.__rmod__, d[i][t + 1:]))), None)
             if violator is None:
                 break
-            prow[t:] = [x + y for x, y in zip(prow[t:], d[violator][t:])]
-            u[t] = [x + y for x, y in zip(u[t], u[violator])]
+            prow[t:] = map(add, prow[t:], d[violator][t:])
+            u[t] = list(map(add, u[t], u[violator]))
         if d[t][t] < 0:
             d[t][t] = -d[t][t]
-            vt[t] = [-x for x in vt[t]]
+            vt[t] = list(map(neg, vt[t]))
         t += 1
 
     diag = tuple(d[k][k] for k in range(limit) if d[k][k])
@@ -551,9 +549,10 @@ SMITH_CACHE_SIZE = 16
 def smith_normal_form(a: IntegerMatrix) -> SmithForm:
     """The Smith decomposition of a, computed as its parts are read.
 
-    See SmithForm for which parts cost what.  Results are memoized on the matrix value (an LRU cache of the
-    SMITH_CACHE_SIZE most recent distinct matrices), so equal inputs share
-    one immutable SmithForm; smith_normal_form.cache_info() counts hits.
+    See SmithForm for which parts cost what.  Results are memoized on the
+    matrix value (an LRU cache of the SMITH_CACHE_SIZE most recent distinct
+    matrices), so equal inputs share one immutable SmithForm;
+    smith_normal_form.cache_info() counts hits.
     """
     return SmithForm(a)
 
@@ -580,8 +579,9 @@ def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     form = smith_normal_form(a)
     v = form.v.entries  # before rank, so that one elimination fills both
     n, r = a.cols, form.rank
-    flat = tuple(chain.from_iterable(v[i * n + r:(i + 1) * n] for i in range(n)))
-    return IntegerMatrix._make(n, n - r, flat)
+    if r:
+        v = tuple(chain.from_iterable(v[i + r:i + n] for i in range(0, n * n, n)))
+    return IntegerMatrix._make(n, n - r, v)
 
 
 def is_isomorphism(a: IntegerMatrix) -> bool:
@@ -605,14 +605,14 @@ def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     n, k, rank = a.cols, b.cols, form.rank
     if any(c[rank * k:]):
         return None
-    y = [0] * (n * k)
-    for i, di in enumerate(form.d):
-        row = c[i * k:(i + 1) * k]
-        if di != 1:
-            if any(e % di for e in row):
-                return None
-            row = [e // di for e in row]
-        y[i * k:(i + 1) * k] = row
+    ones = form.d.count(1)  # the 1s lead the divisibility chain
+    y = list(c[:ones * k])
+    for i in range(ones, rank):
+        di, row = form.d[i], c[i * k:(i + 1) * k]
+        if any(map(di.__rmod__, row)):
+            return None
+        y += map(di.__rfloordiv__, row)
+    y += repeat(0, (n - rank) * k)
     return form.v @ IntegerMatrix._make(n, k, tuple(y))
 
 

@@ -108,6 +108,43 @@ def naive_diagonalize(rows_in) -> list[int]:
     return [d for d in diag if d]
 
 
+# ----------------------------------------------------------------------
+# matrix arithmetic on nested lists
+# ----------------------------------------------------------------------
+# A matrix is a list of rows.  Where an operand may have no rows, the
+# column count that the rows cannot carry is passed in.
+
+
+def list_product(a, b, cols) -> list[list[int]]:
+    """a @ b, with cols the column count of b."""
+    return [[sum(row[t] * b[t][j] for t in range(len(b))) for j in range(cols)] for row in a]
+
+
+def list_transpose(a, cols) -> list[list[int]]:
+    """The transpose of a, with cols its column count."""
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def list_hstack(a, b) -> list[list[int]]:
+    return [ra + rb for ra, rb in zip(a, b)]
+
+
+def list_sum(a, b) -> list[list[int]]:
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def list_difference(a, b) -> list[list[int]]:
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def list_negation(a) -> list[list[int]]:
+    return [[-x for x in row] for row in a]
+
+
+def list_scalar_multiple(c, a) -> list[list[int]]:
+    return [[c * x for x in row] for row in a]
+
+
 def chain_from_diagonal(diag) -> list[int]:
     """Normalize a diagonal multiset into an invariant-factor chain.
 

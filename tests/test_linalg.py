@@ -28,6 +28,13 @@ from oracles import (
     content,
     det_cofactor,
     enumerated_cyclic_order,
+    list_difference,
+    list_hstack,
+    list_negation,
+    list_product,
+    list_scalar_multiple,
+    list_sum,
+    list_transpose,
     minors_gcd_invariant_factors,
     naive_diagonalize,
 )
@@ -214,23 +221,23 @@ class TestIsIsomorphism:
 class TestSolveInteger:
     def test_solvable_system(self):
         a = IntegerMatrix.from_rows([[2, 0], [0, 3]])
-        b = IntegerMatrix.column_vector([4, 9])
+        b = IntegerMatrix(2, 1, (4, 9))
         x = solve_integer(a, b)
         assert x is not None
         assert a @ x == b
 
     def test_unsolvable_by_divisibility(self):
         a = IntegerMatrix.from_rows([[2]])
-        assert solve_integer(a, IntegerMatrix.column_vector([3])) is None
+        assert solve_integer(a, IntegerMatrix(1, 1, (3,))) is None
 
     def test_unsolvable_by_rank(self):
         a = IntegerMatrix.from_rows([[1, 1], [1, 1]])
-        assert solve_integer(a, IntegerMatrix.column_vector([0, 1])) is None
+        assert solve_integer(a, IntegerMatrix(2, 1, (0, 1))) is None
 
     def test_lattice_contains(self):
         gens = IntegerMatrix.from_rows([[2, 0], [0, 3]]).transpose()
-        assert lattice_contains(gens, IntegerMatrix.column_vector([2, 3]))
-        assert not lattice_contains(gens, IntegerMatrix.column_vector([1, 0]))
+        assert lattice_contains(gens, IntegerMatrix(2, 1, (2, 3)))
+        assert not lattice_contains(gens, IntegerMatrix(2, 1, (1, 0)))
 
     def test_random_roundtrip(self):
         rng = random.Random(77)
@@ -311,17 +318,22 @@ class TestConstructorValidation:
         with pytest.raises(ValueError):
             IntegerMatrix(1, 2, entries)
 
+    @pytest.mark.parametrize("entry", [True, 1.0], ids=["bool", "float"])
+    def test_rejects_a_single_entry_not_of_type_int(self, entry):
+        with pytest.raises(ValueError, match="exact integers"):
+            IntegerMatrix(1, 1, (entry,))
+
     # each of these used to be truncated by int() and accepted
     @pytest.mark.parametrize("build", [
         lambda: IntegerMatrix.from_rows([[1.5, 2]]),
         lambda: IntegerMatrix.from_rows([[True, 2]]),
         lambda: IntegerMatrix.diagonal([2.7], 1, 1),
-        lambda: IntegerMatrix.column_vector([0.9]),
+        lambda: IntegerMatrix(1, 1, (0.9,)),
         lambda: KClass(1, (0.5, 1.9)),
         lambda: KClass(1, (True, 0)),
         lambda: FgAbelianGroup(0, (2.5,)),
         lambda: FgAbelianGroup(True, ()),
-    ], ids=["from_rows-float", "from_rows-bool", "diagonal-float", "column_vector-float",
+    ], ids=["from_rows-float", "from_rows-bool", "diagonal-float", "column-float",
             "kclass-float", "kclass-bool", "group-float-torsion", "group-bool-rank"])
     def test_builders_reject_non_integers(self, build):
         with pytest.raises(ValueError):
@@ -374,6 +386,51 @@ def small_matrices(draw, rows=st.integers(0, 5), cols=st.integers(0, 5)):
         values = st.integers(-1, 1) if kind == "sign" else st.integers(-9, 9)
         entries = draw(st.lists(values, min_size=rows * cols, max_size=rows * cols))
     return IntegerMatrix(rows, cols, tuple(entries))
+
+
+# entries the replay uses, and entries far beyond a machine word
+ALGEBRA_ENTRIES = st.one_of(st.sampled_from((-1, 0, 1)), st.integers(-2 ** 70, 2 ** 70))
+
+
+@st.composite
+def nested_lists(draw, rows, cols):
+    """A rows x cols matrix as a list of rows: a partial identity or drawn entries.
+
+    A partial identity has ones on one diagonal, i - j == shift, as the
+    replay's inclusions, projections and identities have.
+    """
+    if draw(st.booleans()):
+        shift = draw(st.integers(-cols, rows))
+        return [[int(i - j == shift) for j in range(cols)] for i in range(rows)]
+    return [draw(st.lists(ALGEBRA_ENTRIES, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+
+def from_lists(rows, cols, lists):
+    return IntegerMatrix(rows, cols, tuple(x for row in lists for x in row))
+
+
+def assert_matches(m, shape, lists):
+    assert (m.rows, m.cols) == shape
+    assert m.entries == tuple(x for row in lists for x in row)
+    assert_well_formed(m)
+
+
+class TestAlgebraAgainstListOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_operations(self, n, k, m, data):
+        al, bl, cl, el = (data.draw(nested_lists(r, c)) for r, c in ((n, k), (k, m), (n, m), (n, m)))
+        a, b, c, e = (from_lists(n, k, al), from_lists(k, m, bl),
+                      from_lists(n, m, cl), from_lists(n, m, el))
+        s = data.draw(ALGEBRA_ENTRIES)
+        assert_matches(a @ b, (n, m), list_product(al, bl, m))
+        assert_matches(a.transpose(), (k, n), list_transpose(al, k))
+        assert_matches(a.hstack(c), (n, k + m), list_hstack(al, cl))
+        assert_matches(c + e, (n, m), list_sum(cl, el))
+        assert_matches(c - e, (n, m), list_difference(cl, el))
+        assert_matches(-c, (n, m), list_negation(cl))
+        assert_matches(c * s, (n, m), list_scalar_multiple(s, cl))
+        assert_matches(s * c, (n, m), list_scalar_multiple(s, cl))
 
 
 def assert_well_formed(m):
