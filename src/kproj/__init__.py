@@ -30,8 +30,6 @@ from .homology import (
     GroupSequence,
     Ladder,
     cohomology,
-    complex_from_text,
-    complex_to_text,
     cpn_complex,
     five_lemma_check,
     induced_map_is_isomorphism,
@@ -60,7 +58,6 @@ from .chern import (
     line_bundle,
     newton_s,
     tensor_line,
-    trivial_bundle,
     whitney_sum,
 )
 from .ktheory import (
@@ -69,10 +66,8 @@ from .ktheory import (
     KClass,
     KGroupTable,
     Space,
-    SphereChernImageCertificate,
     bott_check,
     bott_matrix,
-    ch_image_on_sphere,
     ch_matrix,
     chern_character_map,
     k_group_table,

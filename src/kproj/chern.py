@@ -14,19 +14,21 @@ sum of the Chern roots.  Newton's identities give p_k from the classes:
           + (-1)^{k-1} k c_k
 
 Under the degree-halving convention each c_k is a scalar times x^k, so
-chern_character runs this recurrence on plain integers.  The same
-recurrence, read symbolically, defines the Newton polynomials s_k, the
-unique integer polynomials with p_k = s_k(e_1, .., e_k); newton_s builds
-them for the `newton` subcommand and for the tests, which certify them
-against brute-force expansion and use them as an independent route to
-the character.
+chern_character runs this recurrence on plain integers.  The Newton
+polynomials s_k are the unique integer polynomials with
+p_k = s_k(e_1, .., e_k).  newton_s builds them for the `newton`
+subcommand, not by the recurrence but term by term from the partitions
+of k, by Waring's formula (Macdonald, Symmetric Functions and Hall
+Polynomials, ch. I).  So the tests, which certify s_k against
+brute-force expansion, also use it as a route to the character that
+shares no code with chern_character.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from ._record import Record
 from .truncpoly import MultiPoly, TruncPoly
@@ -50,21 +52,28 @@ class NewtonPolynomial(Record):
 
 @lru_cache(maxsize=None)
 def newton_s(k: int) -> NewtonPolynomial:
-    """Newton polynomial s_k in the formal variables e_1 .. e_k."""
+    """Newton polynomial s_k in the formal variables e_1 .. e_k, by Waring's formula.
+
+    Each partition of k gives one term: with m_i parts equal to i and
+    n = m_1 + .. + m_k parts in all, the monomial e_1^m_1 .. e_k^m_k has
+    coefficient (-1)^(k-n) k (n-1)! / (m_1! .. m_k!).
+    """
     if k < 1:
         raise ValueError("index must be at least 1")
-    if k == 1:
-        return NewtonPolynomial(1, MultiPoly.variable(1, 0))
-    expr = MultiPoly.zero(k)
-    for j in range(1, k):
-        e_j = MultiPoly.variable(k, j - 1)
-        p_prev = newton_s(k - j).expression.extend(k)
-        term = e_j * p_prev
-        expr = expr + term if j % 2 == 1 else expr - term
-    e_k = MultiPoly.variable(k, k - 1)
-    tail = k * e_k
-    expr = expr + tail if k % 2 == 1 else expr - tail
-    return NewtonPolynomial(k, expr)
+    # after step i: (what the parts below i must add up to,
+    # multiplicities of the parts k, k-1, .., i); parts of 1 fill the rest
+    partial = [(k, ())]
+    for i in range(k, 1, -1):
+        partial = [(r - m * i, ms + (m,)) for r, ms in partial for m in range(r // i + 1)]
+    fact = [factorial(m) for m in range(k + 1)]
+    terms = {}
+    for ones, ms in partial:
+        exps = (ones, *reversed(ms))
+        n = sum(exps)
+        c = k * fact[n - 1] // prod(fact[m] for m in exps if m > 1)
+        terms[exps] = Fraction(-c if (k - n) % 2 else c)
+    # distinct partitions give distinct exponent vectors, and no c is zero
+    return NewtonPolynomial(k, MultiPoly._make(k, terms))
 
 
 class FormalBundle(Record):
@@ -102,10 +111,6 @@ class FormalBundle(Record):
         if k > self.order:
             return 0
         return int(self.total_chern.coefficient(k))
-
-
-def trivial_bundle(rank: int, order: int) -> FormalBundle:
-    return FormalBundle(rank, TruncPoly.one(order))
 
 
 def line_bundle(order: int, c1: int = 1) -> FormalBundle:

@@ -32,7 +32,9 @@ from .truncpoly import TruncPoly
 
 FORMAT_VERSION = "1"
 
-# s_k has p(k) terms (partitions of k): k = 34 already prints 6.8 MB
+# s_k has p(k) terms, one per partition of k, and the cost is the size of
+# the output: building s_40 takes about 0.3 s in-process, and newton --k 40
+# prints 23.5 MB in about 2.7 s end to end (--k 34: 6.8 MB in 0.7 s)
 NEWTON_MAX_K = 40
 # the degree-k coefficient of ch has a denominator up to k!; at order 1700
 # it exceeds Python's default int-to-str limit of 4300 digits
@@ -345,8 +347,6 @@ def _render_human(doc: OutputDocument) -> str:
         rows = result["matrix"]
         lines.append("matrix: " + "; ".join(" ".join(str(e) for e in row) for row in rows))
         lines.append("unimodular: " + ("yes" if result["unimodular"] else "no"))
-    else:
-        lines.append(json.dumps(result))
     return "\n".join(lines)
 
 
@@ -426,6 +426,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        # argparse reads "--opt=--" as an empty list, not as the text "--"
+        if [] in vars(args).values():
+            raise ValueError("'--' is not an option value")
         doc = args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -99,12 +99,6 @@ class FiniteCommutativeMonoid(Record):
     # Cayley-table file format: first line "n identity_index",
     # then n lines of n element indices.
 
-    def to_text(self) -> str:
-        lines = [f"{self.size} {self.identity}"]
-        for row in self.table:
-            lines.append(" ".join(str(e) for e in row))
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "FiniteCommutativeMonoid":
         tokens = text.split()
@@ -264,24 +258,10 @@ class GrothendieckGroup:
             return tuple(x)
         return self.class_of_pair(self.monoid.add(x, x), x)
 
-    @property
-    def identity_class(self):
-        if self.kind == "free":
-            return (0,) * self.monoid.generator_count
-        e = self.monoid.identity
-        return self.class_of_pair(e, e)
-
     def add(self, c1, c2):
         if self.kind == "free":
             return tuple(a + b for a, b in zip(c1, c2))
         return self._add_table[c1][c2]
-
-    def negate(self, c):
-        if self.kind == "free":
-            return tuple(-a for a in c)
-        members = self._classes[c]
-        x, y = members[0]
-        return self.class_of_pair(y, x)
 
     def classes(self):
         """All class indices (finite carriers only)."""

@@ -1,6 +1,6 @@
 """Chain complexes of free Z-modules and the exact-sequence toolkit.
 
-Homology and cohomology are computed through Smith reduction of the
+Cohomology is computed through Smith reduction of the transposed
 boundary matrices.  Exact sequences are carried as group presentations
 (generators plus a relation matrix) together with maps on generators, so
 image-equals-kernel questions reduce to integer lattice membership.  The
@@ -99,19 +99,6 @@ def _kernel_mod_image(outgoing: IntegerMatrix, incoming: IntegerMatrix) -> FgAbe
     if image is None:
         raise RuntimeError("boundary image escaped the kernel; complex invariant broken")
     return cokernel(image.transpose())
-
-
-def homology(c: ChainComplex, k: int) -> FgAbelianGroup:
-    """Degree-k homology ker(boundary_k)/im(boundary_{k+1}).
-
-    Degrees above the top of the complex have no chains and give the
-    trivial group; negative degrees are rejected.
-    """
-    if k < 0:
-        raise ValueError("degree out of range")
-    if k > c.top:
-        return FgAbelianGroup.trivial()
-    return _kernel_mod_image(c.boundary(k), c.boundary(k + 1))
 
 
 def cohomology(c: ChainComplex, k: int) -> FgAbelianGroup:
@@ -340,36 +327,3 @@ def split_free_extension(sub: FgAbelianGroup, quot: FgAbelianGroup) -> FgAbelian
     if quot.torsion:
         raise ValueError("quotient must be free for the extension to split")
     return sub.direct_sum(quot)
-
-
-# ----------------------------------------------------------------------
-# serialization: ranks line, then one matrix block per boundary
-# ----------------------------------------------------------------------
-
-
-def complex_to_text(c: ChainComplex) -> str:
-    blocks = [" ".join(str(r) for r in c.ranks)]
-    for k in range(1, c.top + 1):
-        blocks.append(c.boundary(k).to_text().rstrip("\n"))
-    return "\n\n".join(blocks) + "\n"
-
-
-def complex_from_text(text: str) -> ChainComplex:
-    lines = text.splitlines()
-    if not lines:
-        raise ValueError("empty complex text")
-    ranks = tuple(int(t) for t in lines[0].split())
-    tokens = " ".join(lines[1:]).split()
-    pos = 0
-    boundaries = []
-    for k in range(1, len(ranks)):
-        if pos + 2 > len(tokens):
-            raise ValueError(f"missing boundary block for degree {k}")
-        rows, cols = int(tokens[pos]), int(tokens[pos + 1])
-        pos += 2
-        body = tokens[pos:pos + rows * cols]
-        pos += rows * cols
-        boundaries.append(IntegerMatrix(rows, cols, tuple(int(t) for t in body)))
-    if pos != len(tokens):
-        raise ValueError("trailing data after the last boundary block")
-    return ChainComplex(ranks, tuple(boundaries))

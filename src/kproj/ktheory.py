@@ -148,14 +148,6 @@ class KClass(Record):
     def hopf(cls, n: int) -> "KClass":
         return cls.unit(n) + cls.gamma(n)
 
-    @property
-    def virtual_dimension(self) -> int:
-        return self.coeffs[0]
-
-    @property
-    def is_reduced(self) -> bool:
-        return self.coeffs[0] == 0
-
     def _check_ambient(self, other: "KClass"):
         if self.n != other.n:
             raise ValueError("classes live on different ambient spaces")
@@ -283,9 +275,6 @@ class KGroupTable(Record):
 
     def group(self, q: int) -> FgAbelianGroup:
         return dict(self.entries)[q]
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.entries)
 
 
 def k_groups(space: Space, q: int) -> FgAbelianGroup:
@@ -529,7 +518,7 @@ def replay_induction(n: int) -> InductionTrace:
 
 
 # ----------------------------------------------------------------------
-# periodicity instance and the sphere image certificate
+# the periodicity instance
 # ----------------------------------------------------------------------
 
 
@@ -547,58 +536,3 @@ def bott_matrix() -> IntegerMatrix:
 def bott_check() -> bool:
     """Desk-scale periodicity instance: the map above is an isomorphism."""
     return is_isomorphism(bott_matrix())
-
-
-class SphereChernImageCertificate(Record):
-    """Certificate that the character embeds reduced sphere K-theory as Z.
-
-    The reduced K-group of the 2n-sphere is generated by one class beta;
-    the certificate pins the character value ch(beta) = coefficient * g
-    against a fixed generator g of the top rational cohomology.  The base
-    case is computed outright on the projective line; each higher case
-    reads the top coefficient of ch(γ^j) on CP^j, and the certified
-    coefficient is the product of these readings, so it is +-1 exactly
-    when every stage's is.
-    """
-
-    _fields = ("half_dimension", "generator_coefficient", "steps")
-
-    def __init__(self, half_dimension: int, generator_coefficient: int, steps: tuple[str, ...]):
-        object.__setattr__(self, "half_dimension", half_dimension)
-        object.__setattr__(self, "generator_coefficient", generator_coefficient)
-        object.__setattr__(self, "steps", steps)
-
-    @property
-    def sphere_dimension(self) -> int:
-        return 2 * self.half_dimension
-
-    @property
-    def injective(self) -> bool:
-        return self.generator_coefficient != 0
-
-    @property
-    def image_is_generator_lattice(self) -> bool:
-        return abs(self.generator_coefficient) == 1
-
-    def ch_of_multiple(self, m: int) -> int:
-        """Character coefficient of m * beta; additivity on the nose."""
-        return m * self.generator_coefficient
-
-
-def ch_image_on_sphere(n: int) -> SphereChernImageCertificate:
-    """Build the image certificate for the 2n-sphere."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    coefficient = 1
-    steps = ["base: character of the reduced Hopf class on the 2-sphere"]
-    for j in range(1, n + 1):
-        # γ^j on CP^j pulls back the generator of reduced K(S^(2j)); the top
-        # coefficient of its character is j! S(j, j) / j! = 1
-        top = chern_character_map(KClass(j, (0,) * j + (1,))).coefficient(j)
-        if top.denominator != 1:
-            raise RuntimeError(f"top character coefficient on CP^{j} is not an integer")
-        coefficient *= top.numerator
-        if j > 1:
-            steps.append(f"periodicity-shift: S^{2 * (j - 1)} -> S^{2 * j}, "
-                         f"sign {top.numerator:+d}")
-    return SphereChernImageCertificate(n, coefficient, tuple(steps))

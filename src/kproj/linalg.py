@@ -103,12 +103,6 @@ class IntegerMatrix(Record):
             raise IndexError(key)
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def row_lists(self) -> list[list[int]]:
         a, c = self.entries, self.cols
         return [list(a[i * c:(i + 1) * c]) for i in range(self.rows)]
@@ -199,12 +193,6 @@ class IntegerMatrix(Record):
     # ------------------------------------------------------------------
     # text format: first line "rows cols", then rows of integers
     # ------------------------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = [f"{self.rows} {self.cols}"]
-        for i in range(self.rows):
-            lines.append(" ".join(map(str, self.row(i))))
-        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "IntegerMatrix":
@@ -667,16 +655,6 @@ class FgAbelianGroup(Record):
             return cls(0, ())
         return cls(0, (order,))
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def order(self) -> int | None:
-        """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        return prod(self.torsion) if self.torsion else 1
-
     def direct_sum(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
         """Direct sum, renormalized into a single invariant-factor chain."""
         free = self.free_rank + other.free_rank
@@ -700,25 +678,6 @@ class FgAbelianGroup(Record):
 
     def __str__(self) -> str:
         return self.render()
-
-    @classmethod
-    def parse(cls, text: str) -> "FgAbelianGroup":
-        text = text.strip()
-        if text == "0":
-            return cls.trivial()
-        result = cls.trivial()
-        for part in text.split("⊕"):
-            part = part.strip()
-            if part == "Z":
-                piece = cls.free(1)
-            elif part.startswith("Z^"):
-                piece = cls.free(int(part[2:]))
-            elif part.startswith("Z/"):
-                piece = cls.cyclic(int(part[2:]))
-            else:
-                raise ValueError(f"cannot parse group summand {part!r}")
-            result = result.direct_sum(piece)
-        return result
 
     # -- element arithmetic ---------------------------------------------
     # Elements are integer tuples: free coordinates first, then one

@@ -112,10 +112,6 @@ class TruncPoly:
         return cls.constant(order, 1)
 
     @classmethod
-    def zero(cls, order: int) -> "TruncPoly":
-        return cls(order, (0,) * (order + 1))
-
-    @classmethod
     def monomial(cls, order: int, degree: int, coefficient=1) -> "TruncPoly":
         if not 0 <= degree <= order:
             raise ValueError("monomial degree outside the truncation range")
@@ -123,19 +119,12 @@ class TruncPoly:
         coeffs[degree] = coefficient
         return cls(order, coeffs)
 
-    @classmethod
-    def variable(cls, order: int) -> "TruncPoly":
-        return cls.monomial(order, 1)
-
     # -- structure ------------------------------------------------------
 
     def coefficient(self, degree: int) -> Fraction:
         if not 0 <= degree <= self.order:
             raise ValueError("degree outside the truncation range")
         return self.coeffs[degree]
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def is_integral(self) -> bool:
         """Whether every coefficient has denominator one."""
@@ -317,24 +306,7 @@ class MultiPoly:
     def constant(cls, variable_count: int, value) -> "MultiPoly":
         return cls(variable_count, {(0,) * variable_count: value})
 
-    @classmethod
-    def variable(cls, variable_count: int, index: int) -> "MultiPoly":
-        if not 0 <= index < variable_count:
-            raise ValueError("variable index out of range")
-        exps = tuple(1 if i == index else 0 for i in range(variable_count))
-        return cls(variable_count, {exps: 1})
-
     # -- structure --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def extend(self, variable_count: int) -> "MultiPoly":
-        """Reinterpret in a larger variable set (new variables unused)."""
-        if variable_count < self.variable_count:
-            raise ValueError("cannot shrink the variable set")
-        pad = (0,) * (variable_count - self.variable_count)
-        return MultiPoly(variable_count, {e + pad: c for e, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):

@@ -6,7 +6,8 @@ characterization, diagonalization from plain repeated-subtraction row and
 column reduction, and finite quotients from literal enumeration of
 canonical representatives.  The polynomial oracles (the exponential
 series, elementary symmetric polynomials and power sums) are built from
-the plain truncated and multivariate polynomial arithmetic.
+the plain truncated and multivariate polynomial arithmetic, and the
+elementary symmetric values of integer roots from plain ints.
 """
 
 from __future__ import annotations
@@ -283,6 +284,14 @@ def content(values) -> int:
     for v in values:
         g = gcd(g, v)
     return g
+
+
+def elementary_values(roots) -> list[int]:
+    """e_1 .. e_n of the n integer roots, from the expansion of prod(1 + r t)."""
+    e = [1]
+    for r in roots:
+        e = [a + r * b for a, b in zip(e + [0], [0] + e)]
+    return e[1:]
 
 
 def exp_nilpotent(p: TruncPoly) -> TruncPoly:

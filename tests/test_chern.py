@@ -12,12 +12,11 @@ from kproj.chern import (
     line_bundle,
     newton_s,
     tensor_line,
-    trivial_bundle,
     whitney_sum,
 )
 from kproj.truncpoly import MultiPoly, TruncPoly
 
-from oracles import elementary_symmetric, exp_nilpotent, power_sum
+from oracles import elementary_symmetric, elementary_values, exp_nilpotent, power_sum
 
 
 def random_bundle(rng, order):
@@ -49,6 +48,17 @@ class TestNewtonPolynomials:
                 one = MultiPoly.constant(n, 1)
                 assert newton_s(k).expression.evaluate(values, one) == power_sum(k, n)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20).flatmap(
+        lambda k: st.lists(st.integers(-9, 9), min_size=k, max_size=k)))
+    @example(list(range(1, 21)))
+    def test_power_sum_of_k_integer_roots(self, roots):
+        # k roots make every e_1 .. e_k nonzero in general, so every term of
+        # s_k counts, (-1)^(k-1) k e_k among them
+        k = len(roots)
+        values = elementary_values(roots)
+        assert newton_s(k).expression.evaluate(values, 1) == sum(r ** k for r in roots)
+
     def test_weighted_homogeneity(self):
         # every monomial of s_k has weight k when e_i carries weight i
         for k in range(1, 9):
@@ -78,7 +88,7 @@ class TestFormalBundle:
 
 class TestChernCharacter:
     def test_trivial_line_bundle(self):
-        assert chern_character(trivial_bundle(1, 4), 4) == TruncPoly.one(4)
+        assert chern_character(FormalBundle(1, TruncPoly.one(4)), 4) == TruncPoly.one(4)
 
     def test_hopf_class_gives_exponential(self):
         got = chern_character(line_bundle(3), 3)
@@ -88,7 +98,7 @@ class TestChernCharacter:
         got = chern_character(line_bundle(12), 12)
         expected = TruncPoly(12, [Fraction(1, factorial(k)) for k in range(13)])
         assert got == expected
-        assert got == exp_nilpotent(TruncPoly.variable(12))
+        assert got == exp_nilpotent(TruncPoly.monomial(12, 1))
 
     def test_rank_two_sum_of_lines(self):
         c = TruncPoly(2, (1, 2, 1))  # (1 + x)^2
@@ -110,7 +120,7 @@ class TestChernCharacter:
 class TestWhitneySum:
     def test_sum_with_trivial_line(self):
         zeta = line_bundle(3)
-        got = whitney_sum(zeta, trivial_bundle(1, 3))
+        got = whitney_sum(zeta, FormalBundle(1, TruncPoly.one(3)))
         assert got.dimension == 2
         assert got.total_chern == zeta.total_chern
 
@@ -139,11 +149,11 @@ class TestTensorLine:
         zeta = line_bundle(4)
         sq = tensor_line(zeta, zeta)
         assert sq.chern_class(1) == 2
-        assert chern_character(sq, 4) == exp_nilpotent(2 * TruncPoly.variable(4))
+        assert chern_character(sq, 4) == exp_nilpotent(2 * TruncPoly.monomial(4, 1))
 
     def test_trivial_is_neutral(self):
         zeta = line_bundle(3)
-        assert tensor_line(zeta, trivial_bundle(1, 3)) == zeta
+        assert tensor_line(zeta, FormalBundle(1, TruncPoly.one(3))) == zeta
 
     def test_character_is_multiplicative(self):
         rng = random.Random(17)
@@ -157,7 +167,7 @@ class TestTensorLine:
 
     def test_higher_rank_rejected(self):
         with pytest.raises(ValueError):
-            tensor_line(trivial_bundle(2, 3), line_bundle(3))
+            tensor_line(FormalBundle(2, TruncPoly.one(3)), line_bundle(3))
 
 
 class TestSplittingOracle:
@@ -180,7 +190,7 @@ class TestSplittingOracle:
         lhs = chern_character(bundle, order)
         rhs = sum(
             (chern_character(l, order) for l in lines),
-            TruncPoly.zero(order),
+            TruncPoly.constant(order, 0),
         )
         assert lhs == rhs
 

@@ -324,9 +324,40 @@ class TestTraceCommand:
 
 
 class TestPinnedDocuments:
-    # sha256 of machine documents of the ring side; a change to one of
-    # them must be deliberate and re-pin it
+    # sha256 of machine documents; a change to one of them must be
+    # deliberate and re-pin it.  The smith and groth documents echo the
+    # file name, so their inputs are written to these relative names.
+    FILES = {
+        "m3.matrix": "3 3\n2 4 4\n-6 6 12\n10 -4 -16\n",
+        "singular.matrix": "3 3\n2 4 6\n4 8 12\n0 0 6\n",
+        "z3.table": "3 0\n0 1 2\n1 2 0\n2 0 1\n",
+        "cap2.table": "3 0\n0 1 2\n1 2 2\n2 2 2\n",  # min(i + j, 2): not a group
+    }
     PINNED = {
+        ("smith", "--matrix", "m3.matrix"):
+            "44aec71b93276b0c29e47afb03537d149b692bbc72c7ddc0885b6c8c099d3cc3",
+        ("smith", "--matrix", "singular.matrix"):
+            "e2c57742927d6d5700e72cc8eccc119f8a8522cf77142319e389062bf5b8dcff",
+        ("groth", "--table", "z3.table"):
+            "7ac6198ef94c3030f9f50a87f83d46f6201d127662095c45137b764a87d3e44a",
+        ("groth", "--table", "cap2.table"):
+            "f95bc78d7061f689578a1de426305a01e461bc8678744d5b1bd3912a9862911a",
+        ("cohomology", "cpn:3"):
+            "4ac026a658989c8b36a54c6572e281d6d7c4445017a0976f239ead13c586bffa",
+        ("cohomology", "sphere:4", "--degree", "4"):
+            "7b1d96061dfed004f0aaff24d4e01f404fe4e2ad03f747957643290e366d3941",
+        ("kgroups", "cpn:5", "--q", "0"):
+            "6b07ea94f41453e6350ce87be5d2d21980365d2bb0e33f26d024802097ef3cb8",
+        ("kgroups", "cpn:5", "--q", "1"):
+            "27ceaaacac679231df72bd4e839766ec48695a2f0c4d14e5b361eda99095064e",
+        ("kgroups", "sphere:4"):
+            "298be89a5f35774eb19df6118ee7ef022c997273ef9246b70523fedfbd299c7e",
+        ("kgroups", "point"):
+            "4d192ee10c467c0fd7dfef7d07b92a8b7da367b9c9943a033366844f10cea33a",
+        ("bott-check",):
+            "4aed129d3f90b1da63b4829a47b7325ae1fd7fb425c22059620d2ff13ab65aa9",
+        ("newton", "--k", "20"):
+            "cdf2301361f66a47485ee48a64195208bfe996dc3ae745f5e6be88049d046e2b",
         ("ring", "30"):
             "58173d9ab290dd7add8040e8a23f86ce01df912090cf45db38b4aa5db64a94df",
         ("ring", "0"):
@@ -343,7 +374,10 @@ class TestPinnedDocuments:
     }
 
     @pytest.mark.parametrize("argv", sorted(PINNED), ids=" ".join)
-    def test_machine_document_is_byte_identical(self, capsys, argv):
+    def test_machine_document_is_byte_identical(self, capsys, tmp_path, monkeypatch, argv):
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, "--format", "machine", *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[argv]
@@ -426,6 +460,21 @@ class TestDocumentRoundtrip:
         code, human, _ = run(capsys, "kgroups", "cpn:2")
         doc = run_machine(capsys, "kgroups", "cpn:2")
         assert doc.result["text"] in human
+
+
+class TestDoubleDashValue:
+    # argparse reads "--opt=--" as an empty list; it used to escape as a traceback
+    @pytest.mark.parametrize("argv", [
+        ("ch", "--rank", "2", "--chern=--", "--order", "3"),
+        ("ch", "cpn:2", "--class=--"),
+        ("cohomology", "cpn:2", "--degree=--"),
+        ("smith", "--matrix=--"),
+    ], ids=" ".join)
+    def test_is_a_one_line_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: '--' is not an option value\n"
 
 
 class TestTopLevel:

@@ -112,8 +112,8 @@ class TestMonoidConstruction:
         assert completion(m).carrier == FgAbelianGroup(0, (2,))
 
     def test_text_roundtrip(self):
-        m = FiniteCommutativeMonoid.cyclic_group(3)
-        assert FiniteCommutativeMonoid.from_text(m.to_text()) == m
+        text = "3 0\n0 1 2\n1 2 0\n2 0 1\n"
+        assert FiniteCommutativeMonoid.from_text(text) == FiniteCommutativeMonoid.cyclic_group(3)
 
 
 class TestPairEquivalence:
@@ -165,12 +165,12 @@ class TestCompletion:
 
     def test_absorbing_monoid_collapses(self):
         g = completion(ABSORBING)
-        assert g.carrier.is_trivial
+        assert g.carrier == FgAbelianGroup.trivial()
         assert g.class_count == 1
 
     def test_semilattices_collapse(self):
         for m in (truncated_addition_monoid(3), max_semilattice(4)):
-            assert completion(m).carrier.is_trivial
+            assert completion(m).carrier == FgAbelianGroup.trivial()
 
     def test_every_abelian_group_up_to_order_eight(self):
         invariant_lists = [[2], [3], [4], [2, 2], [5], [6], [7], [8], [2, 4],
@@ -190,18 +190,17 @@ class TestCompletion:
             g = completion(m)
             for x in range(m.size):
                 for y in range(m.size):
-                    diff = g.add(g.class_of(x), g.negate(g.class_of(y)))
-                    assert diff == g.class_of_pair(x, y)
+                    assert g.add(g.class_of_pair(x, y), g.class_of(y)) == g.class_of(x)
 
     def test_inverse_law(self):
         for m in CATALOG:
             if m.size > 4:
                 continue
             g = completion(m)
+            zero = g.class_of(m.identity)
             for x in range(m.size):
                 for y in range(m.size):
-                    c = g.class_of_pair(x, y)
-                    assert g.add(c, g.negate(c)) == g.identity_class
+                    assert g.add(g.class_of_pair(x, y), g.class_of_pair(y, x)) == zero
 
     def test_addition_well_defined_exhaustively(self):
         for m in CATALOG:
@@ -255,7 +254,6 @@ class TestCompletionClasses:
         g = completion(m)
         pairs = list(product(range(m.size), repeat=2))
         for x, y in pairs:
-            assert g.negate(g.class_of_pair(x, y)) == g.class_of_pair(y, x)
             for u, v in pairs:
                 assert (g.add(g.class_of_pair(x, y), g.class_of_pair(u, v))
                         == g.class_of_pair(m.add(x, u), m.add(y, v)))
@@ -282,7 +280,7 @@ class TestCompletionClasses:
     def test_large_truncated_addition_collapses(self):
         g = completion(truncated_addition_monoid(40))
         assert g.class_count == 1
-        assert g.carrier.is_trivial
+        assert g.carrier == FgAbelianGroup.trivial()
         assert {g.class_of_pair(x, y) for x in range(41) for y in range(41)} == {0}
 
 
@@ -308,7 +306,7 @@ class TestUniversalFactor:
         g = completion(ABSORBING)
         target = FgAbelianGroup(0, (2,))
         theta = universal_factor(ABSORBING, g, target, [(0,), (0,)])
-        assert theta(g.identity_class) == (0,)
+        assert theta(g.class_of(ABSORBING.identity)) == (0,)
         with pytest.raises(ValueError, match=r"\(1, 1\)"):
             universal_factor(ABSORBING, g, target, [(0,), (1,)])
 
@@ -374,7 +372,7 @@ class TestGroupTablePresentation:
 
     def test_trivial_group_is_zero(self):
         # no generators: the relation matrix is 0 x 0 and presents the trivial group
-        assert _classify_group_table(((0,),)).is_trivial
+        assert _classify_group_table(((0,),)) == FgAbelianGroup.trivial()
 
     def test_relations_grow_with_the_log_of_the_order(self, monkeypatch):
         shapes = []

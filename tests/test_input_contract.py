@@ -1,0 +1,118 @@
+"""The input contract: any text a parser or the CLI reads is either
+accepted or rejected with ValueError, and the CLI turns a rejection into
+exit status 2 with exactly one line on stderr, never a traceback.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kproj.cli import main
+from kproj.grothendieck import FiniteCommutativeMonoid
+from kproj.ktheory import Space
+from kproj.linalg import IntegerMatrix
+from kproj.truncpoly import TruncPoly
+
+
+def soup(tokens, max_size=30):
+    return st.lists(st.sampled_from(tokens), max_size=max_size).map("".join)
+
+
+NUMBERS = ["0", "1", "2", "3", "-1", "+2", "007", "2.5", "1/2", "1e3", "9" * 30, "-" * 2]
+SPACES = [" ", "\n", "\t", "\r\n", " ", " "]
+
+
+@st.composite
+def header_and_body(draw):
+    """'a b' then a few small integers: reaches the checks past the header."""
+    a, b = draw(st.integers(-2, 4)), draw(st.integers(-2, 4))
+    body = draw(st.lists(st.integers(-3, 5), max_size=20))
+    sep = draw(st.sampled_from(SPACES))
+    return f"{a} {b}\n" + sep.join(map(str, body))
+
+
+TABLE_OR_MATRIX_TEXT = st.one_of(
+    st.text(max_size=40),
+    soup(NUMBERS + SPACES + ["x", "#", "⊕"]),
+    header_and_body(),
+)
+POLY_TEXT = st.one_of(
+    st.text(max_size=30),
+    soup(["1", "2", "12", "0", "/", "/0", "x", "x^", "^2", "^12", "+", "-", "*", " ", ".", "y"],
+         max_size=15),
+)
+SPACE_TEXT = st.one_of(
+    st.text(max_size=20),
+    soup(["cpn", "sphere", "point", "CPN", ":", "0", "1", "-1", "3", "1.5", " ", "\n"],
+         max_size=6),
+)
+
+
+def accepts_or_value_error(parse, text):
+    try:
+        parse(text)
+    except ValueError:
+        pass
+
+
+class TestParsers:
+    @settings(max_examples=300, deadline=None)
+    @given(TABLE_OR_MATRIX_TEXT)
+    def test_integer_matrix_from_text(self, text):
+        accepts_or_value_error(IntegerMatrix.from_text, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(TABLE_OR_MATRIX_TEXT)
+    def test_monoid_from_text(self, text):
+        accepts_or_value_error(FiniteCommutativeMonoid.from_text, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(POLY_TEXT, st.integers(-1, 6))
+    def test_truncpoly_parse(self, text, order):
+        accepts_or_value_error(lambda t: TruncPoly.parse(t, order=order), text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(SPACE_TEXT)
+    def test_space_parse(self, text):
+        accepts_or_value_error(Space.parse, text)
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code, err):
+    assert code in (0, 2), err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "input.txt"
+
+
+class TestCommandLine:
+    @settings(max_examples=200, deadline=None)
+    @given(TABLE_OR_MATRIX_TEXT)
+    def test_smith_matrix_file(self, input_file, text):
+        input_file.write_text(text, encoding="utf-8")
+        assert_exit_contract(*run_cli("--format", "machine", "smith", "--matrix", str(input_file)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(TABLE_OR_MATRIX_TEXT)
+    def test_groth_table_file(self, input_file, text):
+        input_file.write_text(text, encoding="utf-8")
+        assert_exit_contract(*run_cli("--format", "machine", "groth", "--table", str(input_file)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(POLY_TEXT)
+    def test_ch_bundle_form(self, text):
+        assert_exit_contract(*run_cli("--format", "machine", "ch", "--rank", "2",
+                                      f"--chern={text}", "--order", "3"))

@@ -19,7 +19,6 @@ from kproj.ktheory import (
     KClass,
     KGroupTable,
     Space,
-    SphereChernImageCertificate,
     replay_induction,
 )
 from kproj.linalg import FgAbelianGroup, IntegerMatrix, SmithForm
@@ -63,7 +62,6 @@ FACTORIES = {
     "KGroupTable": lambda: KGroupTable(Space.sphere(2), ((0, FgAbelianGroup(2)), (1, ZERO))),
     "InductionStep": induction_step,
     "InductionTrace": lambda: InductionTrace(1, (induction_step(),), Z, FgAbelianGroup(2), ZERO),
-    "SphereChernImageCertificate": lambda: SphereChernImageCertificate(2, 1, ("base",)),
     "FiniteCommutativeMonoid": lambda: FiniteCommutativeMonoid(((0, 1), (1, 0)), 0),
     "FreeCommutativeMonoid": lambda: FreeCommutativeMonoid(2),
     "NewtonPolynomial": lambda: NewtonPolynomial(2, newton_s(2).expression),
@@ -77,7 +75,7 @@ def test_the_table_covers_every_record_class():
     exported = {name for name, value in vars(kproj).items()
                 if isinstance(value, type) and issubclass(value, Record)}
     assert set(FACTORIES) == exported | {"OutputDocument"}
-    assert len(FACTORIES) == 18
+    assert len(FACTORIES) == 17
 
 
 @pytest.mark.parametrize("name", FACTORIES)
