@@ -28,7 +28,7 @@ from .ktheory import (
     replay_induction,
 )
 from .linalg import FgAbelianGroup, IntegerMatrix, cokernel, smith_normal_form
-from .truncpoly import TruncPoly
+from .truncpoly import PARSE_MAX_ORDER, TruncPoly
 
 FORMAT_VERSION = "1"
 
@@ -38,12 +38,12 @@ FORMAT_VERSION = "1"
 NEWTON_MAX_K = 40
 # the degree-k coefficient of ch has a denominator up to k!; at order 1700
 # it exceeds Python's default int-to-str limit of 4300 digits
-CH_MAX_ORDER = 1000
+CH_MAX_ORDER = PARSE_MAX_ORDER
 # ring N renders (N+1)^2 products: ring 200 takes about 3 s and prints
 # 0.7 MB, ring 400 about 20 s and 2.8 MB
 RING_MAX_N = 200
 # trace N and kgroups cpn:N replay the induction, which grows faster than
-# N^2: about 0.6-0.9 s at N = 100 and 4.5-5.5 s at N = 200
+# N^2: about 0.5-0.6 s at N = 100 and 2.8-3.5 s at N = 200
 REPLAY_MAX_N = 200
 # cohomology of cpn:N or sphere:M builds a cell complex of top degree 2N
 # or M and prints one row per degree: top degree 30000 takes about 2 s

@@ -28,6 +28,7 @@ class IntegerMatrix(Record):
     """Immutable integer matrix; entries stored row-major."""
 
     _fields = ("rows", "cols", "entries")
+    _is_identity = False  # set by identity(); a product returns its other factor
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int] = ()):
         if rows < 0 or cols < 0:
@@ -76,7 +77,9 @@ class IntegerMatrix(Record):
             raise ValueError("matrix dimensions must be nonnegative")
         entries = [0] * (n * n)
         entries[::n + 1] = [1] * n
-        return cls._make(n, n, tuple(entries))
+        eye = cls._make(n, n, tuple(entries))
+        eye.__dict__["_is_identity"] = True
+        return eye
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
@@ -92,6 +95,13 @@ class IntegerMatrix(Record):
         entries = [0] * (rows * cols)
         entries[:len(values) * (cols + 1):cols + 1] = values
         return cls(rows, cols, tuple(entries))
+
+    @cached_property
+    def _hash(self) -> int:  # smith_normal_form's cache key: hash the entries once
+        return Record.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
 
     # ------------------------------------------------------------------
     # access
@@ -147,6 +157,10 @@ class IntegerMatrix(Record):
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
+        if self._is_identity:  # matrices are immutable, so a side may be shared
+            return other
+        if other._is_identity:
+            return self
         n, m, k = self.rows, other.cols, self.cols
         if not n * m * k:
             return IntegerMatrix.zero(n, m)
@@ -222,7 +236,7 @@ class SmithForm(Record):
     rank first builds no transforms: d comes from _invariant_factors,
     which works modulo a multiple of a determinantal divisor, and that is
     all that cokernel needs.  The first read of u or v runs _eliminate,
-    which builds both transforms; it keeps d, u and v, so a caller that
+    which builds the transforms; it keeps d, u and v, so a caller that
     reads a transform first pays for one elimination only.  d is unique,
     so it does not depend on which routine found it.
     """
@@ -435,6 +449,10 @@ def _min_abs_entry(d: list[list[int]], t: int, m: int, n: int):
     return best
 
 
+def _unit_rows(n: int) -> list[list[int]]:
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+
+
 def _eliminate(a: IntegerMatrix):
     """Smith elimination of a with its transforms: (d, u, v).
 
@@ -449,20 +467,26 @@ def _eliminate(a: IntegerMatrix):
     After step t, row and column t of the working matrix are zero off the
     diagonal, so the row and column operations of later steps touch only
     its lower-right block.  v is built transposed, so that a column
-    operation on it is a row operation on a list.
+    operation on it is a row operation on a list.  Each transform is built
+    on its first write; one that no step writes to is returned as an
+    identity, shared by u and v when a is square.
     """
     m, n = a.rows, a.cols
+    if a._is_identity:
+        return (1,) * m, a, a
     d = a.row_lists()
-    u = [[0] * i + [1] + [0] * (m - i - 1) for i in range(m)]
-    vt = [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+    u = vt = None
 
     def move_to_pivot(t, i, j):
+        nonlocal u, vt
         if i != t:
             d[t], d[i] = d[i], d[t]
+            u = u or _unit_rows(m)
             u[t], u[i] = u[i], u[t]
         if j != t:
             for row in d[t:]:
                 row[t], row[j] = row[j], row[t]
+            vt = vt or _unit_rows(n)
             vt[t], vt[j] = vt[j], vt[t]
 
     t = 0
@@ -486,6 +510,7 @@ def _eliminate(a: IntegerMatrix):
                     r -= pivot
                 if q:
                     row[t:] = map(sub, row[t:], map(q.__mul__, prow[t:]))
+                    u = u or _unit_rows(m)
                     u[i] = list(map(sub, u[i], map(q.__mul__, u[t])))
                 if r:
                     dirty = True
@@ -498,6 +523,7 @@ def _eliminate(a: IntegerMatrix):
                         r -= pivot
                     if q:
                         prow[j] = r
+                        vt = vt or _unit_rows(n)
                         vt[j] = list(map(sub, vt[j], map(q.__mul__, vt[t])))
                     if r:
                         dirty = True
@@ -514,22 +540,31 @@ def _eliminate(a: IntegerMatrix):
             if violator is None:
                 break
             prow[t:] = map(add, prow[t:], d[violator][t:])
+            u = u or _unit_rows(m)
             u[t] = list(map(add, u[t], u[violator]))
         if d[t][t] < 0:
             d[t][t] = -d[t][t]
+            vt = vt or _unit_rows(n)
             vt[t] = list(map(neg, vt[t]))
         t += 1
 
     diag = tuple(d[k][k] for k in range(limit) if d[k][k])
-    return (diag, IntegerMatrix._make(m, m, tuple(chain.from_iterable(u))),
-            IntegerMatrix._make(n, n, tuple(chain.from_iterable(zip(*vt)))))
+    u = (IntegerMatrix.identity(m) if u is None
+         else IntegerMatrix._make(m, m, tuple(chain.from_iterable(u))))
+    if vt is not None:
+        v = IntegerMatrix._make(n, n, tuple(chain.from_iterable(zip(*vt))))
+    else:
+        v = u if m == n and u._is_identity else IntegerMatrix.identity(n)
+    return diag, u, v
 
 
 # Distinct matrices whose decompositions are kept.  The induction replay
 # revisits a few small matrices thousands of times: trace 64 makes 5166
 # calls on 318 distinct matrices, and 16 entries miss only the first call
 # on each (8 entries miss 752).  An unbounded cache would hold every
-# transform of a long run for the life of the process.
+# transform of a long run for the life of the process.  A transform that
+# its elimination never wrote to is an identity, one object for u and v of
+# a square matrix, and most of the replay's transforms are.
 SMITH_CACHE_SIZE = 16
 
 
@@ -594,14 +629,15 @@ def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     if any(c[rank * k:]):
         return None
     ones = form.d.count(1)  # the 1s lead the divisibility chain
-    y = list(c[:ones * k])
+    quotients = []
     for i in range(ones, rank):
         di, row = form.d[i], c[i * k:(i + 1) * k]
         if any(map(di.__rmod__, row)):
             return None
-        y += map(di.__rfloordiv__, row)
-    y += repeat(0, (n - rank) * k)
-    return form.v @ IntegerMatrix._make(n, k, tuple(y))
+        quotients += map(di.__rfloordiv__, row)
+    # where every factor is 1 and a has full rank, y is c itself, uncopied
+    y = c[:ones * k] + tuple(quotients) + (0,) * ((n - rank) * k)
+    return form.v @ IntegerMatrix._make(n, k, y)
 
 
 def lattice_contains(generators: IntegerMatrix, target: IntegerMatrix) -> bool:

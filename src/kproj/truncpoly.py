@@ -22,6 +22,10 @@ from .linalg import IntegerMatrix
 # the exact scalar types; a bool is not one, although it is an int
 _SCALARS = (int, Fraction)
 
+# TruncPoly.parse with no order takes the largest exponent as the order and
+# refuses one above this, the largest order the ch subcommand accepts
+PARSE_MAX_ORDER = 1000
+
 
 def _exact(c) -> Fraction:
     """c as a Fraction, or ValueError unless it is an exact scalar."""
@@ -195,7 +199,8 @@ class TruncPoly:
     def parse(cls, text: str, order: int | None = None) -> "TruncPoly":
         """Inverse of render; also accepts loose input like "1+2x+x^2".
 
-        If order is omitted, it is taken to be the highest degree present.
+        If order is omitted, it is taken to be the highest degree present,
+        which must be at most PARSE_MAX_ORDER.
         Every sign must lead a term and every "*" stand before x: "1-+x",
         "1+x+", "-" and "2*-x" are rejected.
         """
@@ -228,6 +233,8 @@ class TruncPoly:
             coeffs[degree] = coeffs.get(degree, Fraction(0)) + sign * coeff
         top = max(coeffs) if coeffs else 0
         if order is None:
+            if top > PARSE_MAX_ORDER:
+                raise ValueError(f"term degree exceeds {PARSE_MAX_ORDER}; pass an order")
             order = top
         if top > order:
             raise ValueError("term degree exceeds the requested truncation order")

@@ -207,6 +207,22 @@ def triangular_row_basis(rows, n) -> list[list[int]]:
     return basis
 
 
+def in_row_lattice(rows, n, vector) -> bool:
+    """True iff vector in Z^n is an integer combination of the rows.
+
+    Reduces the vector against the echelon basis, pivot by pivot: each
+    pivot must divide what is left in its column.
+    """
+    v = list(map(int, vector))
+    for row in triangular_row_basis(rows, n):
+        p = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(v[p], row[p])
+        if r:
+            return False
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
 class EnumeratedQuotient:
     """Z^n modulo a finite-index row lattice, enumerated outright."""
 

@@ -14,7 +14,7 @@ from kproj.cli import main
 from kproj.grothendieck import FiniteCommutativeMonoid
 from kproj.ktheory import Space
 from kproj.linalg import IntegerMatrix
-from kproj.truncpoly import TruncPoly
+from kproj.truncpoly import PARSE_MAX_ORDER, TruncPoly
 
 
 def soup(tokens, max_size=30):
@@ -73,6 +73,15 @@ class TestParsers:
     @given(POLY_TEXT, st.integers(-1, 6))
     def test_truncpoly_parse(self, text, order):
         accepts_or_value_error(lambda t: TruncPoly.parse(t, order=order), text)
+
+    @pytest.mark.parametrize("text", ["x^100000000000000000000", "x^2000000",
+                                      f"1+x^{PARSE_MAX_ORDER + 1}"])
+    def test_truncpoly_parse_bounds_an_implied_order(self, text):
+        # with no order, the largest exponent is the order: a huge one must
+        # neither overflow nor allocate a coefficient per degree
+        with pytest.raises(ValueError, match=f"exceeds {PARSE_MAX_ORDER}"):
+            TruncPoly.parse(text)
+        assert TruncPoly.parse(f"x^{PARSE_MAX_ORDER}").order == PARSE_MAX_ORDER
 
     @settings(max_examples=300, deadline=None)
     @given(SPACE_TEXT)

@@ -29,6 +29,7 @@ from oracles import (
     content,
     det_cofactor,
     enumerated_cyclic_order,
+    in_row_lattice,
     list_difference,
     list_hstack,
     list_negation,
@@ -492,6 +493,83 @@ class TestSmithCache:
         assert info.hits > 0
         assert info.maxsize == SMITH_CACHE_SIZE
         assert info.currsize <= info.maxsize
+
+
+@st.composite
+def signed_partial_permutations(draw):
+    """Matrices with at most one nonzero entry, +-1, in each row and column.
+
+    Every matrix of the induction replay has this shape: identities,
+    inclusions, projections and zero maps, stacked.
+    """
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    targets = draw(st.permutations(range(max(rows, cols))))
+    entries = [0] * (rows * cols)
+    for i in range(rows):
+        if targets[i] < cols and draw(st.booleans()):
+            entries[i * cols + targets[i]] = draw(st.sampled_from((1, -1)))
+    return IntegerMatrix(rows, cols, tuple(entries))
+
+
+def columns(m):
+    return [m.entries[j::m.cols] for j in range(m.cols)]
+
+
+class TestTransformsAgainstOracles:
+    """Transforms, kernels and solutions checked with list arithmetic only.
+
+    A transform that the elimination never writes to is an identity, and
+    a product with it skips the arithmetic; list_product does not, so
+    these checks do not rest on that shortcut.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(signed_partial_permutations(),
+                     small_matrices(rows=st.integers(0, 4), cols=st.integers(0, 4)),
+                     st.builds(IntegerMatrix.identity, st.integers(0, 5))), st.data())
+    def test_decomposition_kernel_and_solutions(self, a, data):
+        rows = a.row_lists()
+        form = SmithForm(a)
+        u, v = form.u.row_lists(), form.v.row_lists()
+        assert list_product(list_product(u, rows, a.cols), v, a.cols) == \
+            IntegerMatrix.diagonal(form.d, a.rows, a.cols).row_lists()
+        assert abs(det_cofactor(u)) == abs(det_cofactor(v)) == 1
+        assert list(form.d) == minors_gcd_invariant_factors(rows)
+
+        kb = kernel_basis(a)
+        assert kb.rows == a.cols and kb.cols == a.cols - len(form.d)
+        assert not any(map(any, list_product(rows, kb.row_lists(), kb.cols)))
+        # the columns extend to a basis of Z^cols, so they span the whole kernel
+        assert minors_gcd_invariant_factors(kb.transpose().row_lists()) == [1] * kb.cols
+
+        k = data.draw(st.integers(1, 2))
+        image = list_product(rows, data.draw(nested_lists(a.cols, k)), k)
+        target = data.draw(st.one_of(st.just(image), nested_lists(a.rows, k)))
+        b = from_lists(a.rows, k, target)
+        x = solve_integer(a, b)
+        generators = columns(a)
+        solvable = all(in_row_lattice(generators, a.rows, c) for c in columns(b))
+        assert (x is not None) == solvable
+        if solvable:
+            assert list_product(rows, x.row_lists(), k) == target
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 2)])
+    def test_products_with_an_identity(self, shape):
+        rows, cols = shape
+        b = IntegerMatrix(rows, cols, tuple(range(2, 2 + rows * cols)))
+        for left, right in ((IntegerMatrix.identity(rows), b), (b, IntegerMatrix.identity(cols))):
+            assert left @ right == b
+            # an identity built entry by entry takes the arithmetic path
+            unmarked = [IntegerMatrix(m.rows, m.cols, m.entries) for m in (left, right)]
+            assert unmarked[0] @ unmarked[1] == b
+
+    def test_untouched_transforms_are_one_shared_identity(self):
+        a = IntegerMatrix.diagonal((1, 2, 6), 3, 3)
+        form = SmithForm(a)
+        assert form.u is form.v and form.u == IntegerMatrix.identity(3)
+        b = IntegerMatrix(3, 1, (5, 6, 7))
+        assert form.u @ b is b
+        assert solve_integer(a, IntegerMatrix(3, 1, (5, 6, 12))) == IntegerMatrix(3, 1, (5, 3, 2))
 
 
 @pytest.fixture
