@@ -43,7 +43,8 @@ CH_MAX_ORDER = PARSE_MAX_ORDER
 # 0.7 MB, ring 400 about 20 s and 2.8 MB
 RING_MAX_N = 200
 # trace N and kgroups cpn:N replay the induction, which grows faster than
-# N^2: about 0.5-0.6 s at N = 100 and 2.8-3.5 s at N = 200
+# N^2: about 0.35 s at N = 100 and 1.1-1.4 s at N = 200, so N stays at most
+# 200 until trace 200 runs in under 0.5 s
 REPLAY_MAX_N = 200
 # cohomology of cpn:N or sphere:M builds a cell complex of top degree 2N
 # or M and prints one row per degree: top degree 30000 takes about 2 s

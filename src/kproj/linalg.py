@@ -29,6 +29,7 @@ class IntegerMatrix(Record):
 
     _fields = ("rows", "cols", "entries")
     _is_identity = False  # set by identity(); a product returns its other factor
+    _gather = None  # (source row, sign) per row, set on signed permutations in closed form
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int] = ()):
         if rows < 0 or cols < 0:
@@ -165,6 +166,12 @@ class IntegerMatrix(Record):
         if not n * m * k:
             return IntegerMatrix.zero(n, m)
         a, b = self.entries, other.entries
+        if self._gather is not None:  # row i of the product is sign times row source of b
+            out = []
+            for j, s in self._gather:
+                row = b[j * m:(j + 1) * m]
+                out += row if s == 1 else map(s.__mul__, row)
+            return IntegerMatrix._make(n, m, tuple(out))
         zero_row = (0,) * m
         out = []
         for i in range(0, n * k, k):
@@ -267,6 +274,15 @@ class SmithForm(Record):
     @property
     def rank(self) -> int:
         return len(self.d)
+
+    @cached_property
+    def kernel(self) -> IntegerMatrix:
+        """The last cols - rank columns of v, a basis of the kernel of a."""
+        v = self.v.entries  # before rank, so that one elimination fills both
+        n, r = self.a.cols, self.rank
+        if r:
+            v = tuple(chain.from_iterable(v[i + r:i + n] for i in range(0, n * n, n)))
+        return IntegerMatrix._make(n, n - r, v)
 
     def diagonal_matrix(self) -> IntegerMatrix:
         return IntegerMatrix.diagonal(self.d, self.a.rows, self.a.cols)
@@ -433,20 +449,45 @@ def _min_abs_entry(d: list[list[int]], t: int, m: int, n: int):
     Ties go to the lowest row, then the lowest column, so a unit in the
     corner d[t][t] is the answer.
     """
-    if d[t][t] in (1, -1):
-        return 1, t, t
-    best = None
-    for i in range(t, m):
-        tail = d[i][t:]
-        a = 1 if 1 in tail or -1 in tail else min(map(abs, filter(None, tail)), default=0)
-        if a and (best is None or a < best[0]):
-            j = tail.index(a) if a in tail else len(tail)
-            if -a in tail[:j]:
-                j = tail.index(-a)
-            best = (a, i, t + j)
-            if a == 1:
-                return best
-    return best
+    return min(((abs(e), i, j) for i in range(t, m) for j in range(t, n) if (e := d[i][j])),
+               default=None)
+
+
+def _signed_permutation(src: list[int], signs: Sequence[int]) -> IntegerMatrix:
+    """The matrix with rows signs[i] e_{src[i]}: the marked identity, or one marked for gathers."""
+    n = len(src)
+    if src == list(range(n)) and signs.count(1) == n:
+        return IntegerMatrix.identity(n)
+    entries = [0] * (n * n)
+    for p, s in zip(map(add, range(0, n * n, n), src), signs):
+        entries[p] = s
+    matrix = IntegerMatrix._make(n, n, tuple(entries))
+    matrix.__dict__["_gather"] = tuple(zip(src, signs))
+    return matrix
+
+
+def _permutation_form(a: IntegerMatrix):
+    """(d, u, v) in closed form if a has at most one nonzero, +-1, per row and column.
+
+    With its r nonzeros a[i_k][j_k] = s_k in row order, row k of u is
+    e_{i_k} and column k of v is s_k e_{j_k}, then the zero rows and the
+    unused columns in order; so u or v is the identity if its pivots are
+    in place.  Any other a gives None.
+    """
+    m, n, entries = a.rows, a.cols, a.entries
+    values = tuple(compress(entries, entries))
+    p = -1  # the next nonzero is the next entry equal to its value
+    spots = [p := entries.index(x, p + 1) for x in values]
+    rows, cols = tuple(map(n.__rfloordiv__, spots)), tuple(map(n.__rmod__, spots))
+    r = len(values)
+    if not (len(set(rows)) == len(set(cols)) == r and set(values) <= {1, -1}):
+        return None
+    u = _signed_permutation(list(rows) + sorted(set(range(m)).difference(rows)), (1,) * m)
+    order = cols + tuple(sorted(set(range(n)).difference(cols)))  # column k of v is +-e_order[k]
+    inverse = sorted(range(n), key=order.__getitem__)
+    signs = values + (1,) * (n - r)
+    v = _signed_permutation(inverse, tuple(map(signs.__getitem__, inverse)))
+    return (1,) * r, u, u if m == n and u._is_identity and v._is_identity else v
 
 
 def _unit_rows(n: int) -> list[list[int]]:
@@ -469,11 +510,14 @@ def _eliminate(a: IntegerMatrix):
     its lower-right block.  v is built transposed, so that a column
     operation on it is a row operation on a list.  Each transform is built
     on its first write; one that no step writes to is returned as an
-    identity, shared by u and v when a is square.
+    identity, shared by u and v when a is square.  A signed partial
+    permutation, as every matrix of the induction replay is, takes the
+    closed form of _permutation_form instead.
     """
+    form = _permutation_form(a)
+    if form is not None:
+        return form
     m, n = a.rows, a.cols
-    if a._is_identity:
-        return (1,) * m, a, a
     d = a.row_lists()
     u = vt = None
 
@@ -560,11 +604,9 @@ def _eliminate(a: IntegerMatrix):
 
 # Distinct matrices whose decompositions are kept.  The induction replay
 # revisits a few small matrices thousands of times: trace 64 makes 5166
-# calls on 318 distinct matrices, and 16 entries miss only the first call
-# on each (8 entries miss 752).  An unbounded cache would hold every
-# transform of a long run for the life of the process.  A transform that
-# its elimination never wrote to is an identity, one object for u and v of
-# a square matrix, and most of the replay's transforms are.
+# calls on 256 distinct matrices, and 16 entries miss only the first call
+# on each (8 entries miss 442).  An unbounded cache would hold every
+# transform and kernel basis of a long run for the life of the process.
 SMITH_CACHE_SIZE = 16
 
 
@@ -599,12 +641,7 @@ def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     The columns come from the unimodular column transform of the Smith
     form, so they are primitive and extend to a basis of Z^cols.
     """
-    form = smith_normal_form(a)
-    v = form.v.entries  # before rank, so that one elimination fills both
-    n, r = a.cols, form.rank
-    if r:
-        v = tuple(chain.from_iterable(v[i + r:i + n] for i in range(0, n * n, n)))
-    return IntegerMatrix._make(n, n - r, v)
+    return smith_normal_form(a).kernel
 
 
 def is_isomorphism(a: IntegerMatrix) -> bool:

@@ -477,6 +477,30 @@ class TestDoubleDashValue:
         assert err == "error: '--' is not an option value\n"
 
 
+class TestErrorForms:
+    """kproj's own errors print one line; the argument parser's print its usage first."""
+
+    @pytest.mark.parametrize("argv, last", [
+        (("trace", "3", "--bogus"), "kproj: error: unrecognized arguments: --bogus"),
+        (("--format",), "kproj: error: argument --format: expected one argument"),
+        (("trace",), "kproj trace: error: the following arguments are required: n"),
+    ], ids=" ".join)
+    def test_argparse_errors_print_usage_then_the_error(self, capsys, argv, last):
+        with pytest.raises(SystemExit) as exited:
+            main(list(argv))
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err[0].startswith("usage: kproj")
+        assert err[-1] == last
+
+    def test_errors_kproj_raises_are_one_line(self, capsys):
+        code, out, err = run(capsys, "trace", "201")
+        assert (code, out) == (2, "")
+        assert err == "error: the induction replay needs N at most 200\n"
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")

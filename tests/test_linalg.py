@@ -515,6 +515,16 @@ def columns(m):
     return [m.entries[j::m.cols] for j in range(m.cols)]
 
 
+def assert_decomposes(a, form):
+    """u a v == diagonal(d) with u, v unimodular and d the minors' invariant factors."""
+    rows = a.row_lists()
+    u, v = form.u.row_lists(), form.v.row_lists()
+    assert list_product(list_product(u, rows, a.cols), v, a.cols) == \
+        IntegerMatrix.diagonal(form.d, a.rows, a.cols).row_lists()
+    assert abs(det_cofactor(u)) == abs(det_cofactor(v)) == 1
+    assert list(form.d) == minors_gcd_invariant_factors(rows)
+
+
 class TestTransformsAgainstOracles:
     """Transforms, kernels and solutions checked with list arithmetic only.
 
@@ -530,11 +540,7 @@ class TestTransformsAgainstOracles:
     def test_decomposition_kernel_and_solutions(self, a, data):
         rows = a.row_lists()
         form = SmithForm(a)
-        u, v = form.u.row_lists(), form.v.row_lists()
-        assert list_product(list_product(u, rows, a.cols), v, a.cols) == \
-            IntegerMatrix.diagonal(form.d, a.rows, a.cols).row_lists()
-        assert abs(det_cofactor(u)) == abs(det_cofactor(v)) == 1
-        assert list(form.d) == minors_gcd_invariant_factors(rows)
+        assert_decomposes(a, form)
 
         kb = kernel_basis(a)
         assert kb.rows == a.cols and kb.cols == a.cols - len(form.d)
@@ -570,6 +576,69 @@ class TestTransformsAgainstOracles:
         b = IntegerMatrix(3, 1, (5, 6, 7))
         assert form.u @ b is b
         assert solve_integer(a, IntegerMatrix(3, 1, (5, 6, 12))) == IntegerMatrix(3, 1, (5, 3, 2))
+
+
+def general_loop_must_not_run(*args):
+    raise AssertionError("the general elimination loop ran")
+
+
+class TestSignedPartialPermutationsInClosedForm:
+    """A signed partial permutation is decomposed without the elimination loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_partial_permutations())
+    def test_closed_form_against_oracles(self, a):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg_module, "_min_abs_entry", general_loop_must_not_run)
+            form = SmithForm(a)
+            u, v = form.u, form.v  # transforms first: d comes from the closed form
+        assert form.d == (1,) * (a.rows * a.cols - a.entries.count(0))
+        assert_decomposes(a, form)
+        # u is the identity when the nonzero rows lead, v when the columns lead with +1
+        nonzero = [(i, j, x) for i, row in enumerate(a.row_lists())
+                   for j, x in enumerate(row) if x]
+        leading = list(range(len(nonzero)))
+        assert u._is_identity == ([i for i, _, _ in nonzero] == leading)
+        assert v._is_identity == ([j for _, j, x in nonzero if x == 1] == leading)
+        if a.rows == a.cols and u._is_identity and v._is_identity:
+            assert u is v
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 2, 0], [1, 0, 0]],  # an entry 2
+        [[1, 0, 0], [0, 0, -2]],  # an entry -2
+        [[1, 0, -1], [0, 1, 0]],  # two nonzeros in one row
+        [[1, 0], [0, 1], [-1, 0]],  # two nonzeros in one column
+        [[0, 1], [1, 1]],
+    ])
+    def test_near_misses_take_the_general_path(self, rows, monkeypatch):
+        searches, original = [], linalg_module._min_abs_entry
+
+        def counted(*args):
+            searches.append(args)
+            return original(*args)
+        monkeypatch.setattr(linalg_module, "_min_abs_entry", counted)
+        a = IntegerMatrix.from_rows(rows)
+        assert_decomposes(a, SmithForm(a))
+        assert searches
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_a_gathered_product_matches_the_list_product(self, n, m, data):
+        src = data.draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+        signs = data.draw(st.lists(st.sampled_from((1, -1, 0)), min_size=n, max_size=n))
+        left = linalg_module._signed_permutation(src, signs)
+        assert left.row_lists() == [[s * (j == k) for k in range(n)] for j, s in zip(src, signs)]
+        assert left._is_identity or left._gather == tuple(zip(src, signs))
+        bl = data.draw(nested_lists(n, m))
+        assert_matches(left @ from_lists(n, m, bl), (n, m), list_product(left.row_lists(), bl, m))
+
+    def test_a_cache_hit_returns_the_same_kernel_basis(self):
+        smith_normal_form.cache_clear()
+        a = IntegerMatrix(3, 4, (0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, 0))
+        basis = kernel_basis(a)
+        assert basis == IntegerMatrix(4, 2, (0, 0, 1, 0, 0, 0, 0, 1))
+        assert kernel_basis(IntegerMatrix(3, 4, a.entries)) is basis
+        assert smith_normal_form.cache_info().hits == 1
 
 
 @pytest.fixture
