@@ -30,8 +30,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
+from . import truncpoly
 from ._record import Record
-from .truncpoly import MultiPoly, TruncPoly
 
 
 class NewtonPolynomial(Record):
@@ -39,7 +39,7 @@ class NewtonPolynomial(Record):
 
     _fields = ("k", "expression")
 
-    def __init__(self, k: int, expression: MultiPoly):
+    def __init__(self, k: int, expression: truncpoly.MultiPoly):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "expression", expression)
 
@@ -73,7 +73,7 @@ def newton_s(k: int) -> NewtonPolynomial:
         c = k * fact[n - 1] // prod(fact[m] for m in exps if m > 1)
         terms[exps] = Fraction(-c if (k - n) % 2 else c)
     # distinct partitions give distinct exponent vectors, and no c is zero
-    return NewtonPolynomial(k, MultiPoly._make(k, terms))
+    return NewtonPolynomial(k, truncpoly.MultiPoly._make(k, terms))
 
 
 class FormalBundle(Record):
@@ -88,7 +88,7 @@ class FormalBundle(Record):
 
     _fields = ("dimension", "total_chern")
 
-    def __init__(self, dimension: int, total_chern: TruncPoly):
+    def __init__(self, dimension: int, total_chern: truncpoly.TruncPoly):
         if dimension < 0:
             raise ValueError("bundle dimension must be nonnegative")
         if not total_chern.is_integral():
@@ -116,11 +116,12 @@ class FormalBundle(Record):
 def line_bundle(order: int, c1: int = 1) -> FormalBundle:
     """Rank-1 bundle with the given first class (1 recovers the Hopf class)."""
     if order == 0:
-        return FormalBundle(1, TruncPoly.one(0))
-    return FormalBundle(1, TruncPoly.one(order) + TruncPoly.monomial(order, 1, c1))
+        return FormalBundle(1, truncpoly.TruncPoly.one(0))
+    total = truncpoly.TruncPoly.one(order) + truncpoly.TruncPoly.monomial(order, 1, c1)
+    return FormalBundle(1, total)
 
 
-def chern_character(bundle: FormalBundle, truncation: int) -> TruncPoly:
+def chern_character(bundle: FormalBundle, truncation: int) -> truncpoly.TruncPoly:
     """Total Chern character: rank + sum of p_k/k! x^k.
 
     Each class c_k is a scalar times x^k, so the power sums p_k follow
@@ -135,7 +136,7 @@ def chern_character(bundle: FormalBundle, truncation: int) -> TruncPoly:
     for k in range(1, n + 1):
         pk = sum((-1) ** (j - 1) * c[j] * p[k - j] for j in range(1, k))
         p.append(pk + (-1) ** (k - 1) * k * c[k])
-    return TruncPoly(n, [Fraction(pk, factorial(k)) for k, pk in enumerate(p)])
+    return truncpoly.TruncPoly(n, [Fraction(pk, factorial(k)) for k, pk in enumerate(p)])
 
 
 def whitney_sum(a: FormalBundle, b: FormalBundle) -> FormalBundle:

@@ -13,22 +13,8 @@ import argparse
 import json
 import sys
 
-from . import __version__
+from . import __version__, chern, grothendieck, homology, ktheory, linalg, truncpoly
 from ._record import Record
-from .chern import FormalBundle, chern_character, newton_s
-from .grothendieck import FiniteCommutativeMonoid, completion
-from .homology import cohomology, cpn_complex, sphere_complex
-from .ktheory import (
-    KClass,
-    Space,
-    bott_check,
-    bott_matrix,
-    chern_character_map,
-    k_groups,
-    replay_induction,
-)
-from .linalg import FgAbelianGroup, IntegerMatrix, cokernel, smith_normal_form
-from .truncpoly import PARSE_MAX_ORDER, TruncPoly
 
 FORMAT_VERSION = "1"
 
@@ -36,14 +22,11 @@ FORMAT_VERSION = "1"
 # the output: building s_40 takes about 0.3 s in-process, and newton --k 40
 # prints 23.5 MB in about 2.7 s end to end (--k 34: 6.8 MB in 0.7 s)
 NEWTON_MAX_K = 40
-# the degree-k coefficient of ch has a denominator up to k!; at order 1700
-# it exceeds Python's default int-to-str limit of 4300 digits
-CH_MAX_ORDER = PARSE_MAX_ORDER
 # ring N renders (N+1)^2 products: ring 200 takes about 3 s and prints
 # 0.7 MB, ring 400 about 20 s and 2.8 MB
 RING_MAX_N = 200
 # trace N and kgroups cpn:N replay the induction, which grows faster than
-# N^2: about 0.35 s at N = 100 and 1.1-1.4 s at N = 200, so N stays at most
+# N^2: about 0.28 s at N = 100 and 0.9-1.0 s at N = 200, so N stays at most
 # 200 until trace 200 runs in under 0.5 s
 REPLAY_MAX_N = 200
 # cohomology of cpn:N or sphere:M builds a cell complex of top degree 2N
@@ -110,7 +93,7 @@ def parse_document(text: str) -> OutputDocument:
 # ----------------------------------------------------------------------
 
 
-def _group_payload(g: FgAbelianGroup) -> dict:
+def _group_payload(g: linalg.FgAbelianGroup) -> dict:
     return {
         "kind": "group",
         "free_rank": g.free_rank,
@@ -119,7 +102,7 @@ def _group_payload(g: FgAbelianGroup) -> dict:
     }
 
 
-def _poly_payload(p: TruncPoly) -> dict:
+def _poly_payload(p: truncpoly.TruncPoly) -> dict:
     return {
         "kind": "poly",
         "order": p.order,
@@ -128,15 +111,15 @@ def _poly_payload(p: TruncPoly) -> dict:
     }
 
 
-def _space_complex(space: Space):
+def _space_complex(space: ktheory.Space):
     top = 2 * space.parameter if space.kind == "cpn" else space.parameter
     if top > COHOMOLOGY_MAX_TOP:
         raise ValueError(f"the cell complex needs top degree at most {COHOMOLOGY_MAX_TOP}")
     if space.kind == "cpn":
-        return cpn_complex(space.parameter)
+        return homology.cpn_complex(space.parameter)
     if space.kind == "sphere":
-        return sphere_complex(space.parameter)
-    return cpn_complex(0)
+        return homology.sphere_complex(space.parameter)
+    return homology.cpn_complex(0)
 
 
 # ----------------------------------------------------------------------
@@ -145,14 +128,14 @@ def _space_complex(space: Space):
 
 
 def _run_cohomology(args) -> OutputDocument:
-    space = Space.parse(args.space)
+    space = ktheory.Space.parse(args.space)
     complex_ = _space_complex(space)
     if args.degree is not None:
         degrees = [args.degree]
     else:
         degrees = list(range(complex_.top + 1))
     rows = [
-        {"label": f"H^{k}", "degree": k, **_group_payload(cohomology(complex_, k))}
+        {"label": f"H^{k}", "degree": k, **_group_payload(homology.cohomology(complex_, k))}
         for k in degrees
     ]
     result = {"kind": "group-table", "rows": rows}
@@ -163,10 +146,10 @@ def _run_cohomology(args) -> OutputDocument:
 
 
 def _run_kgroups(args) -> OutputDocument:
-    space = Space.parse(args.space)
+    space = ktheory.Space.parse(args.space)
     if space.kind == "cpn":
         _check_replay_size(space.parameter)
-    group = k_groups(space, args.q)
+    group = ktheory.k_groups(space, args.q)
     result = dict(_group_payload(group))
     result["label"] = f"K^{args.q}({space.label()})"
     return OutputDocument("kgroups", {"space": str(space), "q": args.q}, result)
@@ -178,8 +161,8 @@ def _run_ring(args) -> OutputDocument:
         raise ValueError("n must be nonnegative")
     if n > RING_MAX_N:
         raise ValueError(f"n must be at most {RING_MAX_N}")
-    gamma = KClass.gamma(n)
-    powers = [KClass.unit(n)]
+    gamma = ktheory.KClass.gamma(n)
+    powers = [ktheory.KClass.unit(n)]
     for _ in range(n):
         powers.append(powers[-1] * gamma)
     basis = [p.render() for p in powers]
@@ -195,31 +178,34 @@ def _run_ring(args) -> OutputDocument:
 
 
 def _run_ch(args) -> OutputDocument:
+    # the degree-k coefficient of ch has a denominator up to k!; at order 1700
+    # it exceeds Python's default int-to-str limit of 4300 digits
+    max_order = truncpoly.PARSE_MAX_ORDER
     if args.chern is not None:
         if args.space is not None or args.klass is not None:
             raise ValueError("--chern selects the bundle form; drop the space spec")
         if args.rank is None or args.order is None:
             raise ValueError("--chern needs --rank and --order")
-        if args.order > CH_MAX_ORDER:
-            raise ValueError(f"--order must be at most {CH_MAX_ORDER}")
-        total = TruncPoly.parse(args.chern, order=args.order)
-        bundle = FormalBundle(args.rank, total)
-        character = chern_character(bundle, args.order)
+        if args.order > max_order:
+            raise ValueError(f"--order must be at most {max_order}")
+        total = truncpoly.TruncPoly.parse(args.chern, order=args.order)
+        bundle = chern.FormalBundle(args.rank, total)
+        character = chern.chern_character(bundle, args.order)
         inputs = {"rank": args.rank, "chern": args.chern, "order": args.order}
         return OutputDocument("ch", inputs, _poly_payload(character))
     if args.space is None or args.klass is None:
         raise ValueError("ch needs a space spec with --class, or --rank/--chern/--order")
-    space = Space.parse(args.space)
+    space = ktheory.Space.parse(args.space)
     if space.kind != "cpn":
         raise ValueError("class coefficients make sense on cpn:N only")
-    if space.parameter > CH_MAX_ORDER:
-        raise ValueError(f"ch needs cpn:N with N at most {CH_MAX_ORDER}")
+    if space.parameter > max_order:
+        raise ValueError(f"ch needs cpn:N with N at most {max_order}")
     coeffs = [int(t) for t in args.klass.split(",")]
     if len(coeffs) != space.parameter + 1:
         raise ValueError(
             f"expected {space.parameter + 1} coefficients for {space}"
         )
-    character = chern_character_map(KClass(space.parameter, tuple(coeffs)))
+    character = ktheory.chern_character_map(ktheory.KClass(space.parameter, tuple(coeffs)))
     inputs = {"space": str(space), "class": args.klass}
     return OutputDocument("ch", inputs, _poly_payload(character))
 
@@ -231,7 +217,7 @@ def _check_replay_size(n: int) -> None:
 
 def _run_trace(args) -> OutputDocument:
     _check_replay_size(args.n)
-    trace = replay_induction(args.n)
+    trace = ktheory.replay_induction(args.n)
     result = {"kind": "induction-trace", **trace.to_json_dict()}
     return OutputDocument("trace", {"n": args.n}, result)
 
@@ -239,7 +225,7 @@ def _run_trace(args) -> OutputDocument:
 def _run_newton(args) -> OutputDocument:
     if args.k > NEWTON_MAX_K:
         raise ValueError(f"--k must be at most {NEWTON_MAX_K}: s_k has p(k) terms")
-    poly = newton_s(args.k)
+    poly = chern.newton_s(args.k)
     terms = [
         {"exponents": list(e), "coefficient": str(c)}
         for e, c in sorted(poly.expression.terms.items())
@@ -260,8 +246,8 @@ def _run_groth(args) -> OutputDocument:
     header = text.split(maxsplit=1)
     if header and int(header[0]) > GROTH_MAX_ORDER:
         raise ValueError(f"the Cayley table needs order at most {GROTH_MAX_ORDER}")
-    monoid = FiniteCommutativeMonoid.from_text(text)
-    group = completion(monoid)
+    monoid = grothendieck.FiniteCommutativeMonoid.from_text(text)
+    group = grothendieck.completion(monoid)
     result = dict(_group_payload(group.carrier))
     result["classes"] = group.class_count
     return OutputDocument("groth", {"table": args.table}, result)
@@ -269,29 +255,29 @@ def _run_groth(args) -> OutputDocument:
 
 def _run_smith(args) -> OutputDocument:
     with open(args.matrix, "r", encoding="utf-8") as handle:
-        matrix = IntegerMatrix.from_text(handle.read())
+        matrix = linalg.IntegerMatrix.from_text(handle.read())
     if max(matrix.rows, matrix.cols) > SMITH_MAX_SIDE:
         raise ValueError(f"the matrix needs rows and cols at most {SMITH_MAX_SIDE}")
     if any(e.bit_length() > SMITH_MAX_BITS for e in matrix.entries):
         raise ValueError(f"matrix entries need absolute value below 2^{SMITH_MAX_BITS}")
-    form = smith_normal_form(matrix)
+    form = linalg.smith_normal_form(matrix)
     result = {
         "kind": "smith",
         "rows": matrix.rows,
         "cols": matrix.cols,
         "d": list(form.d),
         "rank": form.rank,
-        "cokernel": _group_payload(cokernel(matrix)),
+        "cokernel": _group_payload(linalg.cokernel(matrix)),
     }
     return OutputDocument("smith", {"matrix": args.matrix}, result)
 
 
 def _run_bott_check(args) -> OutputDocument:
-    matrix = bott_matrix()
+    matrix = ktheory.bott_matrix()
     result = {
         "kind": "bott-check",
         "matrix": matrix.row_lists(),
-        "unimodular": bott_check(),
+        "unimodular": ktheory.bott_check(),
     }
     return OutputDocument("bott-check", {}, result)
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
+from . import linalg
 from ._record import Record
-from .linalg import FgAbelianGroup, IntegerMatrix, cokernel
 
 
 class FiniteCommutativeMonoid(Record):
@@ -161,7 +161,7 @@ def pair_equivalent(monoid: Monoid, x, y, u, v) -> bool:
                for t in range(monoid.size))
 
 
-def _classify_group_table(table: Sequence[Sequence[int]]) -> FgAbelianGroup:
+def _classify_group_table(table: Sequence[Sequence[int]]) -> linalg.FgAbelianGroup:
     """Invariant factors of a finite abelian group given by its Cayley table.
 
     The group is presented on a greedy generating set S = (s_1, .., s_t),
@@ -192,7 +192,8 @@ def _classify_group_table(table: Sequence[Sequence[int]]) -> FgAbelianGroup:
             if len(coords[h]) < len(rows):
                 coords[h] += (0,)
     t = len(rows)
-    return cokernel(IntegerMatrix.from_rows([row + (0,) * (t - len(row)) for row in rows], cols=t))
+    relations = [row + (0,) * (t - len(row)) for row in rows]
+    return linalg.cokernel(linalg.IntegerMatrix.from_rows(relations, cols=t))
 
 
 class GrothendieckGroup:
@@ -211,7 +212,7 @@ class GrothendieckGroup:
         self.monoid = monoid
         if isinstance(monoid, FreeCommutativeMonoid):
             self.kind = "free"
-            self.carrier = FgAbelianGroup.free(monoid.generator_count)
+            self.carrier = linalg.FgAbelianGroup.free(monoid.generator_count)
             self._classes = None
             return
         self.kind = "finite"
@@ -283,7 +284,7 @@ def completion(monoid: Monoid) -> GrothendieckGroup:
 class CompletionHomomorphism:
     """The induced map theta with theta([(x, y)]) = psi(x) - psi(y)."""
 
-    def __init__(self, group: GrothendieckGroup, target: FgAbelianGroup, data):
+    def __init__(self, group: GrothendieckGroup, target: linalg.FgAbelianGroup, data):
         self.group = group
         self.target = target
         self._data = data
@@ -298,7 +299,7 @@ class CompletionHomomorphism:
 
 
 def universal_factor(monoid: Monoid, group: GrothendieckGroup,
-                     target: FgAbelianGroup,
+                     target: linalg.FgAbelianGroup,
                      psi) -> CompletionHomomorphism:
     """Factor a monoid homomorphism psi through the completion.
 

@@ -12,16 +12,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from . import linalg
 from ._record import Record
-from .linalg import (
-    FgAbelianGroup,
-    IntegerMatrix,
-    cokernel,
-    kernel_basis,
-    lattice_contains,
-    smith_normal_form,
-    solve_integer,
-)
 
 
 class FiveLemmaHypothesisError(ValueError):
@@ -52,7 +44,7 @@ class ChainComplex(Record):
 
     _fields = ("ranks", "boundaries")
 
-    def __init__(self, ranks: Sequence[int], boundaries: Sequence[IntegerMatrix] = ()):
+    def __init__(self, ranks: Sequence[int], boundaries: Sequence[linalg.IntegerMatrix] = ()):
         ranks, boundaries = tuple(ranks), tuple(boundaries)
         if not ranks:
             raise ValueError("a complex needs at least degree 0")
@@ -73,7 +65,7 @@ class ChainComplex(Record):
     @classmethod
     def with_zero_boundaries(cls, ranks) -> "ChainComplex":
         ranks = tuple(ranks)
-        bnds = tuple(IntegerMatrix.zero(ranks[k - 1], ranks[k])
+        bnds = tuple(linalg.IntegerMatrix.zero(ranks[k - 1], ranks[k])
                      for k in range(1, len(ranks)))
         return cls(ranks, bnds)
 
@@ -81,32 +73,33 @@ class ChainComplex(Record):
     def top(self) -> int:
         return len(self.ranks) - 1
 
-    def boundary(self, k: int) -> IntegerMatrix:
+    def boundary(self, k: int) -> linalg.IntegerMatrix:
         """Boundary map out of degree k; zero maps off the ends."""
         if k <= 0:
-            return IntegerMatrix.zero(0, self.ranks[0])
+            return linalg.IntegerMatrix.zero(0, self.ranks[0])
         if k == self.top + 1:
-            return IntegerMatrix.zero(self.ranks[self.top], 0)
+            return linalg.IntegerMatrix.zero(self.ranks[self.top], 0)
         if k > self.top + 1:
             raise ValueError("degree out of range")
         return self.boundaries[k - 1]
 
 
-def _kernel_mod_image(outgoing: IntegerMatrix, incoming: IntegerMatrix) -> FgAbelianGroup:
+def _kernel_mod_image(outgoing: linalg.IntegerMatrix,
+                      incoming: linalg.IntegerMatrix) -> linalg.FgAbelianGroup:
     """ker(outgoing) / im(incoming) for composable maps with zero composite."""
-    basis = kernel_basis(outgoing)
-    image = solve_integer(basis, incoming)
+    basis = linalg.kernel_basis(outgoing)
+    image = linalg.solve_integer(basis, incoming)
     if image is None:
         raise RuntimeError("boundary image escaped the kernel; complex invariant broken")
-    return cokernel(image.transpose())
+    return linalg.cokernel(image.transpose())
 
 
-def cohomology(c: ChainComplex, k: int) -> FgAbelianGroup:
+def cohomology(c: ChainComplex, k: int) -> linalg.FgAbelianGroup:
     """Degree-k cohomology: the coboundaries are the transposed boundaries."""
     if k < 0:
         raise ValueError("degree out of range")
     if k > c.top:
-        return FgAbelianGroup.trivial()
+        return linalg.FgAbelianGroup.trivial()
     return _kernel_mod_image(c.boundary(k + 1).transpose(), c.boundary(k).transpose())
 
 
@@ -147,7 +140,7 @@ class GroupPresentation(Record):
 
     _fields = ("generators", "relations")
 
-    def __init__(self, generators: int, relations: IntegerMatrix):
+    def __init__(self, generators: int, relations: linalg.IntegerMatrix):
         if generators < 0:
             raise ValueError("generator count must be nonnegative")
         if relations.cols != generators:
@@ -157,43 +150,43 @@ class GroupPresentation(Record):
 
     @classmethod
     def free(cls, rank: int) -> "GroupPresentation":
-        return cls(rank, IntegerMatrix.zero(0, rank))
+        return cls(rank, linalg.IntegerMatrix.zero(0, rank))
 
     @classmethod
     def trivial(cls) -> "GroupPresentation":
-        return cls(0, IntegerMatrix.zero(0, 0))
+        return cls(0, linalg.IntegerMatrix.zero(0, 0))
 
     @classmethod
-    def from_group(cls, g: FgAbelianGroup) -> "GroupPresentation":
+    def from_group(cls, g: linalg.FgAbelianGroup) -> "GroupPresentation":
         gens = g.free_rank + len(g.torsion)
         rows = []
         for i, t in enumerate(g.torsion):
             row = [0] * gens
             row[g.free_rank + i] = t
             rows.append(row)
-        return cls(gens, IntegerMatrix.from_rows(rows, cols=gens))
+        return cls(gens, linalg.IntegerMatrix.from_rows(rows, cols=gens))
 
 
-def _check_well_defined(label: str, f: IntegerMatrix,
+def _check_well_defined(label: str, f: linalg.IntegerMatrix,
                         src: GroupPresentation, dst: GroupPresentation):
     """Reject f unless it has src -> dst shape and carries relations into relations."""
     if f.rows != dst.generators or f.cols != src.generators:
         raise ValueError(f"{label} has the wrong shape")
-    if src.relations.rows and not lattice_contains(
+    if src.relations.rows and not linalg.lattice_contains(
         dst.relations.transpose(), f @ src.relations.transpose()
     ):
         raise ValueError(f"{label} does not preserve relations")
 
 
-def _preimage_generators(block: IntegerMatrix, width: int) -> IntegerMatrix:
+def _preimage_generators(block: linalg.IntegerMatrix, width: int) -> linalg.IntegerMatrix:
     """Generators of the lattice {x : f @ x lies in the row span of R}.
 
     block is [f | -R^T] and width is f.cols.  Solutions (x, y) of
     f x = R^T y form the kernel of the block; the x-parts of a kernel
     basis generate the preimage lattice.
     """
-    kb = kernel_basis(block)
-    return IntegerMatrix._make(width, kb.cols, kb.entries[:width * kb.cols])
+    kb = linalg.kernel_basis(block)
+    return linalg.IntegerMatrix._make(width, kb.cols, kb.entries[:width * kb.cols])
 
 
 class GroupSequence(Record):
@@ -206,7 +199,7 @@ class GroupSequence(Record):
 
     _fields = ("groups", "maps")
 
-    def __init__(self, groups: Sequence[GroupPresentation], maps: Sequence[IntegerMatrix]):
+    def __init__(self, groups: Sequence[GroupPresentation], maps: Sequence[linalg.IntegerMatrix]):
         groups, maps = tuple(groups), tuple(maps)
         if len(maps) != len(groups) - 1:
             raise ValueError("expected one map between consecutive groups")
@@ -235,11 +228,11 @@ def is_exact_at(s: GroupSequence, i: int) -> bool:
     image = incoming.hstack(relations_t)
     block = outgoing.hstack(-s.groups[i + 1].relations.transpose())
     kernel = _preimage_generators(block, outgoing.cols).hstack(relations_t)
-    return (solve_integer(kernel, image) is not None
-            and solve_integer(image, kernel) is not None)
+    return (linalg.solve_integer(kernel, image) is not None
+            and linalg.solve_integer(image, kernel) is not None)
 
 
-def induced_map_is_isomorphism(f: IntegerMatrix,
+def induced_map_is_isomorphism(f: linalg.IntegerMatrix,
                                src: GroupPresentation,
                                dst: GroupPresentation) -> bool:
     """Isomorphism test for the homomorphism induced by f on presented groups."""
@@ -249,11 +242,11 @@ def induced_map_is_isomorphism(f: IntegerMatrix,
     pre = _preimage_generators(block, f.cols)
     # surjective: f and R^T span Z^generators, so the block (its invariant factors
     # those of [f | R^T] and of its transpose) has full row rank and unit factors
-    form = smith_normal_form(block)
+    form = linalg.smith_normal_form(block)
     if form.rank != f.rows or any(x != 1 for x in form.d):
         return False
     # injective: the preimage of dst's relations is contained in src's relations
-    return not pre.cols or lattice_contains(src.relations.transpose(), pre)
+    return not pre.cols or linalg.lattice_contains(src.relations.transpose(), pre)
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +265,7 @@ class Ladder(Record):
     _fields = ("top", "bottom", "verticals")
 
     def __init__(self, top: GroupSequence, bottom: GroupSequence,
-                 verticals: Sequence[IntegerMatrix]):
+                 verticals: Sequence[linalg.IntegerMatrix]):
         verticals = tuple(verticals)
         if len(top) != 5 or len(bottom) != 5 or len(verticals) != 5:
             raise ValueError("a ladder needs five columns")
@@ -297,7 +290,7 @@ def five_lemma_check(ladder: Ladder) -> bool:
     for i in range(4):
         diff = (ladder.verticals[i + 1] @ ladder.top.maps[i]
                 - ladder.bottom.maps[i] @ ladder.verticals[i])
-        if not lattice_contains(ladder.bottom.groups[i + 1].relations.transpose(), diff):
+        if not linalg.lattice_contains(ladder.bottom.groups[i + 1].relations.transpose(), diff):
             raise FiveLemmaHypothesisError(f"square {i} does not commute")
     for name, row in (("top", ladder.top), ("bottom", ladder.bottom)):
         for i in (1, 2, 3):
@@ -317,7 +310,8 @@ def five_lemma_check(ladder: Ladder) -> bool:
     return True
 
 
-def split_free_extension(sub: FgAbelianGroup, quot: FgAbelianGroup) -> FgAbelianGroup:
+def split_free_extension(sub: linalg.FgAbelianGroup,
+                         quot: linalg.FgAbelianGroup) -> linalg.FgAbelianGroup:
     """Middle group of an extension of quot by sub when quot is free.
 
     A free quotient admits no nontrivial extensions, so the middle term is

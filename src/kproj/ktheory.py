@@ -24,17 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from . import homology, linalg, truncpoly
 from ._record import Record
-from .homology import (
-    GroupPresentation,
-    GroupSequence,
-    Ladder,
-    five_lemma_check,
-    is_exact_at,
-    split_free_extension,
-)
-from .linalg import FgAbelianGroup, IntegerMatrix, is_isomorphism
-from .truncpoly import TruncPoly, power, power_names, render_sum, truncated_product
 
 
 # ----------------------------------------------------------------------
@@ -175,16 +166,16 @@ class KClass(Record):
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "KClass":
-        return power(self, exponent, KClass.unit(self.n))
+        return truncpoly.power(self, exponent, KClass.unit(self.n))
 
     def render(self) -> str:
-        return render_sum(zip(self.coeffs, power_names("γ", self.n)))
+        return truncpoly.render_sum(zip(self.coeffs, truncpoly.power_names("γ", self.n)))
 
 
 def k_ring_mul(a: KClass, b: KClass) -> KClass:
     """Product in the truncated power basis: γ^(n+1) = 0."""
     a._check_ambient(b)
-    return KClass(a.n, tuple(truncated_product(a.coeffs, b.coeffs)))
+    return KClass(a.n, tuple(truncpoly.truncated_product(a.coeffs, b.coeffs)))
 
 
 @lru_cache(maxsize=1)
@@ -203,7 +194,7 @@ def _stirling_table(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def chern_character_map(a: KClass) -> TruncPoly:
+def chern_character_map(a: KClass) -> truncpoly.TruncPoly:
     """Chern character of a virtual class, landing in Q[x]/(x^(n+1)).
 
     The generator γ goes to exp(x) - 1 and the map extends linearly; it
@@ -218,7 +209,7 @@ def chern_character_map(a: KClass) -> TruncPoly:
         if m:
             fact_m *= m
         coeffs.append(Fraction(sum(w * row[k] for k, w in terms if k <= m), fact_m))
-    return TruncPoly(a.n, coeffs)
+    return truncpoly.TruncPoly(a.n, coeffs)
 
 
 def ch_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -240,7 +231,7 @@ def ch_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
 # ----------------------------------------------------------------------
 
 
-def reduced_sphere_k(i: int) -> FgAbelianGroup:
+def reduced_sphere_k(i: int) -> linalg.FgAbelianGroup:
     """Reduced K-theory of the i-sphere: Z in even dimensions, 0 in odd.
 
     This is the axiom table: the homotopy-theoretic computation behind it
@@ -249,7 +240,7 @@ def reduced_sphere_k(i: int) -> FgAbelianGroup:
     """
     if i < 0:
         raise ValueError("sphere dimension must be nonnegative")
-    return FgAbelianGroup.free(1) if i % 2 == 0 else FgAbelianGroup.trivial()
+    return linalg.FgAbelianGroup.free(1) if i % 2 == 0 else linalg.FgAbelianGroup.trivial()
 
 
 class KGroupTable(Record):
@@ -262,7 +253,7 @@ class KGroupTable(Record):
 
     _fields = ("space", "entries")
 
-    def __init__(self, space: Space, entries: Sequence[tuple[int, FgAbelianGroup]]):
+    def __init__(self, space: Space, entries: Sequence[tuple[int, linalg.FgAbelianGroup]]):
         entries = tuple((q, group) for q, group in entries)
         lookup = dict(entries)
         if len(lookup) != len(entries):
@@ -273,11 +264,11 @@ class KGroupTable(Record):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "entries", entries)
 
-    def group(self, q: int) -> FgAbelianGroup:
+    def group(self, q: int) -> linalg.FgAbelianGroup:
         return dict(self.entries)[q]
 
 
-def k_groups(space: Space, q: int) -> FgAbelianGroup:
+def k_groups(space: Space, q: int) -> linalg.FgAbelianGroup:
     """K-group of a space in any integer degree.
 
     Degrees are reduced modulo two.  Sphere values are assembled from the
@@ -288,7 +279,7 @@ def k_groups(space: Space, q: int) -> FgAbelianGroup:
     return _k_groups_by_parity(space)[q % 2]
 
 
-def _k_groups_by_parity(space: Space) -> tuple[FgAbelianGroup, FgAbelianGroup]:
+def _k_groups_by_parity(space: Space) -> tuple[linalg.FgAbelianGroup, linalg.FgAbelianGroup]:
     """The K-groups of a space in degrees 0 and 1; at most one replay."""
     if space.kind == "point" or (space.kind == "cpn" and space.parameter == 0):
         return reduced_sphere_k(0), reduced_sphere_k(1)
@@ -342,8 +333,9 @@ class InductionTrace(Record):
 
     _fields = ("n", "steps", "reduced_k0", "k0", "k1")
 
-    def __init__(self, n: int, steps: tuple[InductionStep, ...], reduced_k0: FgAbelianGroup,
-                 k0: FgAbelianGroup, k1: FgAbelianGroup):
+    def __init__(self, n: int, steps: tuple[InductionStep, ...],
+                 reduced_k0: linalg.FgAbelianGroup, k0: linalg.FgAbelianGroup,
+                 k1: linalg.FgAbelianGroup):
         for name, value in zip(self._fields, (n, steps, reduced_k0, k0, k1)):
             object.__setattr__(self, name, value)
 
@@ -357,61 +349,62 @@ class InductionTrace(Record):
         }
 
 
-def _group_dict(g: FgAbelianGroup) -> dict:
+def _group_dict(g: linalg.FgAbelianGroup) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion), "text": g.render()}
 
 
-def _inclusion_window(k: int, tail: GroupPresentation) -> GroupSequence:
+def _inclusion_window(k: int, tail: homology.GroupPresentation) -> homology.GroupSequence:
     """The five-term window 0 -> Z^k -> Z^(k+1) -> Z -> tail.
 
     The middle group is presented by the splitting conclusion; inclusion
     hits the first k coordinates and the quotient map reads off the last.
     """
     groups = (
-        GroupPresentation.trivial(),
-        GroupPresentation.free(k),
-        GroupPresentation.free(k + 1),
-        GroupPresentation.free(1),
+        homology.GroupPresentation.trivial(),
+        homology.GroupPresentation.free(k),
+        homology.GroupPresentation.free(k + 1),
+        homology.GroupPresentation.free(1),
         tail,
     )
-    incl = IntegerMatrix._make(k + 1, k, IntegerMatrix.identity(k).entries + (0,) * k)
-    proj = IntegerMatrix._make(1, k + 1, (0,) * k + (1,))
+    incl = linalg.IntegerMatrix._make(k + 1, k,
+                                      linalg.IntegerMatrix.identity(k).entries + (0,) * k)
+    proj = linalg.IntegerMatrix._make(1, k + 1, (0,) * k + (1,))
     maps = (
-        IntegerMatrix.zero(k, 0),
+        linalg.IntegerMatrix.zero(k, 0),
         incl,
         proj,
-        IntegerMatrix.zero(tail.generators, 1),
+        linalg.IntegerMatrix.zero(tail.generators, 1),
     )
-    return GroupSequence(groups, maps)
+    return homology.GroupSequence(groups, maps)
 
 
-def _vanishing_window(left: GroupPresentation, middle: GroupPresentation,
-                      right: GroupPresentation) -> GroupSequence:
+def _vanishing_window(left: homology.GroupPresentation, middle: homology.GroupPresentation,
+                      right: homology.GroupPresentation) -> homology.GroupSequence:
     """The window left -> 0 -> middle -> 0 -> right with zero maps."""
     groups = (
         left,
-        GroupPresentation.trivial(),
+        homology.GroupPresentation.trivial(),
         middle,
-        GroupPresentation.trivial(),
+        homology.GroupPresentation.trivial(),
         right,
     )
     maps = (
-        IntegerMatrix.zero(0, left.generators),
-        IntegerMatrix.zero(middle.generators, 0),
-        IntegerMatrix.zero(0, middle.generators),
-        IntegerMatrix.zero(right.generators, 0),
+        linalg.IntegerMatrix.zero(0, left.generators),
+        linalg.IntegerMatrix.zero(middle.generators, 0),
+        linalg.IntegerMatrix.zero(0, middle.generators),
+        linalg.IntegerMatrix.zero(right.generators, 0),
     )
-    return GroupSequence(groups, maps)
+    return homology.GroupSequence(groups, maps)
 
 
-def _identity_ladder(window: GroupSequence) -> Ladder:
-    verticals = tuple(IntegerMatrix.identity(g.generators) for g in window.groups)
-    return Ladder(window, window, verticals)
+def _identity_ladder(window: homology.GroupSequence) -> homology.Ladder:
+    verticals = tuple(linalg.IntegerMatrix.identity(g.generators) for g in window.groups)
+    return homology.Ladder(window, window, verticals)
 
 
-def _check_window(window: GroupSequence) -> tuple[tuple[bool, ...], bool]:
-    exact = tuple(is_exact_at(window, i) for i in (1, 2, 3))
-    verdict = five_lemma_check(_identity_ladder(window))
+def _check_window(window: homology.GroupSequence) -> tuple[tuple[bool, ...], bool]:
+    exact = tuple(homology.is_exact_at(window, i) for i in (1, 2, 3))
+    verdict = homology.five_lemma_check(_identity_ladder(window))
     return exact, verdict
 
 
@@ -439,8 +432,8 @@ def _induction_stages(n: int):
     for k in range(1, n):
         # degree-0 window: 0 -> Z^k -> middle -> Z -> (suspension tail)
         quot = reduced_sphere_k(2 * k + 2)
-        middle = split_free_extension(prev_reduced, quot)
-        tail = GroupPresentation.from_group(prev_k1)
+        middle = homology.split_free_extension(prev_reduced, quot)
+        tail = homology.GroupPresentation.from_group(prev_k1)
         window0 = _inclusion_window(k, tail)
         exact0, verdict0 = _check_window(window0)
         step0 = InductionStep(
@@ -461,12 +454,12 @@ def _induction_stages(n: int):
         )
 
         # degree-1 window: Z -> 0 -> middle -> 0 -> Z^(k+1), middle pinched to 0
-        prev_k0 = split_free_extension(prev_reduced, FgAbelianGroup.free(1))
-        new_k1 = FgAbelianGroup.trivial()
+        prev_k0 = homology.split_free_extension(prev_reduced, linalg.FgAbelianGroup.free(1))
+        new_k1 = linalg.FgAbelianGroup.trivial()
         window1 = _vanishing_window(
-            GroupPresentation.from_group(reduced_sphere_k(2 * k + 2)),
-            GroupPresentation.from_group(new_k1),
-            GroupPresentation.from_group(prev_k0),
+            homology.GroupPresentation.from_group(reduced_sphere_k(2 * k + 2)),
+            homology.GroupPresentation.from_group(new_k1),
+            homology.GroupPresentation.from_group(prev_k0),
         )
         exact1, verdict1 = _check_window(window1)
         step1 = InductionStep(
@@ -503,7 +496,7 @@ def replay_induction(n: int) -> InductionTrace:
     if n < 1:
         raise ValueError("the induction starts at n = 1")
     steps, reduced, k1 = _induction_stages(n)
-    k0 = split_free_extension(reduced, FgAbelianGroup.free(1))
+    k0 = homology.split_free_extension(reduced, linalg.FgAbelianGroup.free(1))
     assembly = InductionStep(
         index=len(steps),
         kind="unreduced-assembly",
@@ -522,7 +515,7 @@ def replay_induction(n: int) -> InductionTrace:
 # ----------------------------------------------------------------------
 
 
-def bott_matrix() -> IntegerMatrix:
+def bott_matrix() -> linalg.IntegerMatrix:
     """Matrix of (a1, a2) -> a1 * 1 + a2 * hopf on the 2-sphere ring.
 
     Columns are the images of the two standard generators written in the
@@ -530,9 +523,9 @@ def bott_matrix() -> IntegerMatrix:
     """
     unit = KClass.unit(1)
     hopf = KClass.hopf(1)
-    return IntegerMatrix.from_rows(zip(unit.coeffs, hopf.coeffs))
+    return linalg.IntegerMatrix.from_rows(zip(unit.coeffs, hopf.coeffs))
 
 
 def bott_check() -> bool:
     """Desk-scale periodicity instance: the map above is an isomorphism."""
-    return is_isomorphism(bott_matrix())
+    return linalg.is_isomorphism(bott_matrix())

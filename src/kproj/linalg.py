@@ -24,6 +24,13 @@ from operator import add, itemgetter, neg, sub
 from ._record import Record
 
 
+# Identity matrices kept, one per size.  A stage of the induction replay
+# asks for the same three or four sizes many times (trace 200 makes 3590
+# calls on 201 sizes, and 4 entries miss only the first call on each); an
+# unbounded cache would keep every identity up to 200 x 200, 2.7M slots.
+IDENTITY_CACHE_SIZE = 8
+
+
 class IntegerMatrix(Record):
     """Immutable integer matrix; entries stored row-major."""
 
@@ -73,6 +80,7 @@ class IntegerMatrix(Record):
         return cls(len(rows), width, tuple(chain.from_iterable(rows)))
 
     @classmethod
+    @lru_cache(maxsize=IDENTITY_CACHE_SIZE, typed=True)  # identity(True) is not identity(1)
     def identity(cls, n: int) -> "IntegerMatrix":
         if n < 0:
             raise ValueError("matrix dimensions must be nonnegative")

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import IntegerMatrix
+from . import linalg
 
 # the exact scalar types; a bool is not one, although it is an int
 _SCALARS = (int, Fraction)
@@ -244,7 +244,7 @@ class TruncPoly:
         return cls(order, out)
 
 
-def pairing_matrix(n: int) -> IntegerMatrix:
+def pairing_matrix(n: int) -> linalg.IntegerMatrix:
     """Top-coefficient multiplication pairing of the degree-n truncated ring.
 
     Entry (p, q) is the degree-n coefficient of x^p * x^q, extracted by an
@@ -263,7 +263,7 @@ def pairing_matrix(n: int) -> IntegerMatrix:
                 raise RuntimeError("pairing produced a non-integer")
             row.append(int(c))
         rows.append(row)
-    return IntegerMatrix.from_rows(rows, cols=n + 1)
+    return linalg.IntegerMatrix.from_rows(rows, cols=n + 1)
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,115 @@
+"""What each subcommand loads: the package's compute modules run on first use.
+
+Each case starts a fresh interpreter.  A kproj module counts as run when
+its object in sys.modules is a plain module: a lazy module not loaded yet
+is of a subclass, and turns into a plain module when it loads.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kproj
+
+SRC = str(Path(kproj.__file__).resolve().parent.parent)
+COMPUTE = ("chern", "grothendieck", "homology", "ktheory", "linalg", "truncpoly")
+
+PROBE = """
+import contextlib, io, sys, types
+sys.path.insert(0, sys.argv[1])
+import kproj.cli
+if sys.argv[2:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert kproj.cli.main(sys.argv[2:]) == 0
+print(" ".join(sorted(name for name, module in sys.modules.items()
+                      if name.startswith("kproj.") and type(module) is types.ModuleType)))
+print(" ".join(sorted(name for name in sys.modules if name.startswith("kproj."))))
+"""
+
+
+def probe(*argv):
+    """(modules run, modules registered) after `kproj ARGV` in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", PROBE, SRC, *map(str, argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    ran, registered = proc.stdout.splitlines()
+    return {name[len("kproj."):] for name in ran.split()}, set(registered.split())
+
+
+def test_import_registers_every_module_and_runs_none():
+    # perfbench/shim.py reads sys.modules["kproj.<module>"] right after import
+    ran, registered = probe()
+    assert registered == {f"kproj.{m}" for m in (*COMPUTE, "_record", "cli")}
+    assert ran == {"cli", "_record"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--version",), {"cli", "_record"}),
+    (("smith", "--matrix", "{matrix}"), {"cli", "_record", "linalg"}),
+    (("groth", "--table", "{table}"), {"cli", "_record", "linalg", "grothendieck"}),
+])
+def test_a_subcommand_runs_exactly_the_modules_it_needs(tmp_path, argv, expected):
+    matrix, table = tmp_path / "m.matrix", tmp_path / "z3.table"
+    matrix.write_text("2 2\n2 4\n6 8\n")
+    table.write_text("3 0\n0 1 2\n1 2 0\n2 0 1\n")
+    ran, _ = probe(*(a.format(matrix=matrix, table=table) for a in argv))
+    assert ran == expected
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (("ring", "3"), {"linalg", "homology"}),
+    (("ch", "cpn:3", "--class=0,1,0,0"), {"linalg", "homology"}),
+    (("trace", "3"), {"truncpoly", "chern", "grothendieck"}),
+    (("kgroups", "cpn:3"), {"truncpoly", "chern", "grothendieck"}),
+])
+def test_a_subcommand_leaves_other_layers_unrun(argv, unused):
+    ran, _ = probe(*argv)
+    assert "ktheory" in ran
+    assert not ran & unused
+
+
+# kproj.__all__ as it was when every module was imported eagerly
+ALL = [
+    "ChainComplex", "CompletionHomomorphism", "FgAbelianGroup", "FiniteCommutativeMonoid",
+    "FiveLemmaContradictionError", "FiveLemmaHypothesisError", "FormalBundle",
+    "FreeCommutativeMonoid", "GrothendieckGroup", "GroupPresentation", "GroupSequence",
+    "InductionStep", "InductionTrace", "IntegerMatrix", "KClass", "KGroupTable", "Ladder",
+    "MultiPoly", "NewtonPolynomial", "SmithForm", "Space", "TruncPoly", "bott_check",
+    "bott_matrix", "ch_matrix", "chern", "chern_character", "chern_character_map",
+    "cohomology", "cokernel", "completion", "cpn_complex", "five_lemma_check", "grothendieck",
+    "homology", "induced_map_is_isomorphism", "is_exact_at", "is_isomorphism",
+    "k_group_table", "k_groups", "k_ring_mul", "kernel_basis", "ktheory", "lattice_contains",
+    "linalg", "line_bundle", "newton_s", "pair_equivalent", "pairing_matrix",
+    "reduced_sphere_k", "replay_induction", "smith_normal_form", "solve_integer",
+    "sphere_complex", "split_free_extension", "tensor_line", "truncpoly", "universal_factor",
+    "whitney_sum",
+]
+
+
+def test_the_package_exports_are_unchanged():
+    assert kproj.__all__ == ALL
+    assert len(ALL) == 59
+    assert set(ALL) <= set(dir(kproj))
+
+
+def test_every_export_resolves_to_its_module_attribute():
+    for name in ALL:
+        value = getattr(kproj, name)
+        if name in COMPUTE:
+            assert value is sys.modules[f"kproj.{name}"]
+        else:
+            assert value is getattr(sys.modules[value.__module__], name)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from kproj import *", namespace)
+    assert set(ALL) <= set(namespace)
+    assert namespace["IntegerMatrix"] is kproj.linalg.IntegerMatrix
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        kproj.nonexistent

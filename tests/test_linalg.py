@@ -577,6 +577,12 @@ class TestTransformsAgainstOracles:
         assert form.u @ b is b
         assert solve_integer(a, IntegerMatrix(3, 1, (5, 6, 12))) == IntegerMatrix(3, 1, (5, 3, 2))
 
+    def test_identities_are_shared_per_size_in_a_bounded_cache(self):
+        eye = IntegerMatrix.identity(3)
+        assert IntegerMatrix.identity(3) is eye and eye._is_identity
+        assert eye.entries == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+        assert IntegerMatrix.identity.cache_info().maxsize == linalg_module.IDENTITY_CACHE_SIZE
+
 
 def general_loop_must_not_run(*args):
     raise AssertionError("the general elimination loop ran")
