@@ -26,7 +26,6 @@ _EXPORTS = {
         "cokernel",
         "is_isomorphism",
         "kernel_basis",
-        "lattice_contains",
         "smith_normal_form",
         "solve_integer",
     ),

@@ -1,10 +1,13 @@
 """Batch command-line front end.
 
 Every subcommand prints either a human-readable report (the default) or a
-machine-readable JSON document selected with --format machine.  Both views
-are rendered from the same payload, and the machine document round-trips
-through parse_document.  Results go to stdout, diagnostics to stderr, and
-the exit status is zero exactly when the computation succeeded.
+machine-readable JSON document selected with --format machine.  A
+subcommand returns the echo of its inputs and a result payload that json
+writes as it is; the report is rendered from the payload, and the
+machine document is the one object {format_version, command, inputs,
+result}, written with sorted keys and an indent of two.  Results go to
+stdout, diagnostics to stderr, and the exit status is zero exactly when
+the computation succeeded.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import json
 import sys
 
 from . import __version__, chern, grothendieck, homology, ktheory, linalg, truncpoly
-from ._record import Record
 
 FORMAT_VERSION = "1"
 
@@ -48,58 +50,17 @@ SMITH_MAX_BITS = 24
 GROTH_MAX_ORDER = 288
 
 
-class OutputDocument(Record):
-    """Echo of the command plus its inputs and a typed result payload."""
-
-    # it holds dicts, so unlike the other records it is mutable and unhashable
-    _fields = ("command", "inputs", "result", "format_version")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, command: str, inputs: dict, result: dict,
-                 format_version: str = FORMAT_VERSION):
-        self.command = command
-        self.inputs = inputs
-        self.result = result
-        self.format_version = format_version
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "format_version": self.format_version,
-                "command": self.command,
-                "inputs": self.inputs,
-                "result": self.result,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-
-def parse_document(text: str) -> OutputDocument:
-    """Rebuild an OutputDocument from its machine rendering."""
-    data = json.loads(text)
-    return OutputDocument(
-        command=data["command"],
-        inputs=data["inputs"],
-        result=data["result"],
-        format_version=data["format_version"],
-    )
-
-
 # ----------------------------------------------------------------------
-# payload builders (JSON-native values only)
+# payload builders (values json writes as they are; tuples become arrays)
 # ----------------------------------------------------------------------
+
+
+def _group_fields(g: linalg.FgAbelianGroup) -> dict:
+    return {"free_rank": g.free_rank, "torsion": g.torsion, "text": g.render()}
 
 
 def _group_payload(g: linalg.FgAbelianGroup) -> dict:
-    return {
-        "kind": "group",
-        "free_rank": g.free_rank,
-        "torsion": list(g.torsion),
-        "text": g.render(),
-    }
+    return {"kind": "group", **_group_fields(g)}
 
 
 def _poly_payload(p: truncpoly.TruncPoly) -> dict:
@@ -123,11 +84,11 @@ def _space_complex(space: ktheory.Space):
 
 
 # ----------------------------------------------------------------------
-# subcommand implementations: each returns an OutputDocument
+# subcommand implementations: each returns (inputs, result)
 # ----------------------------------------------------------------------
 
 
-def _run_cohomology(args) -> OutputDocument:
+def _run_cohomology(args) -> tuple[dict, dict]:
     space = ktheory.Space.parse(args.space)
     complex_ = _space_complex(space)
     if args.degree is not None:
@@ -142,20 +103,19 @@ def _run_cohomology(args) -> OutputDocument:
     inputs = {"space": str(space)}
     if args.degree is not None:
         inputs["degree"] = args.degree
-    return OutputDocument("cohomology", inputs, result)
+    return inputs, result
 
 
-def _run_kgroups(args) -> OutputDocument:
+def _run_kgroups(args) -> tuple[dict, dict]:
     space = ktheory.Space.parse(args.space)
     if space.kind == "cpn":
         _check_replay_size(space.parameter)
     group = ktheory.k_groups(space, args.q)
-    result = dict(_group_payload(group))
-    result["label"] = f"K^{args.q}({space.label()})"
-    return OutputDocument("kgroups", {"space": str(space), "q": args.q}, result)
+    result = {**_group_payload(group), "label": f"K^{args.q}({space.label()})"}
+    return {"space": str(space), "q": args.q}, result
 
 
-def _run_ring(args) -> OutputDocument:
+def _run_ring(args) -> tuple[dict, dict]:
     n = args.n
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -174,10 +134,10 @@ def _run_ring(args) -> OutputDocument:
         "basis": basis,
         "products": table,
     }
-    return OutputDocument("ring", {"n": n}, result)
+    return {"n": n}, result
 
 
-def _run_ch(args) -> OutputDocument:
+def _run_ch(args) -> tuple[dict, dict]:
     # the degree-k coefficient of ch has a denominator up to k!; at order 1700
     # it exceeds Python's default int-to-str limit of 4300 digits
     max_order = truncpoly.PARSE_MAX_ORDER
@@ -192,7 +152,7 @@ def _run_ch(args) -> OutputDocument:
         bundle = chern.FormalBundle(args.rank, total)
         character = chern.chern_character(bundle, args.order)
         inputs = {"rank": args.rank, "chern": args.chern, "order": args.order}
-        return OutputDocument("ch", inputs, _poly_payload(character))
+        return inputs, _poly_payload(character)
     if args.space is None or args.klass is None:
         raise ValueError("ch needs a space spec with --class, or --rank/--chern/--order")
     space = ktheory.Space.parse(args.space)
@@ -207,7 +167,7 @@ def _run_ch(args) -> OutputDocument:
         )
     character = ktheory.chern_character_map(ktheory.KClass(space.parameter, tuple(coeffs)))
     inputs = {"space": str(space), "class": args.klass}
-    return OutputDocument("ch", inputs, _poly_payload(character))
+    return inputs, _poly_payload(character)
 
 
 def _check_replay_size(n: int) -> None:
@@ -215,14 +175,21 @@ def _check_replay_size(n: int) -> None:
         raise ValueError(f"the induction replay needs N at most {REPLAY_MAX_N}")
 
 
-def _run_trace(args) -> OutputDocument:
+def _run_trace(args) -> tuple[dict, dict]:
     _check_replay_size(args.n)
     trace = ktheory.replay_induction(args.n)
-    result = {"kind": "induction-trace", **trace.to_json_dict()}
-    return OutputDocument("trace", {"n": args.n}, result)
+    result = {
+        "kind": "induction-trace",
+        "space": f"cpn:{trace.n}",
+        "steps": [{name: getattr(step, name) for name in step._fields} for step in trace.steps],
+        "reduced_k0": _group_fields(trace.reduced_k0),
+        "k0": _group_fields(trace.k0),
+        "k1": _group_fields(trace.k1),
+    }
+    return {"n": args.n}, result
 
 
-def _run_newton(args) -> OutputDocument:
+def _run_newton(args) -> tuple[dict, dict]:
     if args.k > NEWTON_MAX_K:
         raise ValueError(f"--k must be at most {NEWTON_MAX_K}: s_k has p(k) terms")
     poly = chern.newton_s(args.k)
@@ -237,10 +204,10 @@ def _run_newton(args) -> OutputDocument:
         "terms": terms,
         "text": poly.render(),
     }
-    return OutputDocument("newton", {"k": args.k}, result)
+    return {"k": args.k}, result
 
 
-def _run_groth(args) -> OutputDocument:
+def _run_groth(args) -> tuple[dict, dict]:
     with open(args.table, "r", encoding="utf-8") as handle:
         text = handle.read()
     header = text.split(maxsplit=1)
@@ -248,12 +215,11 @@ def _run_groth(args) -> OutputDocument:
         raise ValueError(f"the Cayley table needs order at most {GROTH_MAX_ORDER}")
     monoid = grothendieck.FiniteCommutativeMonoid.from_text(text)
     group = grothendieck.completion(monoid)
-    result = dict(_group_payload(group.carrier))
-    result["classes"] = group.class_count
-    return OutputDocument("groth", {"table": args.table}, result)
+    result = {**_group_payload(group.carrier), "classes": group.class_count}
+    return {"table": args.table}, result
 
 
-def _run_smith(args) -> OutputDocument:
+def _run_smith(args) -> tuple[dict, dict]:
     with open(args.matrix, "r", encoding="utf-8") as handle:
         matrix = linalg.IntegerMatrix.from_text(handle.read())
     if max(matrix.rows, matrix.cols) > SMITH_MAX_SIDE:
@@ -265,21 +231,21 @@ def _run_smith(args) -> OutputDocument:
         "kind": "smith",
         "rows": matrix.rows,
         "cols": matrix.cols,
-        "d": list(form.d),
+        "d": form.d,
         "rank": form.rank,
         "cokernel": _group_payload(linalg.cokernel(matrix)),
     }
-    return OutputDocument("smith", {"matrix": args.matrix}, result)
+    return {"matrix": args.matrix}, result
 
 
-def _run_bott_check(args) -> OutputDocument:
+def _run_bott_check(args) -> tuple[dict, dict]:
     matrix = ktheory.bott_matrix()
     result = {
         "kind": "bott-check",
         "matrix": matrix.row_lists(),
         "unimodular": ktheory.bott_check(),
     }
-    return OutputDocument("bott-check", {}, result)
+    return {}, result
 
 
 # ----------------------------------------------------------------------
@@ -287,8 +253,7 @@ def _run_bott_check(args) -> OutputDocument:
 # ----------------------------------------------------------------------
 
 
-def _render_human(doc: OutputDocument) -> str:
-    result = doc.result
+def _render_human(result: dict) -> str:
     kind = result.get("kind")
     lines = []
     if kind == "group-table":
@@ -416,14 +381,15 @@ def main(argv=None) -> int:
         # argparse reads "--opt=--" as an empty list, not as the text "--"
         if [] in vars(args).values():
             raise ValueError("'--' is not an option value")
-        doc = args.run(args)
+        inputs, result = args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.format == "machine":
-        print(doc.to_json())
+        print(json.dumps({"format_version": FORMAT_VERSION, "command": args.subcommand,
+                          "inputs": inputs, "result": result}, indent=2, sort_keys=True))
     else:
-        print(_render_human(doc))
+        print(_render_human(result))
     return 0
 
 

@@ -172,9 +172,9 @@ def _check_well_defined(label: str, f: linalg.IntegerMatrix,
     """Reject f unless it has src -> dst shape and carries relations into relations."""
     if f.rows != dst.generators or f.cols != src.generators:
         raise ValueError(f"{label} has the wrong shape")
-    if src.relations.rows and not linalg.lattice_contains(
+    if src.relations.rows and linalg.solve_integer(
         dst.relations.transpose(), f @ src.relations.transpose()
-    ):
+    ) is None:
         raise ValueError(f"{label} does not preserve relations")
 
 
@@ -246,7 +246,7 @@ def induced_map_is_isomorphism(f: linalg.IntegerMatrix,
     if form.rank != f.rows or any(x != 1 for x in form.d):
         return False
     # injective: the preimage of dst's relations is contained in src's relations
-    return not pre.cols or linalg.lattice_contains(src.relations.transpose(), pre)
+    return not pre.cols or linalg.solve_integer(src.relations.transpose(), pre) is not None
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +290,7 @@ def five_lemma_check(ladder: Ladder) -> bool:
     for i in range(4):
         diff = (ladder.verticals[i + 1] @ ladder.top.maps[i]
                 - ladder.bottom.maps[i] @ ladder.verticals[i])
-        if not linalg.lattice_contains(ladder.bottom.groups[i + 1].relations.transpose(), diff):
+        if linalg.solve_integer(ladder.bottom.groups[i + 1].relations.transpose(), diff) is None:
             raise FiveLemmaHypothesisError(f"square {i} does not commute")
     for name, row in (("top", ladder.top), ("bottom", ladder.bottom)):
         for i in (1, 2, 3):

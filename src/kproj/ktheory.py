@@ -315,18 +315,6 @@ class InductionStep(Record):
                                               five_lemma, conclusion)):
             object.__setattr__(self, name, value)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "stage": self.stage,
-            "window": list(self.window),
-            "rules": list(self.rules),
-            "exactness": list(self.exactness),
-            "five_lemma": self.five_lemma,
-            "conclusion": self.conclusion,
-        }
-
 
 class InductionTrace(Record):
     """Machine-checkable record of the replayed induction."""
@@ -338,19 +326,6 @@ class InductionTrace(Record):
                  k1: linalg.FgAbelianGroup):
         for name, value in zip(self._fields, (n, steps, reduced_k0, k0, k1)):
             object.__setattr__(self, name, value)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "space": f"cpn:{self.n}",
-            "steps": [s.to_json_dict() for s in self.steps],
-            "reduced_k0": _group_dict(self.reduced_k0),
-            "k0": _group_dict(self.k0),
-            "k1": _group_dict(self.k1),
-        }
-
-
-def _group_dict(g: linalg.FgAbelianGroup) -> dict:
-    return {"free_rank": g.free_rank, "torsion": list(g.torsion), "text": g.render()}
 
 
 def _inclusion_window(k: int, tail: homology.GroupPresentation) -> homology.GroupSequence:

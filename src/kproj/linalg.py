@@ -19,7 +19,7 @@ from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
 from math import gcd, prod
-from operator import add, itemgetter, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 
 from ._record import Record
 
@@ -180,20 +180,10 @@ class IntegerMatrix(Record):
                 row = b[j * m:(j + 1) * m]
                 out += row if s == 1 else map(s.__mul__, row)
             return IntegerMatrix._make(n, m, tuple(out))
-        zero_row = (0,) * m
-        out = []
-        for i in range(0, n * k, k):
-            arow = a[i:i + k]
-            # accumulate the rows of b that a's row has nonzero entries for
-            acc = zero_row
-            for t in compress(range(k), arow):
-                brow = b[t * m:(t + 1) * m]
-                av = arow[t]
-                if av != 1:
-                    brow = map(av.__mul__, brow)
-                acc = brow if acc is zero_row else list(map(add, acc, brow))
-            out.extend(acc)
-        return IntegerMatrix._make(n, m, tuple(out))
+        columns = [b[j::m] for j in range(m)]
+        return IntegerMatrix._make(n, m, tuple(sum(map(mul, a[i:i + k], column))
+                                               for i in range(0, n * k, k)
+                                               for column in columns))
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
@@ -495,7 +485,7 @@ def _permutation_form(a: IntegerMatrix):
     inverse = sorted(range(n), key=order.__getitem__)
     signs = values + (1,) * (n - r)
     v = _signed_permutation(inverse, tuple(map(signs.__getitem__, inverse)))
-    return (1,) * r, u, u if m == n and u._is_identity and v._is_identity else v
+    return (1,) * r, u, v
 
 
 def _unit_rows(n: int) -> list[list[int]]:
@@ -516,9 +506,7 @@ def _eliminate(a: IntegerMatrix):
     After step t, row and column t of the working matrix are zero off the
     diagonal, so the row and column operations of later steps touch only
     its lower-right block.  v is built transposed, so that a column
-    operation on it is a row operation on a list.  Each transform is built
-    on its first write; one that no step writes to is returned as an
-    identity, shared by u and v when a is square.  A signed partial
+    operation on it is a row operation on a list.  A signed partial
     permutation, as every matrix of the induction replay is, takes the
     closed form of _permutation_form instead.
     """
@@ -527,18 +515,15 @@ def _eliminate(a: IntegerMatrix):
         return form
     m, n = a.rows, a.cols
     d = a.row_lists()
-    u = vt = None
+    u, vt = _unit_rows(m), _unit_rows(n)
 
     def move_to_pivot(t, i, j):
-        nonlocal u, vt
         if i != t:
             d[t], d[i] = d[i], d[t]
-            u = u or _unit_rows(m)
             u[t], u[i] = u[i], u[t]
         if j != t:
             for row in d[t:]:
                 row[t], row[j] = row[j], row[t]
-            vt = vt or _unit_rows(n)
             vt[t], vt[j] = vt[j], vt[t]
 
     t = 0
@@ -562,7 +547,6 @@ def _eliminate(a: IntegerMatrix):
                     r -= pivot
                 if q:
                     row[t:] = map(sub, row[t:], map(q.__mul__, prow[t:]))
-                    u = u or _unit_rows(m)
                     u[i] = list(map(sub, u[i], map(q.__mul__, u[t])))
                 if r:
                     dirty = True
@@ -575,7 +559,6 @@ def _eliminate(a: IntegerMatrix):
                         r -= pivot
                     if q:
                         prow[j] = r
-                        vt = vt or _unit_rows(n)
                         vt[j] = list(map(sub, vt[j], map(q.__mul__, vt[t])))
                     if r:
                         dirty = True
@@ -592,22 +575,15 @@ def _eliminate(a: IntegerMatrix):
             if violator is None:
                 break
             prow[t:] = map(add, prow[t:], d[violator][t:])
-            u = u or _unit_rows(m)
             u[t] = list(map(add, u[t], u[violator]))
         if d[t][t] < 0:
             d[t][t] = -d[t][t]
-            vt = vt or _unit_rows(n)
             vt[t] = list(map(neg, vt[t]))
         t += 1
 
     diag = tuple(d[k][k] for k in range(limit) if d[k][k])
-    u = (IntegerMatrix.identity(m) if u is None
-         else IntegerMatrix._make(m, m, tuple(chain.from_iterable(u))))
-    if vt is not None:
-        v = IntegerMatrix._make(n, n, tuple(chain.from_iterable(zip(*vt))))
-    else:
-        v = u if m == n and u._is_identity else IntegerMatrix.identity(n)
-    return diag, u, v
+    return (diag, IntegerMatrix._make(m, m, tuple(chain.from_iterable(u))),
+            IntegerMatrix._make(n, n, tuple(chain.from_iterable(zip(*vt)))))
 
 
 # Distinct matrices whose decompositions are kept.  The induction replay
@@ -683,11 +659,6 @@ def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     # where every factor is 1 and a has full rank, y is c itself, uncopied
     y = c[:ones * k] + tuple(quotients) + (0,) * ((n - rank) * k)
     return form.v @ IntegerMatrix._make(n, k, y)
-
-
-def lattice_contains(generators: IntegerMatrix, target: IntegerMatrix) -> bool:
-    """True iff every column of target lies in the column span of generators."""
-    return solve_integer(generators, target) is not None
 
 
 # ----------------------------------------------------------------------

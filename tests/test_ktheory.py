@@ -3,14 +3,17 @@ import json
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kproj.ktheory as ktheory_module
+from kproj.cli import main
 from kproj.homology import cohomology, cpn_complex
 from kproj.ktheory import (
+    InductionStep,
     KClass,
     KGroupTable,
     Space,
@@ -245,6 +248,12 @@ class TestKGroupTable:
             KGroupTable(Space.sphere(2), ((0, Z), (2, ZERO)))
 
 
+def trace_document(capsys, n):
+    """The result of the machine document that `kproj trace N` prints."""
+    assert main(["--format", "machine", "trace", str(n)]) == 0
+    return json.loads(capsys.readouterr().out)["result"]
+
+
 class TestReplayInduction:
     def test_base_case(self):
         trace = replay_induction(1)
@@ -296,22 +305,28 @@ class TestReplayInduction:
         with pytest.raises(ValueError):
             replay_induction(0)
 
-    def test_trace_serialization_roundtrips_through_json(self):
+    def test_trace_serialization_roundtrips_through_json(self, capsys):
+        # each step of the document rebuilds its record, and each group its invariants
         trace = replay_induction(2)
-        doc = trace.to_json_dict()
-        assert json.loads(json.dumps(doc)) == doc
-        assert doc["space"] == "cpn:2"
-        assert doc["k0"]["free_rank"] == 3
+        result = trace_document(capsys, 2)
+        assert result["space"] == "cpn:2"
+        steps = tuple(InductionStep(**{f: tuple(v) if type(v) is list else v
+                                       for f, v in entry.items()})
+                      for entry in result["steps"])
+        assert steps == trace.steps
+        for name in ("reduced_k0", "k0", "k1"):
+            entry = result[name]
+            assert FgAbelianGroup(entry["free_rank"], entry["torsion"]) == getattr(trace, name)
+            assert entry["text"] == getattr(trace, name).render()
 
-    def test_trace_matches_the_golden_file(self):
-        import pathlib
-        golden = json.loads(
-            (pathlib.Path(__file__).parent / "data" / "trace_cpn2.json").read_text()
-        )
-        assert replay_induction(2).to_json_dict() == golden
+    def test_trace_matches_the_golden_file(self, capsys):
+        golden = json.loads((Path(__file__).parent / "data" / "trace_cpn2.json").read_text())
+        result = trace_document(capsys, 2)
+        assert result.pop("kind") == "induction-trace"
+        assert result == golden
 
-    def test_trace_golden_fields(self):
-        step = replay_induction(2).steps[1].to_json_dict()
+    def test_trace_golden_fields(self, capsys):
+        step = trace_document(capsys, 2)["steps"][1]
         assert step == {
             "index": 1,
             "kind": "k0-extension",

@@ -17,7 +17,6 @@ from kproj.linalg import (
     cokernel,
     is_isomorphism,
     kernel_basis,
-    lattice_contains,
     smith_normal_form,
     solve_integer,
 )
@@ -236,10 +235,10 @@ class TestSolveInteger:
         a = IntegerMatrix.from_rows([[1, 1], [1, 1]])
         assert solve_integer(a, IntegerMatrix(2, 1, (0, 1))) is None
 
-    def test_lattice_contains(self):
+    def test_column_span_membership(self):
         gens = IntegerMatrix.from_rows([[2, 0], [0, 3]]).transpose()
-        assert lattice_contains(gens, IntegerMatrix(2, 1, (2, 3)))
-        assert not lattice_contains(gens, IntegerMatrix(2, 1, (1, 0)))
+        assert solve_integer(gens, IntegerMatrix(2, 1, (2, 3))) is not None
+        assert solve_integer(gens, IntegerMatrix(2, 1, (1, 0))) is None
 
     def test_random_roundtrip(self):
         rng = random.Random(77)
@@ -569,12 +568,10 @@ class TestTransformsAgainstOracles:
             unmarked = [IntegerMatrix(m.rows, m.cols, m.entries) for m in (left, right)]
             assert unmarked[0] @ unmarked[1] == b
 
-    def test_untouched_transforms_are_one_shared_identity(self):
+    def test_untouched_transforms_are_identities(self):
         a = IntegerMatrix.diagonal((1, 2, 6), 3, 3)
         form = SmithForm(a)
-        assert form.u is form.v and form.u == IntegerMatrix.identity(3)
-        b = IntegerMatrix(3, 1, (5, 6, 7))
-        assert form.u @ b is b
+        assert form.u == form.v == IntegerMatrix.identity(3)
         assert solve_integer(a, IntegerMatrix(3, 1, (5, 6, 12))) == IntegerMatrix(3, 1, (5, 3, 2))
 
     def test_identities_are_shared_per_size_in_a_bounded_cache(self):

@@ -10,7 +10,6 @@ import pytest
 import kproj
 from kproj._record import Record
 from kproj.chern import FormalBundle, NewtonPolynomial, newton_s
-from kproj.cli import FORMAT_VERSION, OutputDocument
 from kproj.grothendieck import FiniteCommutativeMonoid, FreeCommutativeMonoid
 from kproj.homology import ChainComplex, GroupPresentation, GroupSequence, Ladder
 from kproj.ktheory import (
@@ -66,9 +65,7 @@ FACTORIES = {
     "FreeCommutativeMonoid": lambda: FreeCommutativeMonoid(2),
     "NewtonPolynomial": lambda: NewtonPolynomial(2, newton_s(2).expression),
     "FormalBundle": lambda: FormalBundle(1, TruncPoly.parse("1+x")),
-    "OutputDocument": lambda: OutputDocument("ring", {"n": 1}, {"kind": "ring"}),
 }
-FROZEN = [name for name in FACTORIES if name != "OutputDocument"]
 
 
 def test_the_table_covers_every_record_class():
@@ -76,8 +73,8 @@ def test_the_table_covers_every_record_class():
     exported = {name for name in kproj.__all__
                 if isinstance(value := getattr(kproj, name), type)
                 and issubclass(value, Record)}
-    assert set(FACTORIES) == exported | {"OutputDocument"}
-    assert len(FACTORIES) == 17
+    assert set(FACTORIES) == exported
+    assert len(FACTORIES) == 16
 
 
 @pytest.mark.parametrize("name", FACTORIES)
@@ -89,7 +86,7 @@ def test_equal_fields_give_equal_objects(name):
     assert repr(a).startswith(f"{name}({type(a)._fields[0]}=")
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", FACTORIES)
 def test_equal_objects_have_equal_hashes(name):
     a, b = FACTORIES[name](), FACTORIES[name]()
     assert hash(a) == hash(b)
@@ -114,7 +111,7 @@ def test_different_classes_never_compare_equal():
     assert FreeCommutativeMonoid(2) != SmithForm(2)
 
 
-@pytest.mark.parametrize("name", FROZEN)
+@pytest.mark.parametrize("name", FACTORIES)
 def test_fields_cannot_be_assigned_or_deleted(name):
     a = FACTORIES[name]()
     for f in a._fields:
@@ -145,7 +142,6 @@ def test_defaults_and_keyword_arguments():
     assert ChainComplex((1,)).boundaries == ()
     assert KClass(n=1, coeffs=[1, 2]).coeffs == (1, 2)
     assert FiniteCommutativeMonoid([[0]], identity=0).table == ((0,),)
-    assert OutputDocument("ring", {}, {}).format_version == FORMAT_VERSION
 
 
 # list-built and tuple-built values of the records whose fields hold sequences
@@ -172,17 +168,6 @@ def test_list_arguments_are_stored_as_tuples(name):
     assert hash(from_lists) == hash(from_tuples)
     for value in from_lists._values(from_lists):
         assert not isinstance(value, list)
-
-
-def test_output_document_is_mutable_and_unhashable():
-    doc = FACTORIES["OutputDocument"]()
-    doc.result = {"kind": "other"}
-    doc.extra = 1
-    del doc.extra
-    assert doc.result == {"kind": "other"}
-    assert doc != FACTORIES["OutputDocument"]()
-    with pytest.raises(TypeError):
-        hash(doc)
 
 
 def test_replayed_records_compare_by_value():
