@@ -33,7 +33,6 @@ _EXPORTS = {
         "ChainComplex",
         "FiveLemmaContradictionError",
         "FiveLemmaHypothesisError",
-        "GroupPresentation",
         "GroupSequence",
         "Ladder",
         "cohomology",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, chern, grothendieck, homology, ktheory, linalg, truncpoly
@@ -155,6 +156,8 @@ def _run_ch(args) -> tuple[dict, dict]:
         return inputs, _poly_payload(character)
     if args.space is None or args.klass is None:
         raise ValueError("ch needs a space spec with --class, or --rank/--chern/--order")
+    if args.rank is not None or args.order is not None:
+        raise ValueError("--class selects the class form; drop --rank and --order")
     space = ktheory.Space.parse(args.space)
     if space.kind != "cpn":
         raise ValueError("class coefficients make sense on cpn:N only")
@@ -394,7 +397,15 @@ def main(argv=None) -> int:
 
 
 def main_entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that the
+        # flush at exit cannot fail again, and report it in the exit status only
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 """Chain complexes of free Z-modules and the exact-sequence toolkit.
 
-Cohomology is computed through Smith reduction of the transposed
-boundary matrices.  Exact sequences are carried as group presentations
-(generators plus a relation matrix) together with maps on generators, so
-image-equals-kernel questions reduce to integer lattice membership.  The
-module also houses the Five Lemma checker and the splitting rule for
-extensions with free quotient.
+Cohomology is read off the invariant factors of the boundary matrices.
+Exact sequences are carried as finitely generated abelian groups in
+invariant-factor form together with integer matrices on their element
+coordinates, so image-equals-kernel questions reduce to integer lattice
+membership.  The module also houses the Five Lemma checker and the
+splitting rule for extensions with free quotient.
 """
 
 from __future__ import annotations
@@ -84,23 +84,22 @@ class ChainComplex(Record):
         return self.boundaries[k - 1]
 
 
-def _kernel_mod_image(outgoing: linalg.IntegerMatrix,
-                      incoming: linalg.IntegerMatrix) -> linalg.FgAbelianGroup:
-    """ker(outgoing) / im(incoming) for composable maps with zero composite."""
-    basis = linalg.kernel_basis(outgoing)
-    image = linalg.solve_integer(basis, incoming)
-    if image is None:
-        raise RuntimeError("boundary image escaped the kernel; complex invariant broken")
-    return linalg.cokernel(image.transpose())
-
-
 def cohomology(c: ChainComplex, k: int) -> linalg.FgAbelianGroup:
-    """Degree-k cohomology: the coboundaries are the transposed boundaries."""
+    """Degree-k cohomology, read off the invariant factors of two boundaries.
+
+    The coboundaries are the transposed boundaries, so C^k modulo the
+    coboundaries is the cokernel of the degree-k boundary, whose rows are
+    the relations.  The cocycles are a direct summand of C^k, so H^k keeps
+    all of that torsion and loses only the rank of the degree-(k+1)
+    boundary from the free part.
+    """
     if k < 0:
         raise ValueError("degree out of range")
     if k > c.top:
         return linalg.FgAbelianGroup.trivial()
-    return _kernel_mod_image(c.boundary(k + 1).transpose(), c.boundary(k).transpose())
+    quotient = linalg.cokernel(c.boundary(k))
+    free = quotient.free_rank - linalg.smith_normal_form(c.boundary(k + 1)).rank
+    return linalg.FgAbelianGroup(free, quotient.torsion)
 
 
 def cpn_complex(n: int) -> ChainComplex:
@@ -126,63 +125,39 @@ def sphere_complex(m: int) -> ChainComplex:
 
 
 # ----------------------------------------------------------------------
-# presented groups and exact sequences
+# exact sequences of finitely generated abelian groups
 # ----------------------------------------------------------------------
 
 
-class GroupPresentation(Record):
-    """Abelian group given by generators and a relation matrix.
+def _relation_columns(g: linalg.FgAbelianGroup) -> linalg.IntegerMatrix:
+    """The relations of g on its element coordinates, as columns.
 
-    Each row of relations is a relation among the generators.  Maps
-    between presented groups are matrices on generator coordinates, so
-    sequences keep enough data for exactness checks.
+    Torsion factor t of g contributes t times the unit vector of its
+    coordinate, which follows the free_rank free ones.
     """
-
-    _fields = ("generators", "relations")
-
-    def __init__(self, generators: int, relations: linalg.IntegerMatrix):
-        if generators < 0:
-            raise ValueError("generator count must be nonnegative")
-        if relations.cols != generators:
-            raise ValueError("relation matrix width must equal the generator count")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
-
-    @classmethod
-    def free(cls, rank: int) -> "GroupPresentation":
-        return cls(rank, linalg.IntegerMatrix.zero(0, rank))
-
-    @classmethod
-    def trivial(cls) -> "GroupPresentation":
-        return cls(0, linalg.IntegerMatrix.zero(0, 0))
-
-    @classmethod
-    def from_group(cls, g: linalg.FgAbelianGroup) -> "GroupPresentation":
-        gens = g.free_rank + len(g.torsion)
-        rows = []
-        for i, t in enumerate(g.torsion):
-            row = [0] * gens
-            row[g.free_rank + i] = t
-            rows.append(row)
-        return cls(gens, linalg.IntegerMatrix.from_rows(rows, cols=gens))
+    m = len(g.torsion)
+    if not m:  # the replay's groups are all free
+        return linalg.IntegerMatrix._make(g.free_rank, 0, ())
+    diagonal = linalg.IntegerMatrix.diagonal(g.torsion, m, m).entries
+    return linalg.IntegerMatrix._make(g.free_rank + m, m, (0,) * (g.free_rank * m) + diagonal)
 
 
 def _check_well_defined(label: str, f: linalg.IntegerMatrix,
-                        src: GroupPresentation, dst: GroupPresentation):
+                        src: linalg.FgAbelianGroup, dst: linalg.FgAbelianGroup):
     """Reject f unless it has src -> dst shape and carries relations into relations."""
-    if f.rows != dst.generators or f.cols != src.generators:
+    if f.rows != dst.element_length() or f.cols != src.element_length():
         raise ValueError(f"{label} has the wrong shape")
-    if src.relations.rows and linalg.solve_integer(
-        dst.relations.transpose(), f @ src.relations.transpose()
+    if src.torsion and linalg.solve_integer(
+        _relation_columns(dst), f @ _relation_columns(src)
     ) is None:
         raise ValueError(f"{label} does not preserve relations")
 
 
 def _preimage_generators(block: linalg.IntegerMatrix, width: int) -> linalg.IntegerMatrix:
-    """Generators of the lattice {x : f @ x lies in the row span of R}.
+    """Generators of the lattice {x : f @ x lies in the column span of R}.
 
-    block is [f | -R^T] and width is f.cols.  Solutions (x, y) of
-    f x = R^T y form the kernel of the block; the x-parts of a kernel
+    block is [f | -R] and width is f.cols.  Solutions (x, y) of
+    f x = R y form the kernel of the block; the x-parts of a kernel
     basis generate the preimage lattice.
     """
     kb = linalg.kernel_basis(block)
@@ -190,16 +165,17 @@ def _preimage_generators(block: linalg.IntegerMatrix, width: int) -> linalg.Inte
 
 
 class GroupSequence(Record):
-    """A finite sequence of presented groups with maps on generators.
+    """A finite sequence of groups with maps on their element coordinates.
 
     maps[i] sends groups[i] to groups[i+1].  Construction verifies the
     shapes and that each map carries relations into relations, i.e. is a
-    well-defined homomorphism of the presented groups.
+    well-defined homomorphism of the groups.
     """
 
     _fields = ("groups", "maps")
 
-    def __init__(self, groups: Sequence[GroupPresentation], maps: Sequence[linalg.IntegerMatrix]):
+    def __init__(self, groups: Sequence[linalg.FgAbelianGroup],
+                 maps: Sequence[linalg.IntegerMatrix]):
         groups, maps = tuple(groups), tuple(maps)
         if len(maps) != len(groups) - 1:
             raise ValueError("expected one map between consecutive groups")
@@ -222,31 +198,30 @@ def is_exact_at(s: GroupSequence, i: int) -> bool:
     """
     if not 1 <= i <= len(s) - 2:
         raise ValueError("position out of range")
-    g = s.groups[i]
     incoming, outgoing = s.maps[i - 1], s.maps[i]
-    relations_t = g.relations.transpose()
-    image = incoming.hstack(relations_t)
-    block = outgoing.hstack(-s.groups[i + 1].relations.transpose())
-    kernel = _preimage_generators(block, outgoing.cols).hstack(relations_t)
+    relations = _relation_columns(s.groups[i])
+    image = incoming.hstack(relations)
+    block = outgoing.hstack(-_relation_columns(s.groups[i + 1]))
+    kernel = _preimage_generators(block, outgoing.cols).hstack(relations)
     return (linalg.solve_integer(kernel, image) is not None
             and linalg.solve_integer(image, kernel) is not None)
 
 
 def induced_map_is_isomorphism(f: linalg.IntegerMatrix,
-                               src: GroupPresentation,
-                               dst: GroupPresentation) -> bool:
-    """Isomorphism test for the homomorphism induced by f on presented groups."""
+                               src: linalg.FgAbelianGroup,
+                               dst: linalg.FgAbelianGroup) -> bool:
+    """Isomorphism test for the homomorphism that f induces from src to dst."""
     _check_well_defined("map", f, src, dst)
-    block = f.hstack(-dst.relations.transpose())
+    block = f.hstack(-_relation_columns(dst))
     # the preimage reads the block's transforms first: one elimination serves both tests
     pre = _preimage_generators(block, f.cols)
-    # surjective: f and R^T span Z^generators, so the block (its invariant factors
-    # those of [f | R^T] and of its transpose) has full row rank and unit factors
+    # surjective: f and R span dst's coordinates, so the block (its invariant factors
+    # those of [f | R] and of its transpose) has full row rank and unit factors
     form = linalg.smith_normal_form(block)
     if form.rank != f.rows or any(x != 1 for x in form.d):
         return False
     # injective: the preimage of dst's relations is contained in src's relations
-    return not pre.cols or linalg.solve_integer(src.relations.transpose(), pre) is not None
+    return not pre.cols or linalg.solve_integer(_relation_columns(src), pre) is not None
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +265,7 @@ def five_lemma_check(ladder: Ladder) -> bool:
     for i in range(4):
         diff = (ladder.verticals[i + 1] @ ladder.top.maps[i]
                 - ladder.bottom.maps[i] @ ladder.verticals[i])
-        if linalg.solve_integer(ladder.bottom.groups[i + 1].relations.transpose(), diff) is None:
+        if linalg.solve_integer(_relation_columns(ladder.bottom.groups[i + 1]), diff) is None:
             raise FiveLemmaHypothesisError(f"square {i} does not commute")
     for name, row in (("top", ladder.top), ("bottom", ladder.bottom)):
         for i in (1, 2, 3):

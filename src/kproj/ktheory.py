@@ -328,52 +328,45 @@ class InductionTrace(Record):
             object.__setattr__(self, name, value)
 
 
-def _inclusion_window(k: int, tail: homology.GroupPresentation) -> homology.GroupSequence:
-    """The five-term window 0 -> Z^k -> Z^(k+1) -> Z -> tail.
+def _inclusion_window(sub: linalg.FgAbelianGroup, middle: linalg.FgAbelianGroup,
+                      quot: linalg.FgAbelianGroup,
+                      tail: linalg.FgAbelianGroup) -> homology.GroupSequence:
+    """The five-term window 0 -> sub -> middle -> quot -> tail.
 
-    The middle group is presented by the splitting conclusion; inclusion
-    hits the first k coordinates and the quotient map reads off the last.
+    The middle group is the splitting conclusion, checked as it stands:
+    inclusion hits the first coordinates of sub + quot and the quotient
+    map reads off the last, so a middle of any other size fails the shape
+    check.
     """
-    groups = (
-        homology.GroupPresentation.trivial(),
-        homology.GroupPresentation.free(k),
-        homology.GroupPresentation.free(k + 1),
-        homology.GroupPresentation.free(1),
-        tail,
-    )
-    incl = linalg.IntegerMatrix._make(k + 1, k,
-                                      linalg.IntegerMatrix.identity(k).entries + (0,) * k)
-    proj = linalg.IntegerMatrix._make(1, k + 1, (0,) * k + (1,))
+    a, b = sub.element_length(), quot.element_length()
+    incl = linalg.IntegerMatrix._make(a + b, a,
+                                      linalg.IntegerMatrix.identity(a).entries + (0,) * (a * b))
+    proj = linalg.IntegerMatrix.zero(b, a).hstack(linalg.IntegerMatrix.identity(b))
     maps = (
-        linalg.IntegerMatrix.zero(k, 0),
+        linalg.IntegerMatrix.zero(a, 0),
         incl,
         proj,
-        linalg.IntegerMatrix.zero(tail.generators, 1),
+        linalg.IntegerMatrix.zero(tail.element_length(), b),
     )
-    return homology.GroupSequence(groups, maps)
+    return homology.GroupSequence((linalg.FgAbelianGroup.trivial(), sub, middle, quot, tail),
+                                  maps)
 
 
-def _vanishing_window(left: homology.GroupPresentation, middle: homology.GroupPresentation,
-                      right: homology.GroupPresentation) -> homology.GroupSequence:
+def _vanishing_window(left: linalg.FgAbelianGroup, middle: linalg.FgAbelianGroup,
+                      right: linalg.FgAbelianGroup) -> homology.GroupSequence:
     """The window left -> 0 -> middle -> 0 -> right with zero maps."""
-    groups = (
-        left,
-        homology.GroupPresentation.trivial(),
-        middle,
-        homology.GroupPresentation.trivial(),
-        right,
-    )
+    zero = linalg.FgAbelianGroup.trivial()
     maps = (
-        linalg.IntegerMatrix.zero(0, left.generators),
-        linalg.IntegerMatrix.zero(middle.generators, 0),
-        linalg.IntegerMatrix.zero(0, middle.generators),
-        linalg.IntegerMatrix.zero(right.generators, 0),
+        linalg.IntegerMatrix.zero(0, left.element_length()),
+        linalg.IntegerMatrix.zero(middle.element_length(), 0),
+        linalg.IntegerMatrix.zero(0, middle.element_length()),
+        linalg.IntegerMatrix.zero(right.element_length(), 0),
     )
-    return homology.GroupSequence(groups, maps)
+    return homology.GroupSequence((left, zero, middle, zero, right), maps)
 
 
 def _identity_ladder(window: homology.GroupSequence) -> homology.Ladder:
-    verticals = tuple(linalg.IntegerMatrix.identity(g.generators) for g in window.groups)
+    verticals = tuple(linalg.IntegerMatrix.identity(g.element_length()) for g in window.groups)
     return homology.Ladder(window, window, verticals)
 
 
@@ -408,15 +401,13 @@ def _induction_stages(n: int):
         # degree-0 window: 0 -> Z^k -> middle -> Z -> (suspension tail)
         quot = reduced_sphere_k(2 * k + 2)
         middle = homology.split_free_extension(prev_reduced, quot)
-        tail = homology.GroupPresentation.from_group(prev_k1)
-        window0 = _inclusion_window(k, tail)
+        window0 = _inclusion_window(prev_reduced, middle, quot, prev_k1)
         exact0, verdict0 = _check_window(window0)
         step0 = InductionStep(
             index=len(steps),
             kind="k0-extension",
             stage=k,
-            window=("0", prev_reduced.render(), middle.render(), quot.render(),
-                    prev_k1.render()),
+            window=tuple(g.render() for g in window0.groups),
             rules=(
                 f"inductive-hypothesis: reduced K(CP^{k}) = {prev_reduced.render()}",
                 f"sphere-axiom-table: reduced K(S^{2 * k + 2}) = {quot.render()}",
@@ -431,18 +422,13 @@ def _induction_stages(n: int):
         # degree-1 window: Z -> 0 -> middle -> 0 -> Z^(k+1), middle pinched to 0
         prev_k0 = homology.split_free_extension(prev_reduced, linalg.FgAbelianGroup.free(1))
         new_k1 = linalg.FgAbelianGroup.trivial()
-        window1 = _vanishing_window(
-            homology.GroupPresentation.from_group(reduced_sphere_k(2 * k + 2)),
-            homology.GroupPresentation.from_group(new_k1),
-            homology.GroupPresentation.from_group(prev_k0),
-        )
+        window1 = _vanishing_window(quot, new_k1, prev_k0)
         exact1, verdict1 = _check_window(window1)
         step1 = InductionStep(
             index=len(steps) + 1,
             kind="k1-vanishing",
             stage=k,
-            window=(reduced_sphere_k(2 * k + 2).render(), "0", new_k1.render(), "0",
-                    prev_k0.render()),
+            window=tuple(g.render() for g in window1.groups),
             rules=(
                 f"inductive-hypothesis: K^1(CP^{k}) = {prev_k1.render()}",
                 f"sphere-axiom-table: K^1(S^{2 * k + 2}) = reduced K(S^{2 * k + 3}) = 0",

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import kproj
 from kproj.cli import (
     COHOMOLOGY_MAX_TOP,
     FORMAT_VERSION,
@@ -96,6 +100,12 @@ class TestChCommand:
         code, _, err = run(capsys, "ch", "cpn:3", "--class", "0,1,0,0",
                            "--chern", "1+x", "--rank", "1", "--order", "1")
         assert code != 0
+
+    @pytest.mark.parametrize("option", [("--order", "7"), ("--rank", "9")])
+    def test_bundle_options_rejected_in_the_class_form(self, capsys, option):
+        code, out, err = run(capsys, "ch", "cpn:3", "--class=0,1,0,0", *option)
+        assert (code, out) == (2, "")
+        assert err == "error: --class selects the class form; drop --rank and --order\n"
 
     def test_class_form_machine(self, capsys):
         doc = run_machine(capsys, "ch", "cpn:2", "--class", "0,1,0")
@@ -517,3 +527,19 @@ class TestTopLevel:
         code, _, err = run(capsys)
         assert code != 0
         assert "usage" in err
+
+    def test_a_reader_that_stops_early_gets_no_traceback(self):
+        # trace 200 prints 233 KB, more than a pipe holds, so the write after
+        # the reader closes its end fails
+        src = str(Path(kproj.__file__).resolve().parent.parent)
+        code = ("import sys; sys.path.insert(0, sys.argv.pop(1)); import kproj.cli; "
+                "kproj.cli.main_entry()")
+        proc = subprocess.Popen([sys.executable, "-c", code, src, "--format", "machine",
+                                 "trace", "200"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

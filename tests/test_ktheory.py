@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kproj.homology as homology_module
 import kproj.ktheory as ktheory_module
 from kproj.cli import main
 from kproj.homology import cohomology, cpn_complex
@@ -304,6 +305,20 @@ class TestReplayInduction:
     def test_requires_positive_n(self):
         with pytest.raises(ValueError):
             replay_induction(0)
+
+    def test_a_wrong_splitting_conclusion_breaks_its_window(self, monkeypatch):
+        # the window is built around the middle group the step concludes, so
+        # a conclusion with a spare Z summand cannot pass as Z^(k+1)
+        def one_summand_too_many(sub, quot):
+            return sub.direct_sum(quot).direct_sum(Z)
+
+        monkeypatch.setattr(homology_module, "split_free_extension", one_summand_too_many)
+        ktheory_module._induction_stages.cache_clear()
+        try:
+            with pytest.raises(ValueError, match="map 1 has the wrong shape"):
+                replay_induction(3)
+        finally:
+            ktheory_module._induction_stages.cache_clear()
 
     def test_trace_serialization_roundtrips_through_json(self, capsys):
         # each step of the document rebuilds its record, and each group its invariants

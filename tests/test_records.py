@@ -11,7 +11,7 @@ import kproj
 from kproj._record import Record
 from kproj.chern import FormalBundle, NewtonPolynomial, newton_s
 from kproj.grothendieck import FiniteCommutativeMonoid, FreeCommutativeMonoid
-from kproj.homology import ChainComplex, GroupPresentation, GroupSequence, Ladder
+from kproj.homology import ChainComplex, GroupSequence, Ladder
 from kproj.ktheory import (
     InductionStep,
     InductionTrace,
@@ -25,12 +25,11 @@ from kproj.truncpoly import TruncPoly
 
 Z = FgAbelianGroup.free(1)
 ZERO = FgAbelianGroup.trivial()
-FREE1 = GroupPresentation.free(1)
+FREE1 = FgAbelianGroup.free(1)
 
 
 def five_term_sequence():
-    groups = (GroupPresentation.trivial(), FREE1, FREE1, GroupPresentation.trivial(),
-              GroupPresentation.trivial())
+    groups = (ZERO, FREE1, FREE1, ZERO, ZERO)
     maps = (IntegerMatrix.zero(1, 0), IntegerMatrix.identity(1), IntegerMatrix.zero(0, 1),
             IntegerMatrix.zero(0, 0))
     return GroupSequence(groups, maps)
@@ -38,7 +37,7 @@ def five_term_sequence():
 
 def ladder():
     row = five_term_sequence()
-    return Ladder(row, row, tuple(IntegerMatrix.identity(g.generators) for g in row.groups))
+    return Ladder(row, row, tuple(IntegerMatrix.identity(g.element_length()) for g in row.groups))
 
 
 def induction_step():
@@ -53,7 +52,6 @@ FACTORIES = {
     "FgAbelianGroup": lambda: FgAbelianGroup(1, (2, 4)),
     "ChainComplex": lambda: ChainComplex((1, 0, 1), (IntegerMatrix.zero(1, 0),
                                                      IntegerMatrix.zero(0, 1))),
-    "GroupPresentation": lambda: GroupPresentation(2, IntegerMatrix(1, 2, (2, 0))),
     "GroupSequence": five_term_sequence,
     "Ladder": ladder,
     "Space": lambda: Space("cpn", 3),
@@ -74,7 +72,7 @@ def test_the_table_covers_every_record_class():
                 if isinstance(value := getattr(kproj, name), type)
                 and issubclass(value, Record)}
     assert set(FACTORIES) == exported
-    assert len(FACTORIES) == 16
+    assert len(FACTORIES) == 15
 
 
 @pytest.mark.parametrize("name", FACTORIES)
@@ -153,7 +151,7 @@ LIST_BUILT = {
                                             list(five_term_sequence().maps)),
                       five_term_sequence),
     "Ladder": (lambda: Ladder(five_term_sequence(), five_term_sequence(),
-                              [IntegerMatrix.identity(g.generators)
+                              [IntegerMatrix.identity(g.element_length())
                                for g in five_term_sequence().groups]),
                ladder),
     "KGroupTable": (lambda: KGroupTable(Space.sphere(2), [[0, FgAbelianGroup(2)], [1, ZERO]]),
@@ -191,12 +189,10 @@ def test_replayed_records_compare_by_value():
     (lambda: ChainComplex((1, 1), (IntegerMatrix.zero(2, 1),)), "degree 1 has the wrong shape"),
     (lambda: ChainComplex((1, 1, 1), (IntegerMatrix(1, 1, (1,)),) * 2),
      "composite in degree 2 is nonzero"),
-    (lambda: GroupPresentation(-1, IntegerMatrix.zero(0, 0)), "generator count"),
-    (lambda: GroupPresentation(2, IntegerMatrix.zero(0, 1)), "relation matrix width"),
     (lambda: GroupSequence((FREE1, FREE1), ()), "one map between consecutive groups"),
     (lambda: GroupSequence((FREE1, FREE1), (IntegerMatrix.zero(2, 1),)),
      "map 0 has the wrong shape"),
-    (lambda: GroupSequence((GroupPresentation(1, IntegerMatrix(1, 1, (2,))), FREE1),
+    (lambda: GroupSequence((FgAbelianGroup.cyclic(2), FREE1),
                            (IntegerMatrix.identity(1),)), "map 0 does not preserve relations"),
     (lambda: Ladder(*(five_term_sequence(),) * 2, ()), "five columns"),
     (lambda: Ladder(*(five_term_sequence(),) * 2, (IntegerMatrix.zero(1, 1),) * 5),
