@@ -8,9 +8,11 @@ the Five Lemma), group completion of commutative monoids, truncated
 polynomial rings over exact rationals, and the Chern character calculus
 on top of Newton's identities.
 
-The six compute modules are loaded lazily: each is in sys.modules and is
-an attribute of the package from the start, but its code runs on the
-first attribute read.  The names below are re-exported on first use.
+The six compute modules, and the private _elimination that linalg calls
+for matrices outside its closed form, are loaded lazily: each is in
+sys.modules and is an attribute of the package from the start, but its
+code runs on the first attribute read.  The names below are re-exported
+on first use.
 """
 
 import sys
@@ -96,7 +98,7 @@ def _lazy_submodule(name: str):
     return module
 
 
-globals().update({module: _lazy_submodule(module) for module in _EXPORTS})
+globals().update({module: _lazy_submodule(module) for module in (*_EXPORTS, "_elimination")})
 
 __all__ = sorted([*_EXPORTS, *_OWNER])
 

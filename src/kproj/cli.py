@@ -29,8 +29,9 @@ NEWTON_MAX_K = 40
 # 0.7 MB, ring 400 about 20 s and 2.8 MB
 RING_MAX_N = 200
 # trace N and kgroups cpn:N replay the induction, which grows faster than
-# N^2: about 0.28 s at N = 100 and 0.9-1.0 s at N = 200, so N stays at most
-# 200 until trace 200 runs in under 0.5 s
+# N^2: end to end, 0.18-0.22 s at N = 100 and 0.67-0.84 s at N = 200 on a
+# shared 2-vCPU x86-64 host under Python 3.11, so N stays at most 200 until
+# trace 200 runs in under 0.5 s
 REPLAY_MAX_N = 200
 # cohomology of cpn:N or sphere:M builds a cell complex of top degree 2N
 # or M and prints one row per degree: top degree 30000 takes about 2 s
@@ -400,11 +401,14 @@ def main_entry():
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: send what is left to devnull, so that the
-        # flush at exit cannot fail again, and report it in the exit status only
+    except OSError as exc:
+        # writing stdout failed: a closed pipe is reported in the exit status
+        # only, any other error (a full disk, say) in one line.  What is left
+        # goes to devnull, so that the flush at exit cannot fail again
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+        code = 1
     sys.exit(code)
 
 

@@ -20,7 +20,6 @@ is the only fact taken on faith.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -202,6 +201,8 @@ def chern_character_map(a: KClass) -> truncpoly.TruncPoly:
     (exp(x) - 1)^(n+1) = 0 at this truncation.  The degree-m coefficient
     is the integer sum_k c_k k! S(m, k) over the nonzero c_k, divided by m!.
     """
+    from fractions import Fraction  # here, not at the top: the replay never loads fractions
+
     terms = [(k, c * factorial(k)) for k, c in enumerate(a.coeffs) if c]
     coeffs = []
     fact_m = 1

@@ -528,14 +528,16 @@ class TestTopLevel:
         assert code != 0
         assert "usage" in err
 
+    # the console script, run on this checkout: python -c ENTRY SRC KPROJ_ARGS...
+    ENTRY = ("import sys; sys.path.insert(0, sys.argv.pop(1)); import kproj.cli; "
+             "kproj.cli.main_entry()")
+    SRC = str(Path(kproj.__file__).resolve().parent.parent)
+
     def test_a_reader_that_stops_early_gets_no_traceback(self):
         # trace 200 prints 233 KB, more than a pipe holds, so the write after
         # the reader closes its end fails
-        src = str(Path(kproj.__file__).resolve().parent.parent)
-        code = ("import sys; sys.path.insert(0, sys.argv.pop(1)); import kproj.cli; "
-                "kproj.cli.main_entry()")
-        proc = subprocess.Popen([sys.executable, "-c", code, src, "--format", "machine",
-                                 "trace", "200"],
+        proc = subprocess.Popen([sys.executable, "-c", self.ENTRY, self.SRC,
+                                 "--format", "machine", "trace", "200"],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
@@ -543,3 +545,15 @@ class TestTopLevel:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ("trace", "3"),  # fails on the flush after main
+        ("--format", "machine", "trace", "64"),  # 74 KB: fails inside print
+    ], ids=" ".join)
+    def test_a_full_device_is_one_error_line(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-c", self.ENTRY, self.SRC, *argv],
+                                  stdout=full, stderr=subprocess.PIPE, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: [Errno 28] No space left on device\n"

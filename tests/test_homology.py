@@ -20,7 +20,7 @@ from kproj.homology import (
     sphere_complex,
     split_free_extension,
 )
-import kproj.linalg as linalg_module
+import kproj._elimination as elimination_module
 from kproj.linalg import (
     FgAbelianGroup,
     IntegerMatrix,
@@ -373,10 +373,10 @@ class TestInducedIsomorphism:
         # transforms the preimage already computed, so no d-only computation runs
         calls = []
         for name in ("_invariant_factors", "_eliminate"):
-            def counted(a, original=getattr(linalg_module, name), name=name):
+            def counted(a, original=getattr(elimination_module, name), name=name):
                 calls.append(name)
                 return original(a)
-            monkeypatch.setattr(linalg_module, name, counted)
+            monkeypatch.setattr(elimination_module, name, counted)
         smith_normal_form.cache_clear()
         p = FgAbelianGroup.cyclic(4)
         assert induced_map_is_isomorphism(mat([[3]]), p, p)

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kproj._elimination as elimination_module
 import kproj.homology as homology_module
 import kproj.ktheory as ktheory_module
+import kproj.linalg as linalg_module
 from kproj.cli import main
 from kproj.homology import cohomology, cpn_complex
 from kproj.ktheory import (
@@ -374,6 +376,33 @@ class TestKGroups:
             even_rank = sum(cohomology(c, k).free_rank
                             for k in range(0, 2 * n + 1, 2))
             assert k_groups(Space.cpn(n), 0).free_rank == even_rank
+
+
+def general_elimination_must_not_run(*args):
+    raise AssertionError("the general elimination ran")
+
+
+def replay_from_cleared_caches(capsys):
+    """replay_induction(20) and the document of `kproj kgroups cpn:12`, each computed afresh."""
+    ktheory_module._induction_stages.cache_clear()
+    linalg_module.smith_normal_form.cache_clear()
+    trace = replay_induction(20)
+    ktheory_module._induction_stages.cache_clear()
+    linalg_module.smith_normal_form.cache_clear()
+    assert main(["--format", "machine", "kgroups", "cpn:12"]) == 0
+    return trace, capsys.readouterr().out
+
+
+def test_the_replay_runs_in_closed_form_only(monkeypatch, capsys):
+    # so a replay process never needs _elimination: see tests/test_lazy_imports.py
+    expected = replay_from_cleared_caches(capsys)
+    for name in ("_bareiss", "_invariant_factors", "_eliminate"):
+        monkeypatch.setattr(elimination_module, name, general_elimination_must_not_run)
+    try:
+        assert replay_from_cleared_caches(capsys) == expected
+    finally:
+        ktheory_module._induction_stages.cache_clear()
+        linalg_module.smith_normal_form.cache_clear()
 
 
 class TestBott:

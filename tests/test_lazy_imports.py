@@ -2,7 +2,9 @@
 
 Each case starts a fresh interpreter.  A kproj module counts as run when
 its object in sys.modules is a plain module: a lazy module not loaded yet
-is of a subclass, and turns into a plain module when it loads.
+is of a subclass, and turns into a plain module when it loads.  The
+private _elimination is registered the same way; it runs only for a matrix
+that linalg cannot decompose in closed form.
 """
 
 import subprocess
@@ -26,48 +28,81 @@ if sys.argv[2:]:
 print(" ".join(sorted(name for name, module in sys.modules.items()
                       if name.startswith("kproj.") and type(module) is types.ModuleType)))
 print(" ".join(sorted(name for name in sys.modules if name.startswith("kproj."))))
+print(" ".join(name for name in ("decimal", "fractions", "numbers") if name in sys.modules))
 """
 
 
 def probe(*argv):
-    """(modules run, modules registered) after `kproj ARGV` in a fresh interpreter."""
+    """(modules run, modules registered, rational-number modules imported) after `kproj ARGV`.
+
+    The last set holds those of fractions, decimal and numbers (which
+    fractions imports) that the interpreter loaded.
+    """
     proc = subprocess.run([sys.executable, "-c", PROBE, SRC, *map(str, argv)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    ran, registered = proc.stdout.splitlines()
-    return {name[len("kproj."):] for name in ran.split()}, set(registered.split())
+    ran, registered, rationals = proc.stdout.splitlines()
+    return ({name[len("kproj."):] for name in ran.split()}, set(registered.split()),
+            set(rationals.split()))
 
 
 def test_import_registers_every_module_and_runs_none():
     # perfbench/shim.py reads sys.modules["kproj.<module>"] right after import
-    ran, registered = probe()
-    assert registered == {f"kproj.{m}" for m in (*COMPUTE, "cli")}
+    ran, registered, _ = probe()
+    assert registered == {f"kproj.{m}" for m in (*COMPUTE, "_elimination", "cli")}
     assert ran == {"cli"}
 
 
 @pytest.mark.parametrize("argv, expected", [
     (("--version",), {"cli"}),
-    (("smith", "--matrix", "{matrix}"), {"cli", "_record", "linalg"}),
-    (("groth", "--table", "{table}"), {"cli", "_record", "linalg", "grothendieck"}),
+    (("smith", "--matrix", "{matrix}"), {"cli", "_record", "linalg", "_elimination"}),
+    (("groth", "--table", "{table}"),
+     {"cli", "_record", "linalg", "_elimination", "grothendieck"}),
+    (("cohomology", "cpn:3"), {"cli", "_record", "linalg", "_elimination", "homology", "ktheory"}),
+    (("bott-check",), {"cli", "_record", "linalg", "_elimination", "ktheory"}),
 ])
 def test_a_subcommand_runs_exactly_the_modules_it_needs(tmp_path, argv, expected):
     matrix, table = tmp_path / "m.matrix", tmp_path / "z3.table"
     matrix.write_text("2 2\n2 4\n6 8\n")
     table.write_text("3 0\n0 1 2\n1 2 0\n2 0 1\n")
-    ran, _ = probe(*(a.format(matrix=matrix, table=table) for a in argv))
+    ran, _, _ = probe(*(a.format(matrix=matrix, table=table) for a in argv))
     assert ran == expected
 
 
 @pytest.mark.parametrize("argv, unused", [
     (("ring", "3"), {"linalg", "homology"}),
     (("ch", "cpn:3", "--class=0,1,0,0"), {"linalg", "homology"}),
-    (("trace", "3"), {"truncpoly", "chern", "grothendieck"}),
-    (("kgroups", "cpn:3"), {"truncpoly", "chern", "grothendieck"}),
+    (("trace", "3"), {"truncpoly", "chern", "grothendieck", "_elimination"}),
+    (("kgroups", "cpn:3"), {"truncpoly", "chern", "grothendieck", "_elimination"}),
 ])
 def test_a_subcommand_leaves_other_layers_unrun(argv, unused):
-    ran, _ = probe(*argv)
+    ran, _, _ = probe(*argv)
     assert "ktheory" in ran
     assert not ran & unused
+
+
+@pytest.mark.parametrize("argv", [
+    ("trace", "20"),
+    ("kgroups", "cpn:12"),
+    ("kgroups", "cpn:12", "--q", "1"),
+], ids=" ".join)
+def test_the_replay_loads_no_rationals_and_no_general_elimination(argv):
+    # every matrix of the replay is a signed partial permutation, decomposed in closed form
+    ran, _, rationals = probe(*argv)
+    assert {"homology", "linalg"} <= ran
+    assert "_elimination" not in ran
+    assert rationals == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("ring", "5"),
+    ("ch", "cpn:3", "--class=0,1,0,0"),
+    ("ch", "--rank", "2", "--chern", "1+2x+x^2", "--order", "3"),
+], ids=" ".join)
+def test_the_ring_side_loads_rationals_through_truncpoly(argv):
+    ran, _, rationals = probe(*argv)
+    assert "truncpoly" in ran
+    assert rationals == {"decimal", "fractions", "numbers"}
 
 
 # kproj.__all__ as it was when every module was imported eagerly, less a deleted

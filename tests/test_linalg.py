@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kproj._elimination as elimination_module
 import kproj.ktheory as ktheory_module
 import kproj.linalg as linalg_module
 from kproj.grothendieck import FreeCommutativeMonoid
@@ -592,7 +593,7 @@ class TestSignedPartialPermutationsInClosedForm:
     @given(signed_partial_permutations())
     def test_closed_form_against_oracles(self, a):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg_module, "_min_abs_entry", general_loop_must_not_run)
+            patch.setattr(elimination_module, "_min_abs_entry", general_loop_must_not_run)
             form = SmithForm(a)
             u, v = form.u, form.v  # transforms first: d comes from the closed form
         assert form.d == (1,) * (a.rows * a.cols - a.entries.count(0))
@@ -614,12 +615,12 @@ class TestSignedPartialPermutationsInClosedForm:
         [[0, 1], [1, 1]],
     ])
     def test_near_misses_take_the_general_path(self, rows, monkeypatch):
-        searches, original = [], linalg_module._min_abs_entry
+        searches, original = [], elimination_module._min_abs_entry
 
         def counted(*args):
             searches.append(args)
             return original(*args)
-        monkeypatch.setattr(linalg_module, "_min_abs_entry", counted)
+        monkeypatch.setattr(elimination_module, "_min_abs_entry", counted)
         a = IntegerMatrix.from_rows(rows)
         assert_decomposes(a, SmithForm(a))
         assert searches
@@ -649,14 +650,14 @@ def eliminations(monkeypatch):
     """Which routine ran for every Smith computation, from a cleared cache on.
 
     "d" is _invariant_factors, which builds no transforms; "transforms" is
-    _eliminate, which builds u and v.
+    the general _eliminate, which builds u and v.
     """
     calls = []
     for name, label in (("_invariant_factors", "d"), ("_eliminate", "transforms")):
-        def counted(a, original=getattr(linalg_module, name), label=label):
+        def counted(a, original=getattr(elimination_module, name), label=label):
             calls.append(label)
             return original(a)
-        monkeypatch.setattr(linalg_module, name, counted)
+        monkeypatch.setattr(elimination_module, name, counted)
     smith_normal_form.cache_clear()
     yield calls
     smith_normal_form.cache_clear()
@@ -727,7 +728,7 @@ class TestLazyTransforms:
 def modular_steps(monkeypatch):
     """The moduli of _diagonal_mod and the (pivot, entry) pairs of its gcd steps."""
     steps = {"moduli": [], "gcd": []}
-    original_mod, original_step = linalg_module._diagonal_mod, linalg_module._gcd_step
+    original_mod, original_step = elimination_module._diagonal_mod, elimination_module._gcd_step
 
     def diagonal_mod(a, modulus, k):
         steps["moduli"].append(modulus)
@@ -736,8 +737,8 @@ def modular_steps(monkeypatch):
     def gcd_step(a, b):
         steps["gcd"].append((a, b))
         return original_step(a, b)
-    monkeypatch.setattr(linalg_module, "_diagonal_mod", diagonal_mod)
-    monkeypatch.setattr(linalg_module, "_gcd_step", gcd_step)
+    monkeypatch.setattr(elimination_module, "_diagonal_mod", diagonal_mod)
+    monkeypatch.setattr(elimination_module, "_gcd_step", gcd_step)
     return steps
 
 
