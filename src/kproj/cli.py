@@ -13,6 +13,7 @@ the computation succeeded.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -29,9 +30,9 @@ NEWTON_MAX_K = 40
 # 0.7 MB, ring 400 about 20 s and 2.8 MB
 RING_MAX_N = 200
 # trace N and kgroups cpn:N replay the induction, which grows faster than
-# N^2: end to end, 0.18-0.22 s at N = 100 and 0.67-0.84 s at N = 200 on a
-# shared 2-vCPU x86-64 host under Python 3.11, so N stays at most 200 until
-# trace 200 runs in under 0.5 s
+# N^2: end to end, 0.26-0.28 s at N = 100 and 0.88-0.90 s at N = 200
+# (quartiles of 11, no bytecode cache) on a shared 2-vCPU x86-64 host under
+# Python 3.11, so N stays at most 200 until trace 200 runs in under 0.5 s
 REPLAY_MAX_N = 200
 # cohomology of cpn:N or sphere:M builds a cell complex of top degree 2N
 # or M and prints one row per degree: top degree 30000 takes about 2 s
@@ -409,6 +410,10 @@ def main_entry():
             print(f"error: {exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
+    finally:
+        # the process is ending, so a full collection of everything it holds is
+        # wasted work: frozen objects are skipped by the collection at shutdown
+        gc.freeze()
     sys.exit(code)
 
 

@@ -161,6 +161,8 @@ def _preimage_generators(block: linalg.IntegerMatrix, width: int) -> linalg.Inte
     basis generate the preimage lattice.
     """
     kb = linalg.kernel_basis(block)
+    if kb.rows == width:  # no relation columns: the kernel basis is the preimage
+        return kb
     return linalg.IntegerMatrix._make(width, kb.cols, kb.entries[:width * kb.cols])
 
 

@@ -204,6 +204,8 @@ class TruncPoly:
         Every sign must lead a term and every "*" stand before x: "1-+x",
         "1+x+", "-" and "2*-x" are rejected.
         """
+        if order is not None and order < 0:
+            raise ValueError("truncation order must be nonnegative")
         compact = re.sub(r"\s+", "", text)
         if not compact:
             raise ValueError("empty polynomial text")

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import subprocess
@@ -128,6 +129,11 @@ class TestChCommand:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:") and "at most 1000" in err
+
+    def test_negative_order_is_a_one_line_error(self, capsys):
+        code, out, err = run(capsys, "ch", "--rank", "1", "--chern", "1", "--order", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: truncation order must be nonnegative\n"
 
     def test_order_at_the_bound_is_accepted(self, capsys):
         doc = run_machine(capsys, "ch", "--rank", "1", "--chern", "1+x",
@@ -545,6 +551,30 @@ class TestTopLevel:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert err == b""
+
+    # an atexit hook, registered before kproj loads so that it runs last, that
+    # reports whether the heap was frozen
+    EXIT_PROBE = ("import atexit, gc, sys; atexit.register(lambda: sys.stderr.write("
+                  "f'frozen at exit: {gc.get_freeze_count() > 0}\\n')); ")
+
+    @pytest.mark.parametrize("argv", [
+        ("--version",),
+        ("--format", "machine", "trace", "3"),
+        ("trace",),  # argparse exits 2 by raising SystemExit
+    ], ids=" ".join)
+    def test_the_console_script_runs_atexit_on_a_frozen_heap(self, capsys, argv):
+        proc = subprocess.run([sys.executable, "-c", self.EXIT_PROBE + self.ENTRY, self.SRC,
+                               *argv], capture_output=True, text=True, timeout=60)
+        frozen = gc.get_freeze_count()
+        try:
+            code = main(list(argv))
+        except SystemExit as exited:
+            code = exited.code
+        assert gc.get_freeze_count() == frozen  # main leaves its caller's heap alone
+        captured = capsys.readouterr()
+        assert proc.returncode == code
+        assert proc.stdout == captured.out
+        assert proc.stderr == captured.err + "frozen at exit: True\n"
 
     @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [

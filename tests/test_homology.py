@@ -19,6 +19,7 @@ from kproj.homology import (
     is_exact_at,
     sphere_complex,
     split_free_extension,
+    _preimage_generators,
 )
 import kproj._elimination as elimination_module
 from kproj.linalg import (
@@ -272,6 +273,25 @@ class TestExactness:
         s = GroupSequence(groups, maps)
         for i in (1, 2, 3):
             assert is_exact_at(s, i)
+
+
+class TestPreimageGenerators:
+    def test_without_relations_the_kernel_basis_is_returned_as_it_is(self):
+        # a replay window's block: the target is free, so the block is f alone
+        block = mat([[1, -1, 0], [0, 1, -1]])
+        assert _preimage_generators(block, block.cols) is kernel_basis(block)
+
+    @pytest.mark.parametrize("f, relations, expected", [
+        ([[1]], [[2]], [[2]]),  # Z -> Z/2: the even integers
+        ([[1, 0], [0, 2]], [[0], [4]], [[0], [2]]),  # Z^2 -> Z + Z/4
+    ])
+    def test_with_torsion_the_lattice_is_the_preimage_of_the_relations(
+            self, f, relations, expected):
+        f, expected = mat(f), mat(expected)
+        pre = _preimage_generators(f.hstack(-mat(relations)), f.cols)
+        assert pre.rows == f.cols
+        assert solve_integer(pre, expected) is not None
+        assert solve_integer(expected, pre) is not None
 
 
 def cyclic_quotient_sequence(order):
