@@ -5,11 +5,12 @@ table, and free commutative monoids N^k whose elements are exponent
 vectors.  The completion is built from pairs (x, y), thought of as formal
 differences, identified when x + v + t = u + y + t for some translating
 element t.  A finite monoid M has a least ideal K = M + a, where a is
-the sum of all elements; K is a group, and (x, y) ~ (u, v) exactly when
-x + v + a == u + y + a.  So each pair is keyed in one pass by the group
-difference (x + a) - (y + a) in K, and the quotient is classified as an
-abelian group in invariant-factor form.  For N^k the relation is
-cancellative and the completion is Z^k on the nose.
+the sum of all elements.  K is a group whose identity e is its only
+idempotent, and x |-> x + e is the universal map from M to a group, so
+K already is the completion: the pair (x, y) is the element
+(x + e) - (y + e) of K, found on demand, and K's addition table is
+classified as an abelian group in invariant-factor form.  For N^k the
+relation is cancellative and the completion is Z^k on the nose.
 
 The word problem for general presented monoids is undecidable, which is
 why exactly these two carriers (and nothing more ambitious) exist here.
@@ -17,7 +18,7 @@ why exactly these two carriers (and nothing more ambitious) exist here.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from . import linalg
 from ._record import Record
@@ -204,8 +205,9 @@ class GrothendieckGroup:
     class_of_pair sends a formal difference (x, y) to its class, so that
     class_of(x) - class_of(y) is always the class of (x, y).
 
-    For a finite monoid the class values are indices into the list of
-    pair-equivalence classes; for N^k they are integer vectors in Z^k.
+    For a finite monoid the class values are indices into the elements
+    of the least ideal K, in the order x + e for x = 0, 1, .., where e is
+    K's identity; for N^k they are integer vectors in Z^k.
     """
 
     def __init__(self, monoid: Monoid):
@@ -213,35 +215,26 @@ class GrothendieckGroup:
         if isinstance(monoid, FreeCommutativeMonoid):
             self.kind = "free"
             self.carrier = linalg.FgAbelianGroup.free(monoid.generator_count)
-            self._classes = None
             return
         self.kind = "finite"
         # a, the sum of all elements, lies in every ideal, so K = M + a is
-        # the least ideal: a finite group.  (x, y) ~ (u, v) exactly when
-        # x + v + a == u + y + a, so (x + a) - (y + a) in K keys the class.
+        # the least ideal, a finite group
         t, a = monoid.table, 0
         for x in range(1, monoid.size):
             a = t[a][x]
-        kernel = set(t[a])
-        minus = {g: h for g in kernel for h in kernel if t[g][h] == a}  # h = a - g
-        keys: dict[int, int] = {}
-        self._pair_class = {}
-        for x in range(monoid.size):
-            for y in range(monoid.size):
-                key = t[x][minus[t[y][a]]]
-                self._pair_class[(x, y)] = keys.setdefault(key, len(keys))
-        self._classes = [[] for _ in range(len(keys))]
-        for pair, cls in self._pair_class.items():
-            self._classes[cls].append(pair)
-        by_class = list(keys)
-        self._add_table = [tuple(keys[t[g][h]] for h in by_class) for g in by_class]
+        self._zero = e = next(k for k in t[a] if t[k][k] == k)
+        self._elements = tuple(dict.fromkeys(t[e]))
+        self._index = {k: i for i, k in enumerate(self._elements)}
+        self._minus = {g: h for g in self._elements for h in self._elements if t[g][h] == e}
+        self._add_table = [tuple(self._index[t[g][h]] for h in self._elements)
+                           for g in self._elements]
         self.carrier = _classify_group_table(self._add_table)
 
     # -- class arithmetic -------------------------------------------------
 
     @property
     def class_count(self) -> int | None:
-        return None if self.kind == "free" else len(self._classes)
+        return None if self.kind == "free" else len(self._elements)
 
     def class_of_pair(self, x, y):
         if self.kind == "free":
@@ -250,7 +243,9 @@ class GrothendieckGroup:
             return tuple(a - b for a, b in zip(x, y))
         if not (0 <= x < self.monoid.size and 0 <= y < self.monoid.size):
             raise ValueError("invalid element index")
-        return self._pair_class[(x, y)]
+        t = self.monoid.table
+        # x + (-(y + e)) already lies in the ideal K
+        return self._index[t[x][self._minus[t[y][self._zero]]]]
 
     def class_of(self, x):
         """The canonical map phi(x) = [(x + x, x)]."""
@@ -263,17 +258,6 @@ class GrothendieckGroup:
         if self.kind == "free":
             return tuple(a + b for a, b in zip(c1, c2))
         return self._add_table[c1][c2]
-
-    def classes(self):
-        """All class indices (finite carriers only)."""
-        if self.kind == "free":
-            raise ValueError("the completion of a free monoid is infinite")
-        return range(len(self._classes))
-
-    def class_members(self, c):
-        if self.kind == "free":
-            raise ValueError("the completion of a free monoid is infinite")
-        return tuple(self._classes[c])
 
 
 def completion(monoid: Monoid) -> GrothendieckGroup:
@@ -300,61 +284,37 @@ class CompletionHomomorphism:
 
 def universal_factor(monoid: Monoid, group: GrothendieckGroup,
                      target: linalg.FgAbelianGroup,
-                     psi) -> CompletionHomomorphism:
+                     psi: Sequence) -> CompletionHomomorphism:
     """Factor a monoid homomorphism psi through the completion.
 
-    psi gives target elements: for a finite monoid, one per monoid element
-    (sequence or mapping or callable); for N^k, one per generator.  The
-    homomorphism property is verified on all pairs in the finite case and
-    rejected with the violating pair; generator data on N^k extends
-    linearly, so there is nothing to check beyond well-formedness.
+    psi is a sequence of target elements: for a finite monoid, one per
+    monoid element; for N^k, one per generator.  The homomorphism
+    property is verified on all pairs in the finite case and rejected
+    with the violating pair; generator data on N^k extends linearly, so
+    there is nothing to check beyond well-formedness.
 
-    The returned map theta satisfies theta(phi(x)) = psi(x) everywhere and
-    is additive; both facts are verified before returning.  Uniqueness
-    comes for free: the phi-image generates the completion, and theta is
-    pinned there.
+    The returned map theta satisfies theta(phi(x)) = psi(x) and is
+    additive.  On N^k it is the linear extension.  On a finite monoid it
+    is psi read on the least ideal K: the class of (x, y) is the element
+    k = (x + e) - (y + e) of K, and a homomorphism has psi(e) = 0, so
+    psi(k) = psi(x) - psi(y).  Uniqueness comes for free: the phi-image
+    generates the completion, and theta is pinned there.
     """
     if group.monoid is not monoid and group.monoid != monoid:
         raise ValueError("completion does not belong to this monoid")
-
-    if isinstance(monoid, FreeCommutativeMonoid):
-        images = [target.normalize_element(psi[i] if not callable(psi) else psi(i))
-                  for i in range(monoid.generator_count)]
-        theta = CompletionHomomorphism(group, target, images)
-        for i in range(monoid.generator_count):
-            if theta(group.class_of(monoid.generator(i))) != images[i]:
-                raise RuntimeError("factorization failed on a generator")
-        return theta
-
+    values = [target.normalize_element(v) for v in psi]
+    free = isinstance(monoid, FreeCommutativeMonoid)
+    if len(values) != (monoid.generator_count if free else monoid.size):
+        raise ValueError("psi must assign a value to every "
+                         + ("generator" if free else "monoid element"))
+    if free:
+        return CompletionHomomorphism(group, target, values)
     n = monoid.size
-    if callable(psi):
-        values = [target.normalize_element(psi(x)) for x in range(n)]
-    elif isinstance(psi, Mapping):
-        values = [target.normalize_element(psi[x]) for x in range(n)]
-    else:
-        values = [target.normalize_element(v) for v in psi]
-        if len(values) != n:
-            raise ValueError("psi must assign a value to every monoid element")
     for x in range(n):
         for y in range(n):
             if values[monoid.add(x, y)] != target.add_elements(values[x], values[y]):
                 raise ValueError(
                     f"psi is not a homomorphism: fails at pair ({x}, {y})"
                 )
-    theta_values = {}
-    for c in group.classes():
-        seen = set()
-        for x, y in group.class_members(c):
-            seen.add(target.add_elements(values[x], target.negate_element(values[y])))
-        if len(seen) != 1:
-            raise RuntimeError(f"theta is not well defined on class {c}")
-        theta_values[c] = seen.pop()
-    theta = CompletionHomomorphism(group, target, theta_values)
-    for x in range(n):
-        if theta(group.class_of(x)) != values[x]:
-            raise RuntimeError(f"theta does not factor psi at element {x}")
-    for c1 in group.classes():
-        for c2 in group.classes():
-            if theta(group.add(c1, c2)) != target.add_elements(theta(c1), theta(c2)):
-                raise RuntimeError("theta is not additive")
-    return theta
+    theta = dict(enumerate(values[k] for k in group._elements))
+    return CompletionHomomorphism(group, target, theta)

@@ -132,15 +132,6 @@ class IntegerMatrix(Record):
     # algebra
     # ------------------------------------------------------------------
 
-    def transpose(self) -> "IntegerMatrix":
-        a, cols = self.entries, self.cols
-        if self.rows > 1 and cols > 1:  # else the row-major order is unchanged
-            flat = []
-            for j in range(cols):
-                flat += a[j::cols]
-            a = tuple(flat)
-        return IntegerMatrix._make(cols, self.rows, a)
-
     def __neg__(self) -> "IntegerMatrix":
         return IntegerMatrix._make(self.rows, self.cols, tuple(map(neg, self.entries)))
 
@@ -500,10 +491,6 @@ class FgAbelianGroup(Record):
         a = self.normalize_element(a)
         b = self.normalize_element(b)
         return self.normalize_element(tuple(x + y for x, y in zip(a, b)))
-
-    def negate_element(self, a: Sequence[int]) -> tuple[int, ...]:
-        a = self.normalize_element(a)
-        return self.normalize_element(tuple(-x for x in a))
 
     def scale_element(self, a: Sequence[int], c: int) -> tuple[int, ...]:
         a = self.normalize_element(a)

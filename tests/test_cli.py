@@ -338,6 +338,22 @@ class TestTraceCommand:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[n]
 
 
+def monogenic_times_z3_table() -> str:
+    """<a | 7a = 3a> x Z/3 as a Cayley table, element x renamed (5x + 4) mod 21.
+
+    Element 3i + j is (ia, j).  The identity is renamed 4, and the
+    identity (4a, 0) of the least ideal {3a, .., 6a} x Z/3 is renamed 1.
+    """
+    def add(x, y):
+        i, j = x // 3 + y // 3, (x + y) % 3
+        return 3 * (i if i < 7 else 3 + (i - 3) % 4) + j
+    rows = [[0] * 21 for _ in range(21)]
+    for x in range(21):
+        for y in range(21):
+            rows[(5 * x + 4) % 21][(5 * y + 4) % 21] = (5 * add(x, y) + 4) % 21
+    return "21 4\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
 class TestPinnedDocuments:
     # sha256 of machine documents; a change to one of them must be
     # deliberate and re-pin it.  The smith and groth documents echo the
@@ -347,6 +363,7 @@ class TestPinnedDocuments:
         "singular.matrix": "3 3\n2 4 6\n4 8 12\n0 0 6\n",
         "z3.table": "3 0\n0 1 2\n1 2 0\n2 0 1\n",
         "cap2.table": "3 0\n0 1 2\n1 2 2\n2 2 2\n",  # min(i + j, 2): not a group
+        "mono12.table": monogenic_times_z3_table(),
     }
     PINNED = {
         ("smith", "--matrix", "m3.matrix"):
@@ -357,6 +374,8 @@ class TestPinnedDocuments:
             "7ac6198ef94c3030f9f50a87f83d46f6201d127662095c45137b764a87d3e44a",
         ("groth", "--table", "cap2.table"):
             "f95bc78d7061f689578a1de426305a01e461bc8678744d5b1bd3912a9862911a",
+        ("groth", "--table", "mono12.table"):
+            "549b5a7aba90f5bd24872a851ddf06de19ae585086fcab6ccebd2e9e91f513ce",
         ("cohomology", "cpn:3"):
             "4ac026a658989c8b36a54c6572e281d6d7c4445017a0976f239ead13c586bffa",
         ("cohomology", "sphere:4", "--degree", "4"):

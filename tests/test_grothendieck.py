@@ -1,5 +1,6 @@
 import math
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -230,21 +231,7 @@ class TestCompletionClasses:
             for q in pairs[i:]:
                 same = g.class_of_pair(*p) == g.class_of_pair(*q)
                 assert same == pair_equivalent(m, *p, *q), (p, q)
-
-    @settings(max_examples=100, deadline=None)
-    @given(small_monoids())
-    def test_classes_numbered_by_first_pair(self, m):
-        g = completion(m)
-        seen = []
-        for p in product(range(m.size), repeat=2):
-            c = g.class_of_pair(*p)
-            if c not in seen:
-                assert c == len(seen)
-                seen.append(c)
-                assert g.class_members(c)[0] == p
-        assert list(g.classes()) == seen
-        assert g.class_count == len(seen)
-        assert sum(len(g.class_members(c)) for c in seen) == m.size ** 2
+        assert {g.class_of_pair(*p) for p in pairs} == set(range(g.class_count))
         assert g.carrier.free_rank == 0
         assert math.prod(g.carrier.torsion) == g.class_count
 
@@ -284,6 +271,25 @@ class TestCompletionClasses:
         assert {g.class_of_pair(x, y) for x in range(41) for y in range(41)} == {0}
 
 
+@st.composite
+def cyclic_products(draw):
+    """Cayley table of Z/n1 + .. + Z/nk (k <= 3, order <= 64), labels shuffled.
+
+    Returns the orders, the table and, for each label, its element.
+    """
+    orders = draw(st.lists(st.integers(1, 8), max_size=3)
+                  .filter(lambda ns: math.prod(ns) <= 64))
+    elements = list(product(*(range(n) for n in orders)))
+    perm = draw(st.permutations(range(len(elements))))
+    index = {e: perm[k] for k, e in enumerate(elements)}
+    table = [[0] * len(elements) for _ in elements]
+    for x in elements:
+        for y in elements:
+            s = tuple((a + b) % n for a, b, n in zip(x, y, orders))
+            table[index[x]][index[y]] = index[s]
+    return orders, tuple(map(tuple, table)), sorted(elements, key=index.get)
+
+
 class TestUniversalFactor:
     def test_inclusion_of_naturals(self):
         free = FreeCommutativeMonoid(1)
@@ -301,6 +307,8 @@ class TestUniversalFactor:
         assert theta(g.class_of((1, 0))) == (1,)
         assert theta(g.class_of((0, 1))) == (1,)
         assert theta((3, -2)) == (1,)
+        with pytest.raises(ValueError, match="every generator"):
+            universal_factor(free, g, target, [(1,)])
 
     def test_absorbing_monoid_only_zero_map(self):
         g = completion(ABSORBING)
@@ -309,6 +317,8 @@ class TestUniversalFactor:
         assert theta(g.class_of(ABSORBING.identity)) == (0,)
         with pytest.raises(ValueError, match=r"\(1, 1\)"):
             universal_factor(ABSORBING, g, target, [(0,), (1,)])
+        with pytest.raises(ValueError, match="every monoid element"):
+            universal_factor(ABSORBING, g, target, [(0,)])
 
     def test_non_homomorphism_rejected(self):
         m = FiniteCommutativeMonoid.cyclic_group(2)
@@ -332,39 +342,36 @@ class TestUniversalFactor:
 
     def test_uniqueness_on_classes(self):
         # theta is pinned on the phi-image, which generates: any pair in a
-        # class must give the same value
-        m = FiniteCommutativeMonoid.cyclic_group(3)
+        # class must give the same value.  K = {3a, .., 6a} has identity 4a,
+        # neither element 0 nor the monoid's identity, and psi(ka) = k mod 4.
+        m = monogenic(3, 4)
         g = completion(m)
-        target = FgAbelianGroup.cyclic(3)
-        psi = [(x,) for x in range(3)]
-        theta = universal_factor(m, g, target, psi)
-        for c in g.classes():
-            values = {target.add_elements(psi[x], target.negate_element(psi[y]))
-                      for x, y in g.class_members(c)}
-            assert values == {theta(c)}
+        theta = universal_factor(m, g, FgAbelianGroup.cyclic(4),
+                                 [(k % 4,) for k in range(m.size)])
+        values = {}
+        for x, y in product(range(m.size), repeat=2):
+            values.setdefault(g.class_of_pair(x, y), set()).add(((x - y) % 4,))
+        assert values == {c: {theta(c)} for c in range(g.class_count)}
 
-
-@st.composite
-def cyclic_products(draw):
-    """Cayley table of Z/n1 + .. + Z/nk (k <= 3, order <= 64), labels shuffled."""
-    orders = draw(st.lists(st.integers(1, 8), max_size=3)
-                  .filter(lambda ns: math.prod(ns) <= 64))
-    elements = list(product(*(range(n) for n in orders)))
-    perm = draw(st.permutations(range(len(elements))))
-    index = {e: perm[k] for k, e in enumerate(elements)}
-    table = [[0] * len(elements) for _ in elements]
-    for x in elements:
-        for y in elements:
-            s = tuple((a + b) % n for a, b, n in zip(x, y, orders))
-            table[index[x]][index[y]] = index[s]
-    return orders, tuple(map(tuple, table))
+    @settings(max_examples=60, deadline=None)
+    @given(cyclic_products(), st.integers(2, 12), st.data())
+    def test_theta_is_the_difference_of_psi(self, case, d, data):
+        # psi(x) = s . x mod d is a homomorphism when each s_i n_i is 0 mod d
+        orders, table, labels = case
+        s = [data.draw(st.integers(0, d)) * (d // math.gcd(d, n)) for n in orders]
+        psi = [(sum(map(mul, s, x)) % d,) for x in labels]
+        m = FiniteCommutativeMonoid(table, labels.index((0,) * len(orders)))
+        g = completion(m)
+        theta = universal_factor(m, g, FgAbelianGroup.cyclic(d), psi)
+        for x, y in product(range(m.size), repeat=2):
+            assert theta(g.class_of_pair(x, y)) == ((psi[x][0] - psi[y][0]) % d,)
 
 
 class TestGroupTablePresentation:
     @settings(max_examples=60, deadline=None)
     @given(cyclic_products())
     def test_generating_set_presents_the_same_group(self, case):
-        orders, table = case
+        orders, table, _ = case
         got = _classify_group_table(table)
         full = IntegerMatrix.from_rows(full_group_presentation(table), cols=len(table))
         assert got == cokernel(full)

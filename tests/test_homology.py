@@ -31,7 +31,7 @@ from kproj.linalg import (
     solve_integer,
 )
 
-from oracles import det_cofactor
+from oracles import det_cofactor, list_transpose
 
 Z = FgAbelianGroup.free(1)
 ZERO = FgAbelianGroup.trivial()
@@ -39,6 +39,10 @@ ZERO = FgAbelianGroup.trivial()
 
 def mat(rows, cols=None):
     return IntegerMatrix.from_rows(rows, cols=cols)
+
+
+def transpose(m):
+    return mat(list_transpose(m.row_lists(), m.cols), m.rows)
 
 
 class TestChainComplex:
@@ -67,7 +71,7 @@ def homology(c, k):
     basis = kernel_basis(c.boundary(k))
     image = solve_integer(basis, c.boundary(k + 1))
     assert image is not None
-    return cokernel(image.transpose())
+    return cokernel(transpose(image))
 
 
 class TestHomology:
@@ -122,7 +126,7 @@ def dual_complex_cohomology(c, k):
     if k > c.top:
         return FgAbelianGroup.trivial()
     ranks = tuple(reversed(c.ranks))
-    bnds = tuple(c.boundary(c.top - j + 1).transpose() for j in range(1, c.top + 1))
+    bnds = tuple(transpose(c.boundary(c.top - j + 1)) for j in range(1, c.top + 1))
     return homology(ChainComplex(ranks, bnds), c.top - k)
 
 

@@ -237,7 +237,7 @@ class TestSolveInteger:
         assert solve_integer(a, IntegerMatrix(2, 1, (0, 1))) is None
 
     def test_column_span_membership(self):
-        gens = IntegerMatrix.from_rows([[2, 0], [0, 3]]).transpose()
+        gens = IntegerMatrix.from_rows([[2, 0], [0, 3]])
         assert solve_integer(gens, IntegerMatrix(2, 1, (2, 3))) is not None
         assert solve_integer(gens, IntegerMatrix(2, 1, (1, 0))) is None
 
@@ -285,7 +285,6 @@ class TestFgAbelianGroup:
         a = g.normalize_element((3, 1, 5))
         assert a == (3, 1, 1)
         assert g.add_elements(a, (1, 1, 3)) == (4, 0, 0)
-        assert g.negate_element((1, 1, 1)) == (-1, 1, 3)
         assert g.scale_element((1, 1, 1), 2) == (2, 0, 2)
 
 
@@ -334,13 +333,12 @@ class TestConstructorValidation:
         lambda: FgAbelianGroup(1, (4,)).normalize_element((1.5, 2.7)),
         lambda: FgAbelianGroup(1, (4,)).normalize_element((True, 1)),
         lambda: FgAbelianGroup(1, (4,)).add_elements((1, 2), (0, 0.5)),
-        lambda: FgAbelianGroup(1, (4,)).negate_element((1.5, 2)),
         lambda: FgAbelianGroup(1, (4,)).scale_element((1, False), 3),
         lambda: FreeCommutativeMonoid(2).element((1.5, 2.9)),
         lambda: FreeCommutativeMonoid(2).element((True, 0)),
         lambda: MultiPoly(1, {(1.9,): 1}),
         lambda: MultiPoly(2, {(1, True): 1}),
-    ], ids=["normalize-float", "normalize-bool", "add-float", "negate-float",
+    ], ids=["normalize-float", "normalize-bool", "add-float",
             "scale-bool", "monoid-float", "monoid-bool", "multipoly-float",
             "multipoly-bool"])
     def test_elements_reject_non_integers(self, build):
@@ -399,6 +397,10 @@ def from_lists(rows, cols, lists):
     return IntegerMatrix(rows, cols, tuple(x for row in lists for x in row))
 
 
+def transpose(m):
+    return from_lists(m.cols, m.rows, list_transpose(m.row_lists(), m.cols))
+
+
 def assert_matches(m, shape, lists):
     assert (m.rows, m.cols) == shape
     assert m.entries == tuple(x for row in lists for x in row)
@@ -414,7 +416,6 @@ class TestAlgebraAgainstListOracle:
                       from_lists(n, m, cl), from_lists(n, m, el))
         s = data.draw(ALGEBRA_ENTRIES)
         assert_matches(a @ b, (n, m), list_product(al, bl, m))
-        assert_matches(a.transpose(), (k, n), list_transpose(al, k))
         assert_matches(a.hstack(c), (n, k + m), list_hstack(al, cl))
         assert_matches(c + e, (n, m), list_sum(cl, el))
         assert_matches(c - e, (n, m), list_difference(cl, el))
@@ -445,13 +446,10 @@ class TestUncheckedResults:
     @settings(max_examples=200, deadline=None)
     @given(small_matrices(), st.data())
     def test_internal_results_are_well_formed(self, a, data):
-        t = a.transpose()
-        assert_well_formed(t)
-        assert t.transpose() == a
         assert_well_formed(-a)
         assert_well_formed(a - a)
         assert_well_formed(a + a)
-        assert_well_formed(a @ t)
+        assert_well_formed(a @ transpose(a))
         assert_well_formed(a.hstack(a))
         kb = kernel_basis(a)
         assert_well_formed(kb)
@@ -471,7 +469,7 @@ class TestSmithCache:
     def test_cached_result_equals_a_fresh_decomposition(self, a):
         # a zero or empty matrix and its transpose have equal entries in
         # different shapes, so the cache key must include the shape
-        for m in (a, a.transpose()):
+        for m in (a, transpose(a)):
             cached = smith_normal_form(m)
             fresh = smith_normal_form.__wrapped__(m)
             assert cached.d == fresh.d
@@ -546,7 +544,7 @@ class TestTransformsAgainstOracles:
         assert kb.rows == a.cols and kb.cols == a.cols - len(form.d)
         assert not any(map(any, list_product(rows, kb.row_lists(), kb.cols)))
         # the columns extend to a basis of Z^cols, so they span the whole kernel
-        assert minors_gcd_invariant_factors(kb.transpose().row_lists()) == [1] * kb.cols
+        assert minors_gcd_invariant_factors(list_transpose(kb.row_lists(), kb.cols)) == [1] * kb.cols
 
         k = data.draw(st.integers(1, 2))
         image = list_product(rows, data.draw(nested_lists(a.cols, k)), k)
