@@ -24,6 +24,11 @@ from . import linalg
 from ._record import Record
 
 
+def _check_index(i, size: int, what: str) -> None:
+    if type(i) is not int or not 0 <= i < size:
+        raise ValueError(f"invalid {what} index")
+
+
 class FiniteCommutativeMonoid(Record):
     """Commutative monoid on {0, .., n-1} given by its Cayley table.
 
@@ -67,8 +72,8 @@ class FiniteCommutativeMonoid(Record):
         return len(self.table)
 
     def add(self, x: int, y: int) -> int:
-        if not (0 <= x < self.size and 0 <= y < self.size):
-            raise ValueError("invalid element index")
+        _check_index(x, self.size, "element")
+        _check_index(y, self.size, "element")
         return self.table[x][y]
 
     @classmethod
@@ -241,11 +246,9 @@ class GrothendieckGroup:
             x = self.monoid.element(x)
             y = self.monoid.element(y)
             return tuple(a - b for a, b in zip(x, y))
-        if not (0 <= x < self.monoid.size and 0 <= y < self.monoid.size):
-            raise ValueError("invalid element index")
-        t = self.monoid.table
+        add = self.monoid.add
         # x + (-(y + e)) already lies in the ideal K
-        return self._index[t[x][self._minus[t[y][self._zero]]]]
+        return self._index[add(x, self._minus[add(y, self._zero)])]
 
     def class_of(self, x):
         """The canonical map phi(x) = [(x + x, x)]."""
@@ -257,6 +260,8 @@ class GrothendieckGroup:
     def add(self, c1, c2):
         if self.kind == "free":
             return tuple(a + b for a, b in zip(c1, c2))
+        _check_index(c1, len(self._elements), "class")
+        _check_index(c2, len(self._elements), "class")
         return self._add_table[c1][c2]
 
 
@@ -279,6 +284,7 @@ class CompletionHomomorphism:
             for coeff, image in zip(carrier_class, self._data):
                 acc = self.target.add_elements(acc, self.target.scale_element(image, coeff))
             return acc
+        _check_index(carrier_class, len(self._data), "class")
         return self._data[carrier_class]
 
 
@@ -316,5 +322,5 @@ def universal_factor(monoid: Monoid, group: GrothendieckGroup,
                 raise ValueError(
                     f"psi is not a homomorphism: fails at pair ({x}, {y})"
                 )
-    theta = dict(enumerate(values[k] for k in group._elements))
+    theta = tuple(values[k] for k in group._elements)
     return CompletionHomomorphism(group, target, theta)

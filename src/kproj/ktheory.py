@@ -20,8 +20,6 @@ is the only fact taken on faith.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
-from math import factorial
 
 from . import homology, linalg, truncpoly
 from ._record import Record
@@ -177,40 +175,33 @@ def k_ring_mul(a: KClass, b: KClass) -> KClass:
     return KClass(a.n, tuple(truncpoly.truncated_product(a.coeffs, b.coeffs)))
 
 
-@lru_cache(maxsize=1)
-def _stirling_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Stirling numbers of the second kind S(m, k) for 0 <= k <= m <= n.
-
-    Row m holds S(m, 0), .., S(m, m), built row by row from
-    S(m, k) = k S(m-1, k) + S(m-1, k-1).  They give the powers of the
-    character of γ: (exp(x) - 1)^k = sum_m k! S(m, k) x^m / m!.  Only the
-    latest table is kept: the one for n = 1000 takes about 200 MB.
-    """
-    rows = [(1,)]
-    for m in range(1, n + 1):
-        prev = rows[-1] + (0,)
-        rows.append((0,) + tuple(k * prev[k] + prev[k - 1] for k in range(1, m + 1)))
-    return tuple(rows)
-
-
 def chern_character_map(a: KClass) -> truncpoly.TruncPoly:
     """Chern character of a virtual class, landing in Q[x]/(x^(n+1)).
 
     The generator γ goes to exp(x) - 1 and the map extends linearly; it
     is a ring homomorphism because the power relation γ^(n+1) = 0 matches
-    (exp(x) - 1)^(n+1) = 0 at this truncation.  The degree-m coefficient
-    is the integer sum_k c_k k! S(m, k) over the nonzero c_k, divided by m!.
+    (exp(x) - 1)^(n+1) = 0 at this truncation.  The class p(γ) is first
+    rewritten in powers of the Hopf class H = 1 + γ: shifting p by one,
+    in Horner steps of integer subtractions, gives p(γ) = sum_j b_j H^j.
+    Since the character of H^j is exp(jx), the degree-m coefficient is
+    the integer sum_j b_j j^m, divided by m!; the terms b_j j^m are kept
+    and multiplied by their j once per degree.
     """
     from fractions import Fraction  # here, not at the top: the replay never loads fractions
 
-    terms = [(k, c * factorial(k)) for k, c in enumerate(a.coeffs) if c]
-    coeffs = []
+    n, b = a.n, list(a.coeffs)
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            b[j] -= b[j + 1]
+    weights = [j for j in range(1, n + 1) if b[j]]
+    terms = [b[j] for j in weights]
+    coeffs = [Fraction(a.coeffs[0])]
     fact_m = 1
-    for m, row in enumerate(_stirling_table(a.n)):
-        if m:
-            fact_m *= m
-        coeffs.append(Fraction(sum(w * row[k] for k, w in terms if k <= m), fact_m))
-    return truncpoly.TruncPoly(a.n, coeffs)
+    for m in range(1, n + 1):
+        fact_m *= m
+        terms = [t * j for t, j in zip(terms, weights)]
+        coeffs.append(Fraction(sum(terms), fact_m))
+    return truncpoly.TruncPoly(n, coeffs)
 
 
 def ch_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -377,12 +368,18 @@ def _check_window(window: homology.GroupSequence) -> tuple[tuple[bool, ...], boo
     return exact, verdict
 
 
-@lru_cache(maxsize=None)
-def _induction_stages(n: int):
-    """Induction state at CP^n: (steps, reduced K in degree 0, K in degree 1).
+def replay_induction(n: int) -> InductionTrace:
+    """Replay the inductive computation of the K-groups of CP^n.
 
-    The stages run bottom-up in a loop, so a deep n needs no deep stack.
+    Every extension step is materialised as an explicit five-term window,
+    passed through the exactness checker, and mirrored into a Five Lemma
+    ladder; the verdicts land in the trace.  The sphere inputs are marked
+    as axiom-table uses.  The final unreduced group in degree 0 adds the
+    basepoint summand through the same splitting rule.  The stages run
+    bottom-up in a loop, so a deep n needs no deep stack.
     """
+    if n < 1:
+        raise ValueError("the induction starts at n = 1")
     prev_reduced = reduced_sphere_k(2)
     prev_k1 = reduced_sphere_k(3)
     steps = [InductionStep(
@@ -443,33 +440,18 @@ def _induction_stages(n: int):
 
         steps += (step0, step1)
         prev_reduced, prev_k1 = middle, new_k1
-    return tuple(steps), prev_reduced, prev_k1
-
-
-def replay_induction(n: int) -> InductionTrace:
-    """Replay the inductive computation of the K-groups of CP^n.
-
-    Every extension step is materialised as an explicit five-term window,
-    passed through the exactness checker, and mirrored into a Five Lemma
-    ladder; the verdicts land in the trace.  The sphere inputs are marked
-    as axiom-table uses.  The final unreduced group in degree 0 adds the
-    basepoint summand through the same splitting rule.
-    """
-    if n < 1:
-        raise ValueError("the induction starts at n = 1")
-    steps, reduced, k1 = _induction_stages(n)
-    k0 = homology.split_free_extension(reduced, linalg.FgAbelianGroup.free(1))
-    assembly = InductionStep(
+    k0 = homology.split_free_extension(prev_reduced, linalg.FgAbelianGroup.free(1))
+    steps.append(InductionStep(
         index=len(steps),
         kind="unreduced-assembly",
         stage=n,
-        window=(reduced.render(), "Z", k0.render()),
+        window=(prev_reduced.render(), "Z", k0.render()),
         rules=("basepoint-splitting: K = reduced K + Z",),
         exactness=(),
         five_lemma=None,
-        conclusion=f"K^0(CP^{n}) = {k0.render()}, K^1(CP^{n}) = {k1.render()}",
-    )
-    return InductionTrace(n, steps + (assembly,), reduced, k0, k1)
+        conclusion=f"K^0(CP^{n}) = {k0.render()}, K^1(CP^{n}) = {prev_k1.render()}",
+    ))
+    return InductionTrace(n, tuple(steps), prev_reduced, k0, prev_k1)
 
 
 # ----------------------------------------------------------------------

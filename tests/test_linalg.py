@@ -485,7 +485,6 @@ class TestSmithCache:
 
     def test_the_replay_hits_a_bounded_cache(self):
         smith_normal_form.cache_clear()
-        ktheory_module._induction_stages.cache_clear()
         ktheory_module.replay_induction(20)
         info = smith_normal_form.cache_info()
         assert info.hits > 0
