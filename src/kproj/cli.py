@@ -30,7 +30,7 @@ NEWTON_MAX_K = 40
 # 0.7 MB, ring 400 about 20 s and 2.8 MB
 RING_MAX_N = 200
 # trace N and kgroups cpn:N replay the induction, which grows faster than
-# N^2: end to end, 0.26-0.29 s at N = 100 and 0.70-0.82 s at N = 200
+# N^2: end to end, 0.17-0.20 s at N = 100 and 0.60-0.73 s at N = 200
 # (quartiles of 11, no bytecode cache) on a shared 2-vCPU x86-64 host under
 # Python 3.11, so N stays at most 200 until trace 200 runs in under 0.5 s
 REPLAY_MAX_N = 200

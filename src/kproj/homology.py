@@ -48,8 +48,8 @@ class ChainComplex(Record):
         ranks, boundaries = tuple(ranks), tuple(boundaries)
         if not ranks:
             raise ValueError("a complex needs at least degree 0")
-        if any(r < 0 for r in ranks):
-            raise ValueError("ranks must be nonnegative")
+        if any(type(r) is not int or r < 0 for r in ranks):
+            raise ValueError("ranks must be nonnegative integers")
         if len(boundaries) != len(ranks) - 1:
             raise ValueError("expected one boundary matrix per degree above 0")
         for k in range(1, len(ranks)):
@@ -93,7 +93,7 @@ def cohomology(c: ChainComplex, k: int) -> linalg.FgAbelianGroup:
     all of that torsion and loses only the rank of the degree-(k+1)
     boundary from the free part.
     """
-    if k < 0:
+    if type(k) is not int or k < 0:
         raise ValueError("degree out of range")
     if k > c.top:
         return linalg.FgAbelianGroup.trivial()
@@ -110,16 +110,16 @@ def cpn_complex(n: int) -> ChainComplex:
     are zero.  This is encoded explicitly rather than tabulated so that
     the homology really is computed.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be a nonnegative integer")
     ranks = tuple(1 if k % 2 == 0 else 0 for k in range(2 * n + 1))
     return ChainComplex.with_zero_boundaries(ranks)
 
 
 def sphere_complex(m: int) -> ChainComplex:
     """Minimal cell structure of the m-sphere: one 0-cell and one m-cell."""
-    if m < 1:
-        raise ValueError("sphere dimension must be at least 1")
+    if type(m) is not int or m < 1:
+        raise ValueError("sphere dimension must be an integer at least 1")
     ranks = (1,) + (0,) * (m - 1) + (1,)
     return ChainComplex.with_zero_boundaries(ranks)
 
@@ -129,36 +129,21 @@ def sphere_complex(m: int) -> ChainComplex:
 # ----------------------------------------------------------------------
 
 
-def _relation_columns(g: linalg.FgAbelianGroup) -> linalg.IntegerMatrix:
-    """The relations of g on its element coordinates, as columns.
-
-    Torsion factor t of g contributes t times the unit vector of its
-    coordinate, which follows the free_rank free ones.
-    """
-    m = len(g.torsion)
-    if not m:  # the replay's groups are all free
-        return linalg.IntegerMatrix._make(g.free_rank, 0, ())
-    diagonal = linalg.IntegerMatrix.diagonal(g.torsion, m, m).entries
-    return linalg.IntegerMatrix._make(g.free_rank + m, m, (0,) * (g.free_rank * m) + diagonal)
-
-
 def _check_well_defined(label: str, f: linalg.IntegerMatrix,
                         src: linalg.FgAbelianGroup, dst: linalg.FgAbelianGroup):
     """Reject f unless it has src -> dst shape and carries relations into relations."""
     if f.rows != dst.element_length() or f.cols != src.element_length():
         raise ValueError(f"{label} has the wrong shape")
-    if src.torsion and linalg.solve_integer(
-        _relation_columns(dst), f @ _relation_columns(src)
-    ) is None:
+    if src.torsion and not linalg._spans(dst._relations, f @ src._relations):
         raise ValueError(f"{label} does not preserve relations")
 
 
 def _preimage_generators(block: linalg.IntegerMatrix, width: int) -> linalg.IntegerMatrix:
     """Generators of the lattice {x : f @ x lies in the column span of R}.
 
-    block is [f | -R] and width is f.cols.  Solutions (x, y) of
-    f x = R y form the kernel of the block; the x-parts of a kernel
-    basis generate the preimage lattice.
+    block is [f | R] and width is f.cols.  (x, y) lies in the kernel of
+    the block exactly when f x = R (-y), so the x-parts of a kernel basis
+    generate the preimage lattice.
     """
     kb = linalg.kernel_basis(block)
     if kb.rows == width:  # no relation columns: the kernel basis is the preimage
@@ -198,15 +183,14 @@ def is_exact_at(s: GroupSequence, i: int) -> bool:
     relations; the kernel lattice is the preimage of the outgoing map's
     target relations.
     """
-    if not 1 <= i <= len(s) - 2:
+    if type(i) is not int or not 1 <= i <= len(s) - 2:
         raise ValueError("position out of range")
     incoming, outgoing = s.maps[i - 1], s.maps[i]
-    relations = _relation_columns(s.groups[i])
+    relations = s.groups[i]._relations
     image = incoming.hstack(relations)
-    block = outgoing.hstack(-_relation_columns(s.groups[i + 1]))
+    block = outgoing.hstack(s.groups[i + 1]._relations)
     kernel = _preimage_generators(block, outgoing.cols).hstack(relations)
-    return (linalg.solve_integer(kernel, image) is not None
-            and linalg.solve_integer(image, kernel) is not None)
+    return linalg._spans(kernel, image) and linalg._spans(image, kernel)
 
 
 def induced_map_is_isomorphism(f: linalg.IntegerMatrix,
@@ -214,16 +198,16 @@ def induced_map_is_isomorphism(f: linalg.IntegerMatrix,
                                dst: linalg.FgAbelianGroup) -> bool:
     """Isomorphism test for the homomorphism that f induces from src to dst."""
     _check_well_defined("map", f, src, dst)
-    block = f.hstack(-_relation_columns(dst))
+    block = f.hstack(dst._relations)
     # the preimage reads the block's transforms first: one elimination serves both tests
     pre = _preimage_generators(block, f.cols)
-    # surjective: f and R span dst's coordinates, so the block (its invariant factors
-    # those of [f | R] and of its transpose) has full row rank and unit factors
+    # surjective: f and R span dst's coordinates, so the block [f | R] (its invariant
+    # factors those of its transpose) has full row rank and unit factors
     form = linalg.smith_normal_form(block)
     if form.rank != f.rows or any(x != 1 for x in form.d):
         return False
     # injective: the preimage of dst's relations is contained in src's relations
-    return not pre.cols or linalg.solve_integer(_relation_columns(src), pre) is not None
+    return not pre.cols or linalg._spans(src._relations, pre)
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +251,7 @@ def five_lemma_check(ladder: Ladder) -> bool:
     for i in range(4):
         diff = (ladder.verticals[i + 1] @ ladder.top.maps[i]
                 - ladder.bottom.maps[i] @ ladder.verticals[i])
-        if linalg.solve_integer(_relation_columns(ladder.bottom.groups[i + 1]), diff) is None:
+        if not linalg._spans(ladder.bottom.groups[i + 1]._relations, diff):
             raise FiveLemmaHypothesisError(f"square {i} does not commute")
     for name, row in (("top", ladder.top), ("bottom", ladder.bottom)):
         for i in (1, 2, 3):

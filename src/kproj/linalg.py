@@ -33,6 +33,11 @@ from ._record import Record
 IDENTITY_CACHE_SIZE = 8
 
 
+def _check_sizes(*sizes) -> None:
+    if not set(map(type, sizes)) <= {int} or min(sizes) < 0:  # a bool is not a size
+        raise ValueError("matrix dimensions must be nonnegative integers")
+
+
 class IntegerMatrix(Record):
     """Immutable integer matrix; entries stored row-major."""
 
@@ -41,8 +46,7 @@ class IntegerMatrix(Record):
     _gather = None  # (source row, sign) per row, set on signed permutations in closed form
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int] = ()):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        _check_sizes(rows, cols)
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
@@ -71,21 +75,17 @@ class IntegerMatrix(Record):
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
         rows = [tuple(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if cols is not None and cols != width:
-                raise ValueError("cols argument does not match row width")
-        else:
-            width = 0 if cols is None else cols
-        return cls(len(rows), width, tuple(chain.from_iterable(rows)))
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged rows")
+        if rows and cols is not None and cols != width:
+            raise ValueError("cols argument does not match row width")
+        return cls(len(rows), width if cols is None else cols, tuple(chain.from_iterable(rows)))
 
     @classmethod
     @lru_cache(maxsize=IDENTITY_CACHE_SIZE, typed=True)  # identity(True) is not identity(1)
     def identity(cls, n: int) -> "IntegerMatrix":
-        if n < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        _check_sizes(n)
         entries = [0] * (n * n)
         entries[::n + 1] = [1] * n
         eye = cls._make(n, n, tuple(entries))
@@ -94,12 +94,12 @@ class IntegerMatrix(Record):
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        _check_sizes(rows, cols)
         return cls._make(rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def diagonal(cls, values: Sequence[int], rows: int, cols: int) -> "IntegerMatrix":
+        _check_sizes(rows, cols)
         values = list(values)
         if len(values) > min(rows, cols):
             raise ValueError("too many diagonal values for the requested shape")
@@ -163,20 +163,25 @@ class IntegerMatrix(Record):
             return other
         if other._is_identity:
             return self
+        return IntegerMatrix._make(self.rows, other.cols, self._rows_times(other))
+
+    def _rows_times(self, other: "IntegerMatrix", first: int = 0) -> tuple[int, ...]:
+        """The entries of rows first.. of self @ other, row-major."""
         n, m, k = self.rows, other.cols, self.cols
+        b = other.entries
+        if self._is_identity:
+            return b[first * m:]
         if not n * m * k:
-            return IntegerMatrix.zero(n, m)
-        a, b = self.entries, other.entries
+            return (0,) * ((n - first) * m)
         if self._gather is not None:  # row i of the product is sign times row source of b
             out = []
-            for j, s in self._gather:
+            for j, s in self._gather[first:]:
                 row = b[j * m:(j + 1) * m]
                 out += row if s == 1 else map(s.__mul__, row)
-            return IntegerMatrix._make(n, m, tuple(out))
-        columns = [b[j::m] for j in range(m)]
-        return IntegerMatrix._make(n, m, tuple(sum(map(mul, a[i:i + k], column))
-                                               for i in range(0, n * k, k)
-                                               for column in columns))
+            return tuple(out)
+        a, columns = self.entries, [b[j::m] for j in range(m)]
+        return tuple(sum(map(mul, a[i:i + k], column))
+                     for i in range(first * k, n * k, k) for column in columns)
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
@@ -301,6 +306,8 @@ def _permutation_form(a: IntegerMatrix):
     unused columns in order; so u or v is the identity if its pivots are
     in place.  Any other a gives None.
     """
+    if a._is_identity:  # marked by identity(): nothing to scan
+        return (1,) * a.rows, a, a
     m, n, entries = a.rows, a.cols, a.entries
     values = tuple(compress(entries, entries))
     p = -1  # the next nonzero is the next entry equal to its value
@@ -371,6 +378,32 @@ def is_isomorphism(a: IntegerMatrix) -> bool:
     return abs(a.det()) == 1
 
 
+def _reduce(a: IntegerMatrix, b: IntegerMatrix, whole: bool):
+    """(form, c): the Smith form u @ a @ v = D of a and c = u @ b, or None if no x has a @ x = b.
+
+    D y = c is solvable when c is zero from row rank on and row i below it
+    is divisible by d[i]; so unless whole, c holds rows d.count(1).. only.
+    """
+    if a.rows != b.rows:
+        raise ValueError("row counts do not match")
+    form = smith_normal_form(a)
+    u = form.u  # before d, so that one elimination fills both
+    d, k = form.d, b.cols
+    first = 0 if whole else d.count(1)  # the 1s lead the divisibility chain
+    c = u._rows_times(b, first)
+    if any(c[(len(d) - first) * k:]):
+        return None
+    for i in range(d.count(1), len(d)):  # row i of u @ b is row i - first of c
+        if any(map(d[i].__rmod__, c[(i - first) * k:(i - first + 1) * k])):
+            return None
+    return form, c
+
+
+def _spans(a: IntegerMatrix, b: IntegerMatrix) -> bool:
+    """Whether every column of b lies in the lattice spanned by the columns of a."""
+    return _reduce(a, b, whole=False) is not None
+
+
 def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     """One integer solution x of a @ x = b (columnwise), or None.
 
@@ -378,22 +411,15 @@ def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     D y = u b, solved coordinate by coordinate; free coordinates are set
     to zero.
     """
-    if a.rows != b.rows:
-        raise ValueError("row counts do not match")
-    form = smith_normal_form(a)
-    c = (form.u @ b).entries
-    n, k, rank = a.cols, b.cols, form.rank
-    if any(c[rank * k:]):
+    reduced = _reduce(a, b, whole=True)
+    if reduced is None:
         return None
-    ones = form.d.count(1)  # the 1s lead the divisibility chain
-    quotients = []
-    for i in range(ones, rank):
-        di, row = form.d[i], c[i * k:(i + 1) * k]
-        if any(map(di.__rmod__, row)):
-            return None
-        quotients += map(di.__rfloordiv__, row)
+    form, c = reduced
+    d, n, k = form.d, a.cols, b.cols
+    ones, rank = d.count(1), len(d)
+    quotients = tuple(x // d[i] for i in range(ones, rank) for x in c[i * k:(i + 1) * k])
     # where every factor is 1 and a has full rank, y is c itself, uncopied
-    y = c[:ones * k] + tuple(quotients) + (0,) * ((n - rank) * k)
+    y = c[:ones * k] + quotients + (0,) * ((n - rank) * k)
     return form.v @ IntegerMatrix._make(n, k, y)
 
 
@@ -426,6 +452,14 @@ class FgAbelianGroup(Record):
                 raise ValueError("torsion coefficients must form a divisibility chain")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
+
+    @cached_property
+    def _relations(self) -> IntegerMatrix:
+        """The relations as columns: t times the unit vector of each torsion coordinate t."""
+        m, free = len(self.torsion), self.free_rank
+        entries = [0] * ((free + m) * m)
+        entries[free * m::m + 1] = self.torsion
+        return IntegerMatrix._make(free + m, m, tuple(entries))
 
     @classmethod
     def trivial(cls) -> "FgAbelianGroup":

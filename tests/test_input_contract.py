@@ -7,13 +7,21 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kproj.cli import main
 from kproj.grothendieck import FiniteCommutativeMonoid
+from kproj.homology import (
+    ChainComplex,
+    GroupSequence,
+    cohomology,
+    cpn_complex,
+    is_exact_at,
+    sphere_complex,
+)
 from kproj.ktheory import Space
-from kproj.linalg import IntegerMatrix
+from kproj.linalg import FgAbelianGroup, IntegerMatrix
 from kproj.truncpoly import PARSE_MAX_ORDER, TruncPoly
 
 
@@ -87,6 +95,44 @@ class TestParsers:
     @given(SPACE_TEXT)
     def test_space_parse(self, text):
         accepts_or_value_error(Space.parse, text)
+
+
+# a size or index that is not an int: a bool, a float equal to an int, and worse
+NON_INT_SIZES = st.one_of(st.booleans(), st.integers(0, 4).map(float), st.floats(),
+                          st.fractions(), st.text(max_size=2))
+SIZE_TAKERS = {
+    "matrix-rows": lambda bad, n: IntegerMatrix(bad, n, ()),
+    "matrix-cols": lambda bad, n: IntegerMatrix(n, bad, ()),
+    "from_rows-empty": lambda bad, n: IntegerMatrix.from_rows([], cols=bad),
+    "from_rows": lambda bad, n: IntegerMatrix.from_rows([[0] * n], cols=bad),
+    "zero-rows": lambda bad, n: IntegerMatrix.zero(bad, n),
+    "zero-cols": lambda bad, n: IntegerMatrix.zero(n, bad),
+    "identity": lambda bad, n: IntegerMatrix.identity(bad),
+    "diagonal": lambda bad, n: IntegerMatrix.diagonal((), n, bad),
+    "chain-complex": lambda bad, n: ChainComplex([bad]),
+    "cohomology": lambda bad, n: cohomology(cpn_complex(1), bad),
+    "cpn-complex": lambda bad, n: cpn_complex(bad),
+    "sphere-complex": lambda bad, n: sphere_complex(bad),
+    "is-exact-at": lambda bad, n: is_exact_at(
+        GroupSequence([FgAbelianGroup.free(1)] * 3,
+                      [IntegerMatrix.identity(1), IntegerMatrix.zero(1, 1)]), bad),
+}
+
+
+class TestSizes:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(SIZE_TAKERS)), NON_INT_SIZES, st.integers(0, 3))
+    @example("matrix-rows", 2.0, 1)
+    @example("from_rows-empty", 2.5, 0)
+    @example("zero-rows", 1.5, 2)
+    @example("identity", True, 0)
+    @example("chain-complex", 1.5, 0)
+    @example("cohomology", 1.0, 0)
+    @example("sphere-complex", 2.0, 0)
+    @example("is-exact-at", True, 0)
+    def test_a_size_not_of_type_int_is_a_value_error(self, taker, bad, n):
+        with pytest.raises(ValueError):
+            SIZE_TAKERS[taker](bad, n)
 
 
 def run_cli(*argv):

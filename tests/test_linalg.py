@@ -705,6 +705,12 @@ class TestLazyTransforms:
             assert cokernel(self.A).free_rank == 1
         assert eliminations == ["transforms"]
 
+    def test_the_membership_decision_runs_one_elimination(self, eliminations):
+        # it reads u before d, so the elimination that builds u also gives d
+        assert linalg_module._spans(self.A, self.B)
+        assert not linalg_module._spans(self.A, IntegerMatrix(3, 1, (1, 0, 0)))  # A is even
+        assert eliminations == ["transforms"]
+
     @settings(max_examples=150, deadline=None)
     @given(elimination_inputs())
     def test_lazily_filled_transforms_decompose_the_matrix(self, a):
@@ -819,3 +825,65 @@ class TestModularInvariantFactors:
     def test_a_unit_modulus_needs_no_elimination(self, modular_steps, rows, d):
         assert SmithForm(IntegerMatrix.from_rows(rows)).d == d
         assert modular_steps == {"moduli": [], "gcd": []}
+
+
+@st.composite
+def drawn_unimodular(draw, n):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6)) if n > 1 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.sampled_from((-2, -1, 1, 2)))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return IntegerMatrix.from_rows(rows, cols=n)
+
+
+@st.composite
+def with_invariant_factors(draw):
+    """u @ diagonal(d) @ v for a divisibility chain d whose factors are mostly above 1."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    d, factor = [], 1
+    for _ in range(draw(st.integers(0, min(rows, cols)))):
+        factor *= draw(st.sampled_from((1, 2, 3, 2, 6)))
+        d.append(factor)
+    diagonal = IntegerMatrix.diagonal(d, rows, cols)
+    return draw(drawn_unimodular(rows)) @ diagonal @ draw(drawn_unimodular(cols))
+
+
+@st.composite
+def membership_inputs(draw):
+    """(a, b) with as many rows; each column of b lies in a's span or is drawn at random."""
+    a = draw(st.one_of(signed_partial_permutations(), with_invariant_factors(),
+                       st.integers(0, 4).map(lambda rows: IntegerMatrix.zero(rows, 0))))
+    k = draw(st.integers(0, 3))
+    x = [draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k)) for _ in range(a.cols)]
+    spanned = list_product(a.row_lists(), x, k)
+    noise = [draw(st.lists(st.integers(-4, 4), min_size=k, max_size=k)) for _ in range(a.rows)]
+    keep = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    b = [[s if kept else r for s, r, kept in zip(srow, nrow, keep)]
+         for srow, nrow in zip(spanned, noise)]
+    return a, from_lists(a.rows, k, b)
+
+
+class TestLatticeMembership:
+    """The membership decision against an echelon-form oracle that uses no Smith form."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(membership_inputs())
+    def test_decision_matches_the_oracle_column_by_column(self, inputs):
+        a, b = inputs
+        verdicts = [in_row_lattice(columns(a), a.rows, column) for column in columns(b)]
+        for column, verdict in zip(columns(b), verdicts):
+            assert linalg_module._spans(a, from_lists(a.rows, 1, [[x] for x in column])) is verdict
+        spans = linalg_module._spans(a, b)
+        assert spans is all(verdicts)
+        # solve_integer finds x exactly when the decision is true
+        x = solve_integer(a, b)
+        assert (x is not None) is spans
+        if x is not None:
+            assert list_product(a.row_lists(), x.row_lists(), b.cols) == b.row_lists()
+
+    def test_no_generators_span_only_zero(self):
+        a = IntegerMatrix.zero(2, 0)
+        assert linalg_module._spans(a, IntegerMatrix.zero(2, 3))
+        assert not linalg_module._spans(a, IntegerMatrix(2, 1, (0, 1)))
+        assert solve_integer(a, IntegerMatrix.zero(2, 3)) == IntegerMatrix.zero(0, 3)
