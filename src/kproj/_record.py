@@ -1,9 +1,32 @@
-"""Record, the base of the package's immutable value types.
+"""Record, the base of the package's immutable value types, and the argument policy.
 
 Not dataclasses: importing them costs every kproj process about 30 ms.
+
+The policy: a size, degree, index or exponent is an int, never a bool,
+within its bounds, and an integer vector holds ints only; any other
+argument is a ValueError.  Every compute module checks through check_int
+and exact_ints, so the rule is written once.
 """
 
 from operator import attrgetter
+
+
+def check_int(value, message: str, low: int | None = None, high: int | None = None) -> None:
+    """Raise ValueError(message) unless value is an int (not a bool) with low <= value < high.
+
+    Either bound may be None, for no bound on that side.
+    """
+    if (type(value) is not int or (low is not None and value < low)
+            or (high is not None and value >= high)):
+        raise ValueError(message)
+
+
+def exact_ints(values, message: str) -> tuple[int, ...]:
+    """values as a tuple, or ValueError(message) unless every one is an int (not a bool)."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(message)
+    return values
 
 
 class Record:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
-from . import truncpoly
+from . import _record, truncpoly
 from ._record import Record
 
 
@@ -58,8 +58,7 @@ def newton_s(k: int) -> NewtonPolynomial:
     n = m_1 + .. + m_k parts in all, the monomial e_1^m_1 .. e_k^m_k has
     coefficient (-1)^(k-n) k (n-1)! / (m_1! .. m_k!).
     """
-    if k < 1:
-        raise ValueError("index must be at least 1")
+    _record.check_int(k, "index must be at least 1", 1)
     # after step i: (what the parts below i must add up to,
     # multiplicities of the parts k, k-1, .., i); parts of 1 fill the rest
     partial = [(k, ())]
@@ -89,8 +88,7 @@ class FormalBundle(Record):
     _fields = ("dimension", "total_chern")
 
     def __init__(self, dimension: int, total_chern: truncpoly.TruncPoly):
-        if dimension < 0:
-            raise ValueError("bundle dimension must be nonnegative")
+        _record.check_int(dimension, "bundle dimension must be nonnegative", 0)
         if not total_chern.is_integral():
             raise ValueError("Chern classes must have integer coefficients")
         if total_chern.coefficient(0) != 1:
@@ -108,6 +106,7 @@ class FormalBundle(Record):
         return self.total_chern.order
 
     def chern_class(self, k: int) -> int:
+        _record.check_int(k, "class degree must be nonnegative", 0)
         if k > self.order:
             return 0
         return int(self.total_chern.coefficient(k))
@@ -115,6 +114,7 @@ class FormalBundle(Record):
 
 def line_bundle(order: int, c1: int = 1) -> FormalBundle:
     """Rank-1 bundle with the given first class (1 recovers the Hopf class)."""
+    _record.check_int(order, "truncation order must be nonnegative", 0)
     if order == 0:
         return FormalBundle(1, truncpoly.TruncPoly.one(0))
     total = truncpoly.TruncPoly.one(order) + truncpoly.TruncPoly.monomial(order, 1, c1)
@@ -128,8 +128,8 @@ def chern_character(bundle: FormalBundle, truncation: int) -> truncpoly.TruncPol
     from Newton's recurrence on plain integers, with p_0 the rank.  The
     result lives in Q[x]/(x^(truncation+1)).
     """
-    if bundle.order != truncation:
-        raise ValueError("bundle truncation does not match the requested order")
+    _record.check_int(truncation, "bundle truncation does not match the requested order",
+                      bundle.order, bundle.order + 1)
     n = truncation
     c = [bundle.chern_class(k) for k in range(n + 1)]
     p = [bundle.dimension]

@@ -20,13 +20,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import linalg
+from . import _record, linalg
 from ._record import Record
-
-
-def _check_index(i, size: int, what: str) -> None:
-    if type(i) is not int or not 0 <= i < size:
-        raise ValueError(f"invalid {what} index")
 
 
 class FiniteCommutativeMonoid(Record):
@@ -45,12 +40,10 @@ class FiniteCommutativeMonoid(Record):
             raise ValueError("a monoid needs at least the identity element")
         if any(len(row) != n for row in table):
             raise ValueError("Cayley table must be square")
-        if not 0 <= identity < n:
-            raise ValueError("identity index out of range")
+        _record.check_int(identity, "identity index out of range", 0, n)
         for row in table:
             for e in row:
-                if not 0 <= e < n:
-                    raise ValueError("table entry out of range")
+                _record.check_int(e, "table entry out of range", 0, n)
         for x in range(n):
             for y in range(x + 1, n):
                 if table[x][y] != table[y][x]:
@@ -72,12 +65,13 @@ class FiniteCommutativeMonoid(Record):
         return len(self.table)
 
     def add(self, x: int, y: int) -> int:
-        _check_index(x, self.size, "element")
-        _check_index(y, self.size, "element")
+        _record.check_int(x, "invalid element index", 0, self.size)
+        _record.check_int(y, "invalid element index", 0, self.size)
         return self.table[x][y]
 
     @classmethod
     def cyclic_group(cls, n: int) -> "FiniteCommutativeMonoid":
+        _record.check_int(n, "group order must be a positive integer", 1)
         table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         return cls(table, 0)
 
@@ -124,14 +118,11 @@ class FreeCommutativeMonoid(Record):
     _fields = ("generator_count",)
 
     def __init__(self, generator_count: int):
-        if generator_count < 0:
-            raise ValueError("generator count must be nonnegative")
+        _record.check_int(generator_count, "generator count must be nonnegative", 0)
         object.__setattr__(self, "generator_count", generator_count)
 
     def element(self, exponents: Sequence[int]) -> tuple[int, ...]:
-        exponents = tuple(exponents)
-        if any(type(e) is not int for e in exponents):
-            raise ValueError("exponents must be exact integers")
+        exponents = _record.exact_ints(exponents, "exponents must be exact integers")
         if len(exponents) != self.generator_count:
             raise ValueError("element has the wrong number of exponents")
         if any(e < 0 for e in exponents):
@@ -143,8 +134,7 @@ class FreeCommutativeMonoid(Record):
         return tuple(a + b for a, b in zip(x, y))
 
     def generator(self, i: int) -> tuple[int, ...]:
-        if not 0 <= i < self.generator_count:
-            raise ValueError("generator index out of range")
+        _record.check_int(i, "generator index out of range", 0, self.generator_count)
         return tuple(1 if j == i else 0 for j in range(self.generator_count))
 
 
@@ -258,10 +248,10 @@ class GrothendieckGroup:
         return self.class_of_pair(self.monoid.add(x, x), x)
 
     def add(self, c1, c2):
-        if self.kind == "free":
-            return tuple(a + b for a, b in zip(c1, c2))
-        _check_index(c1, len(self._elements), "class")
-        _check_index(c2, len(self._elements), "class")
+        if self.kind == "free":  # a class is an element of the carrier Z^k
+            return self.carrier.add_elements(c1, c2)
+        _record.check_int(c1, "invalid class index", 0, len(self._elements))
+        _record.check_int(c2, "invalid class index", 0, len(self._elements))
         return self._add_table[c1][c2]
 
 
@@ -280,11 +270,12 @@ class CompletionHomomorphism:
 
     def __call__(self, carrier_class):
         if self.group.kind == "free":
+            carrier_class = self.group.carrier.normalize_element(carrier_class)
             acc = self.target.zero_element()
             for coeff, image in zip(carrier_class, self._data):
                 acc = self.target.add_elements(acc, self.target.scale_element(image, coeff))
             return acc
-        _check_index(carrier_class, len(self._data), "class")
+        _record.check_int(carrier_class, "invalid class index", 0, len(self._data))
         return self._data[carrier_class]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import linalg
+from . import _record, linalg
 from ._record import Record
 
 
@@ -48,8 +48,8 @@ class ChainComplex(Record):
         ranks, boundaries = tuple(ranks), tuple(boundaries)
         if not ranks:
             raise ValueError("a complex needs at least degree 0")
-        if any(type(r) is not int or r < 0 for r in ranks):
-            raise ValueError("ranks must be nonnegative integers")
+        for r in ranks:
+            _record.check_int(r, "ranks must be nonnegative integers", 0)
         if len(boundaries) != len(ranks) - 1:
             raise ValueError("expected one boundary matrix per degree above 0")
         for k in range(1, len(ranks)):
@@ -75,12 +75,11 @@ class ChainComplex(Record):
 
     def boundary(self, k: int) -> linalg.IntegerMatrix:
         """Boundary map out of degree k; zero maps off the ends."""
+        _record.check_int(k, "degree out of range", None, self.top + 2)
         if k <= 0:
             return linalg.IntegerMatrix.zero(0, self.ranks[0])
         if k == self.top + 1:
             return linalg.IntegerMatrix.zero(self.ranks[self.top], 0)
-        if k > self.top + 1:
-            raise ValueError("degree out of range")
         return self.boundaries[k - 1]
 
 
@@ -93,8 +92,7 @@ def cohomology(c: ChainComplex, k: int) -> linalg.FgAbelianGroup:
     all of that torsion and loses only the rank of the degree-(k+1)
     boundary from the free part.
     """
-    if type(k) is not int or k < 0:
-        raise ValueError("degree out of range")
+    _record.check_int(k, "degree out of range", 0)
     if k > c.top:
         return linalg.FgAbelianGroup.trivial()
     quotient = linalg.cokernel(c.boundary(k))
@@ -110,16 +108,14 @@ def cpn_complex(n: int) -> ChainComplex:
     are zero.  This is encoded explicitly rather than tabulated so that
     the homology really is computed.
     """
-    if type(n) is not int or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    _record.check_int(n, "n must be a nonnegative integer", 0)
     ranks = tuple(1 if k % 2 == 0 else 0 for k in range(2 * n + 1))
     return ChainComplex.with_zero_boundaries(ranks)
 
 
 def sphere_complex(m: int) -> ChainComplex:
     """Minimal cell structure of the m-sphere: one 0-cell and one m-cell."""
-    if type(m) is not int or m < 1:
-        raise ValueError("sphere dimension must be an integer at least 1")
+    _record.check_int(m, "sphere dimension must be an integer at least 1", 1)
     ranks = (1,) + (0,) * (m - 1) + (1,)
     return ChainComplex.with_zero_boundaries(ranks)
 
@@ -183,8 +179,7 @@ def is_exact_at(s: GroupSequence, i: int) -> bool:
     relations; the kernel lattice is the preimage of the outgoing map's
     target relations.
     """
-    if type(i) is not int or not 1 <= i <= len(s) - 2:
-        raise ValueError("position out of range")
+    _record.check_int(i, "position out of range", 1, len(s) - 1)
     incoming, outgoing = s.maps[i - 1], s.maps[i]
     relations = s.groups[i]._relations
     image = incoming.hstack(relations)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import homology, linalg, truncpoly
+from . import _record, homology, linalg, truncpoly
 from ._record import Record
 
 
@@ -37,14 +37,11 @@ class Space(Record):
 
     def __init__(self, kind: str, parameter: int = 0):
         if kind == "cpn":
-            if parameter < 0:
-                raise ValueError("projective space index must be nonnegative")
+            _record.check_int(parameter, "projective space index must be nonnegative", 0)
         elif kind == "sphere":
-            if parameter < 1:
-                raise ValueError("sphere dimension must be at least 1")
+            _record.check_int(parameter, "sphere dimension must be at least 1", 1)
         elif kind == "point":
-            if parameter:
-                raise ValueError("the point takes no parameter")
+            _record.check_int(parameter, "the point takes no parameter", 0, 1)
         else:
             raise ValueError(f"unknown space kind {kind!r}")
         object.__setattr__(self, "kind", kind)
@@ -106,11 +103,8 @@ class KClass(Record):
     _fields = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs: tuple[int, ...]):
-        if n < 0:
-            raise ValueError("ambient index must be nonnegative")
-        coeffs = tuple(coeffs)
-        if any(type(c) is not int for c in coeffs):
-            raise ValueError("coefficients must be exact integers")
+        _record.check_int(n, "ambient index must be nonnegative", 0)
+        coeffs = _record.exact_ints(coeffs, "coefficients must be exact integers")
         if len(coeffs) != n + 1:
             raise ValueError(f"expected {n + 1} coefficients")
         object.__setattr__(self, "n", n)
@@ -118,16 +112,19 @@ class KClass(Record):
 
     @classmethod
     def zero(cls, n: int) -> "KClass":
+        _record.check_int(n, "ambient index must be nonnegative", 0)
         return cls(n, (0,) * (n + 1))
 
     @classmethod
     def unit(cls, n: int) -> "KClass":
         """The trivial line bundle, the multiplicative identity."""
+        _record.check_int(n, "ambient index must be nonnegative", 0)
         return cls(n, (1,) + (0,) * n)
 
     @classmethod
     def gamma(cls, n: int) -> "KClass":
         """The reduced Hopf class (Hopf bundle minus the trivial line)."""
+        _record.check_int(n, "ambient index must be nonnegative", 0)
         if n == 0:
             return cls.zero(0)
         return cls(n, (0, 1) + (0,) * (n - 1))
@@ -212,8 +209,7 @@ def ch_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
     diagonal, hence invertible over Q: the character is injective and the
     basis classes are independent.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _record.check_int(n, "n must be nonnegative", 0)
     basis = [(0,) * k + (1,) + (0,) * (n - k) for k in range(n + 1)]
     return tuple(zip(*(chern_character_map(KClass(n, e)).coeffs for e in basis)))
 
@@ -230,8 +226,7 @@ def reduced_sphere_k(i: int) -> linalg.FgAbelianGroup:
     is far beyond desk scale, so the values are taken as input and marked
     as such wherever they are used.
     """
-    if i < 0:
-        raise ValueError("sphere dimension must be nonnegative")
+    _record.check_int(i, "sphere dimension must be nonnegative", 0)
     return linalg.FgAbelianGroup.free(1) if i % 2 == 0 else linalg.FgAbelianGroup.trivial()
 
 
@@ -248,6 +243,7 @@ class KGroupTable(Record):
     def __init__(self, space: Space, entries: Sequence[tuple[int, linalg.FgAbelianGroup]]):
         entries = tuple((q, group) for q, group in entries)
         lookup = dict(entries)
+        _record.exact_ints(lookup, "degrees must be exact integers")
         if len(lookup) != len(entries):
             raise ValueError("duplicate degrees in table")
         for q, group in lookup.items():
@@ -268,6 +264,7 @@ def k_groups(space: Space, q: int) -> linalg.FgAbelianGroup:
     disjoint basepoint suspends to a wedge of two spheres); projective
     spaces are computed by replaying the induction, never looked up.
     """
+    _record.check_int(q, "degree must be an integer")
     return _k_groups_by_parity(space)[q % 2]
 
 
@@ -284,6 +281,8 @@ def _k_groups_by_parity(space: Space) -> tuple[linalg.FgAbelianGroup, linalg.FgA
 
 
 def k_group_table(space: Space, q_min: int, q_max: int) -> KGroupTable:
+    _record.check_int(q_min, "degree must be an integer")
+    _record.check_int(q_max, "degree must be an integer")
     groups = _k_groups_by_parity(space)
     entries = tuple((q, groups[q % 2]) for q in range(q_min, q_max + 1))
     return KGroupTable(space, entries)
@@ -378,8 +377,7 @@ def replay_induction(n: int) -> InductionTrace:
     basepoint summand through the same splitting rule.  The stages run
     bottom-up in a loop, so a deep n needs no deep stack.
     """
-    if n < 1:
-        raise ValueError("the induction starts at n = 1")
+    _record.check_int(n, "the induction starts at n = 1", 1)
     prev_reduced = reduced_sphere_k(2)
     prev_k1 = reduced_sphere_k(3)
     steps = [InductionStep(

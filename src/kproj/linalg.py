@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, compress
 from operator import add, mul, neg, sub
 
-from . import _elimination
+from . import _elimination, _record
 from ._record import Record
 
 
@@ -34,8 +34,8 @@ IDENTITY_CACHE_SIZE = 8
 
 
 def _check_sizes(*sizes) -> None:
-    if not set(map(type, sizes)) <= {int} or min(sizes) < 0:  # a bool is not a size
-        raise ValueError("matrix dimensions must be nonnegative integers")
+    for n in sizes:
+        _record.check_int(n, "matrix dimensions must be nonnegative integers", 0)
 
 
 class IntegerMatrix(Record):
@@ -47,11 +47,9 @@ class IntegerMatrix(Record):
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int] = ()):
         _check_sizes(rows, cols)
-        entries = tuple(entries)
+        entries = _record.exact_ints(entries, "matrix entries must be exact integers")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        if not set(map(type, entries)) <= {int}:
-            raise ValueError("matrix entries must be exact integers")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
@@ -439,9 +437,8 @@ class FgAbelianGroup(Record):
     _fields = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
-        torsion = tuple(torsion)
-        if type(free_rank) is not int or any(type(t) is not int for t in torsion):
-            raise ValueError("group invariants must be exact integers")
+        _record.check_int(free_rank, "group invariants must be exact integers")
+        torsion = _record.exact_ints(torsion, "group invariants must be exact integers")
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for t in torsion:
@@ -471,6 +468,7 @@ class FgAbelianGroup(Record):
 
     @classmethod
     def cyclic(cls, order: int) -> "FgAbelianGroup":
+        _record.check_int(order, "group invariants must be exact integers")
         if order == 0:
             return cls(1, ())
         if order == 1:
@@ -509,9 +507,7 @@ class FgAbelianGroup(Record):
         return self.free_rank + len(self.torsion)
 
     def normalize_element(self, element: Sequence[int]) -> tuple[int, ...]:
-        element = tuple(element)
-        if any(type(c) is not int for c in element):
-            raise ValueError("element coordinates must be exact integers")
+        element = _record.exact_ints(element, "element coordinates must be exact integers")
         if len(element) != self.element_length():
             raise ValueError("element has the wrong number of coordinates")
         free = element[:self.free_rank]

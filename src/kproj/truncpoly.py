@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
+from . import _record, linalg
 
 # the exact scalar types; a bool is not one, although it is an int
 _SCALARS = (int, Fraction)
@@ -51,8 +51,7 @@ def truncated_product(a: Sequence, b: Sequence) -> list:
 
 def power(base, exponent: int, one):
     """base ** exponent by repeated squaring in a commutative ring with unit one."""
-    if exponent < 0:
-        raise ValueError("negative powers are not defined here")
+    _record.check_int(exponent, "exponent must be a nonnegative integer", 0)
     result = one
     while exponent:
         if exponent & 1:
@@ -97,8 +96,7 @@ class TruncPoly:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Sequence):
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        _record.check_int(order, "truncation order must be nonnegative", 0)
         coeffs = tuple(map(_exact, coeffs))
         if len(coeffs) != order + 1:
             raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
@@ -109,7 +107,7 @@ class TruncPoly:
 
     @classmethod
     def constant(cls, order: int, value) -> "TruncPoly":
-        return cls(order, (value,) + (0,) * order)
+        return cls.monomial(order, 0, value)
 
     @classmethod
     def one(cls, order: int) -> "TruncPoly":
@@ -117,8 +115,8 @@ class TruncPoly:
 
     @classmethod
     def monomial(cls, order: int, degree: int, coefficient=1) -> "TruncPoly":
-        if not 0 <= degree <= order:
-            raise ValueError("monomial degree outside the truncation range")
+        _record.check_int(order, "truncation order must be nonnegative", 0)
+        _record.check_int(degree, "monomial degree outside the truncation range", 0, order + 1)
         coeffs = [0] * (order + 1)
         coeffs[degree] = coefficient
         return cls(order, coeffs)
@@ -126,8 +124,7 @@ class TruncPoly:
     # -- structure ------------------------------------------------------
 
     def coefficient(self, degree: int) -> Fraction:
-        if not 0 <= degree <= self.order:
-            raise ValueError("degree outside the truncation range")
+        _record.check_int(degree, "degree outside the truncation range", 0, self.order + 1)
         return self.coeffs[degree]
 
     def is_integral(self) -> bool:
@@ -204,8 +201,8 @@ class TruncPoly:
         Every sign must lead a term and every "*" stand before x: "1-+x",
         "1+x+", "-" and "2*-x" are rejected.
         """
-        if order is not None and order < 0:
-            raise ValueError("truncation order must be nonnegative")
+        if order is not None:
+            _record.check_int(order, "truncation order must be nonnegative", 0)
         compact = re.sub(r"\s+", "", text)
         if not compact:
             raise ValueError("empty polynomial text")
@@ -253,8 +250,7 @@ def pairing_matrix(n: int) -> linalg.IntegerMatrix:
     honest product in the ring; the matrix is antidiagonal ones and serves
     as the unimodularity witness for the cup-product pairing.
     """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
+    _record.check_int(n, "order must be nonnegative", 0)
     rows = []
     for p in range(n + 1):
         xp = TruncPoly.monomial(n, p)
@@ -279,14 +275,11 @@ class MultiPoly:
     __slots__ = ("variable_count", "terms")
 
     def __init__(self, variable_count: int, terms=None):
-        if variable_count < 0:
-            raise ValueError("variable count must be nonnegative")
+        _record.check_int(variable_count, "variable count must be nonnegative", 0)
         self.variable_count = variable_count
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for exps, c in (terms or {}).items():
-            exps = tuple(exps)
-            if any(type(e) is not int for e in exps):
-                raise ValueError("exponents must be exact integers")
+            exps = _record.exact_ints(exps, "exponents must be exact integers")
             if len(exps) != variable_count:
                 raise ValueError("exponent vector has the wrong length")
             if any(e < 0 for e in exps):
@@ -313,6 +306,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, variable_count: int, value) -> "MultiPoly":
+        _record.check_int(variable_count, "variable count must be nonnegative", 0)
         return cls(variable_count, {(0,) * variable_count: value})
 
     # -- structure --------------------------------------------------------

@@ -10,8 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kproj.chern import FormalBundle, chern_character, line_bundle, newton_s
 from kproj.cli import main
-from kproj.grothendieck import FiniteCommutativeMonoid
+from kproj.grothendieck import (
+    FiniteCommutativeMonoid,
+    FreeCommutativeMonoid,
+    completion,
+    universal_factor,
+)
 from kproj.homology import (
     ChainComplex,
     GroupSequence,
@@ -20,9 +26,17 @@ from kproj.homology import (
     is_exact_at,
     sphere_complex,
 )
-from kproj.ktheory import Space
+from kproj.ktheory import (
+    KClass,
+    Space,
+    ch_matrix,
+    k_group_table,
+    k_groups,
+    reduced_sphere_k,
+    replay_induction,
+)
 from kproj.linalg import FgAbelianGroup, IntegerMatrix
-from kproj.truncpoly import PARSE_MAX_ORDER, TruncPoly
+from kproj.truncpoly import PARSE_MAX_ORDER, MultiPoly, TruncPoly, pairing_matrix
 
 
 def soup(tokens, max_size=30):
@@ -116,7 +130,61 @@ SIZE_TAKERS = {
     "is-exact-at": lambda bad, n: is_exact_at(
         GroupSequence([FgAbelianGroup.free(1)] * 3,
                       [IntegerMatrix.identity(1), IntegerMatrix.zero(1, 1)]), bad),
+    "boundary": lambda bad, n: cpn_complex(n).boundary(bad),
+    "group-rank": lambda bad, n: FgAbelianGroup(bad),
+    "group-torsion": lambda bad, n: FgAbelianGroup(0, (bad,)),
+    "cyclic": lambda bad, n: FgAbelianGroup.cyclic(bad),
+    "group-element": lambda bad, n: FgAbelianGroup.free(1).normalize_element((bad,)),
+    "space-cpn": lambda bad, n: Space.cpn(bad),
+    "space-sphere": lambda bad, n: Space.sphere(bad),
+    "space-point": lambda bad, n: Space("point", bad),
+    "kclass": lambda bad, n: KClass(bad, (0,) * (n + 1)),
+    "kclass-coefficient": lambda bad, n: KClass(n, (bad,) + (0,) * n),
+    "kclass-zero": lambda bad, n: KClass.zero(bad),
+    "kclass-unit": lambda bad, n: KClass.unit(bad),
+    "kclass-gamma": lambda bad, n: KClass.gamma(bad),
+    "kclass-power": lambda bad, n: KClass.gamma(n) ** bad,
+    "ch-matrix": lambda bad, n: ch_matrix(bad),
+    "reduced-sphere-k": lambda bad, n: reduced_sphere_k(bad),
+    "k-groups": lambda bad, n: k_groups(Space.cpn(n), bad),
+    "k-group-table-min": lambda bad, n: k_group_table(Space.cpn(2), bad, n),
+    "k-group-table-max": lambda bad, n: k_group_table(Space.cpn(2), -n, bad),
+    "replay-induction": lambda bad, n: replay_induction(bad),
+    "truncpoly": lambda bad, n: TruncPoly(bad, (1,) + (0,) * n),
+    "truncpoly-constant": lambda bad, n: TruncPoly.constant(bad, 1),
+    "truncpoly-monomial-order": lambda bad, n: TruncPoly.monomial(bad, 0),
+    "truncpoly-monomial-degree": lambda bad, n: TruncPoly.monomial(n, bad),
+    "truncpoly-coefficient": lambda bad, n: TruncPoly.one(n).coefficient(bad),
+    "truncpoly-power": lambda bad, n: TruncPoly.one(n) ** bad,
+    "truncpoly-parse": lambda bad, n: TruncPoly.parse("1+x", order=bad),
+    "pairing-matrix": lambda bad, n: pairing_matrix(bad),
+    "multipoly": lambda bad, n: MultiPoly(bad, {}),
+    "multipoly-constant": lambda bad, n: MultiPoly.constant(bad, 1),
+    "multipoly-exponent": lambda bad, n: MultiPoly(1, {(bad,): 1}),
+    "newton-s": lambda bad, n: newton_s(bad),
+    # an int key already in newton_s's cache must not serve an equal bool or float
+    "newton-s-cached": lambda bad, n: (newton_s(n + 1), newton_s(bad)),
+    "formal-bundle": lambda bad, n: FormalBundle(bad, TruncPoly.one(n)),
+    "line-bundle": lambda bad, n: line_bundle(bad),
+    "chern-class": lambda bad, n: line_bundle(n).chern_class(bad),
+    "chern-character": lambda bad, n: chern_character(line_bundle(n), bad),
+    "monoid-identity": lambda bad, n: FiniteCommutativeMonoid(((0,),), bad),
+    "monoid-entry": lambda bad, n: FiniteCommutativeMonoid(((bad,),), 0),
+    "monoid-add": lambda bad, n: FiniteCommutativeMonoid.cyclic_group(n + 1).add(bad, 0),
+    "cyclic-group": lambda bad, n: FiniteCommutativeMonoid.cyclic_group(bad),
+    "free-monoid": lambda bad, n: FreeCommutativeMonoid(bad),
+    "free-monoid-generator": lambda bad, n: FreeCommutativeMonoid(n + 1).generator(bad),
+    "free-monoid-exponent": lambda bad, n: FreeCommutativeMonoid(1).element((bad,)),
+    "free-completion-add": lambda bad, n: completion(FreeCommutativeMonoid(2)).add(
+        (bad, n), (3, 0)),
+    "free-completion-theta": lambda bad, n: free_theta()((bad, n)),
 }
+
+
+def free_theta():
+    """theta on the completion of N^2 into Z, sending the generators to 1 and 2."""
+    m = FreeCommutativeMonoid(2)
+    return universal_factor(m, completion(m), FgAbelianGroup.free(1), [(1,), (2,)])
 
 
 class TestSizes:
@@ -130,9 +198,43 @@ class TestSizes:
     @example("cohomology", 1.0, 0)
     @example("sphere-complex", 2.0, 0)
     @example("is-exact-at", True, 0)
+    @example("boundary", 1.0, 2)
+    @example("space-cpn", 2.0, 0)
+    @example("kclass", 1.0, 1)
+    @example("kclass-power", True, 1)
+    @example("ch-matrix", 2.0, 0)
+    @example("reduced-sphere-k", 2.0, 0)
+    @example("k-groups", 1.0, 2)
+    @example("k-group-table-min", 0.0, 1)
+    @example("replay-induction", True, 0)
+    @example("truncpoly", 2.0, 2)
+    @example("truncpoly-monomial-degree", 1.0, 2)
+    @example("truncpoly-power", 2.0, 2)
+    @example("pairing-matrix", 2.0, 0)
+    @example("multipoly", True, 0)
+    @example("newton-s", 2.0, 0)
+    @example("newton-s-cached", True, 0)
+    @example("formal-bundle", 1.0, 1)
+    @example("line-bundle", 1.5, 0)
+    @example("monoid-identity", 0.0, 0)
+    @example("monoid-entry", 0.0, 0)
+    @example("free-monoid", 2.0, 0)
+    @example("free-monoid-generator", 0.0, 1)
+    @example("free-completion-add", 1.5, 2)
     def test_a_size_not_of_type_int_is_a_value_error(self, taker, bad, n):
         with pytest.raises(ValueError):
             SIZE_TAKERS[taker](bad, n)
+
+    @pytest.mark.parametrize("call", [
+        lambda: completion(FreeCommutativeMonoid(2)).add((1, 2), (3,)),
+        lambda: completion(FreeCommutativeMonoid(2)).add((1,), (3, 0)),
+        lambda: free_theta()((5,)),
+        lambda: free_theta()((1, 1, 7)),
+    ], ids=["add-short-second", "add-short-first", "theta-short", "theta-long"])
+    def test_a_free_class_of_the_wrong_length_is_a_value_error(self, call):
+        # zip would silently truncate the longer vector
+        with pytest.raises(ValueError, match="wrong number of coordinates"):
+            call()
 
 
 def run_cli(*argv):

@@ -1,5 +1,6 @@
 """The record classes: value semantics, immutability, validation, and the import path."""
 
+import ast
 import subprocess
 import sys
 from fractions import Fraction
@@ -236,3 +237,24 @@ def test_import_loads_no_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_modules_reach_each_other_as_modules():
+    # README "Library contract": `from .mod import name` would run mod whenever
+    # its importer runs, so a module imports its siblings with `from . import`;
+    # cli's __version__ is an attribute of the package, and Record a base class
+    package = Path(kproj.__file__).resolve().parent
+    modules = {path.stem for path in package.glob("*.py")}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            names = [alias.name for alias in getattr(node, "names", ())]
+            if isinstance(node, ast.Import):
+                assert not any(name.split(".")[0] == "kproj" for name in names), path.name
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "kproj"):
+                where = f"{path.name}:{node.lineno}"
+                if (node.level, node.module) == (1, "_record"):
+                    assert names == ["Record"], where
+                else:
+                    assert (node.level, node.module) == (1, None), where
+                    assert set(names) <= modules | {"__version__"}, where
