@@ -8,11 +8,12 @@ the Five Lemma), group completion of commutative monoids, truncated
 polynomial rings over exact rationals, and the Chern character calculus
 on top of Newton's identities.
 
-The six compute modules, and the private _elimination that linalg calls
-for matrices outside its closed form, are loaded lazily: each is in
-sys.modules and is an attribute of the package from the start, but its
-code runs on the first attribute read.  The names below are re-exported
-on first use.
+The six compute modules, the private _elimination that linalg calls for
+matrices outside its closed form, and the private _powers that truncpoly
+and the ring of ktheory share, are loaded lazily: each is in sys.modules
+and is an attribute of the package from the start, but its code runs on
+the first attribute read.  The names below are re-exported on first
+use.
 """
 
 import sys
@@ -98,7 +99,8 @@ def _lazy_submodule(name: str):
     return module
 
 
-globals().update({module: _lazy_submodule(module) for module in (*_EXPORTS, "_elimination")})
+globals().update({module: _lazy_submodule(module)
+                  for module in (*_EXPORTS, "_elimination", "_powers")})
 
 __all__ = sorted([*_EXPORTS, *_OWNER])
 

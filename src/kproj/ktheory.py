@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import _record, homology, linalg, truncpoly
+from . import _powers, _record, homology, linalg, truncpoly
 from ._record import Record
 
 
@@ -111,6 +111,18 @@ class KClass(Record):
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
+    def _make(cls, n: int, coeffs: tuple[int, ...]) -> "KClass":
+        """Internal constructor that skips validation.
+
+        For library results only: the caller guarantees that coeffs is a
+        tuple of exactly n + 1 values of type int.
+        """
+        obj = object.__new__(cls)
+        fields = obj.__dict__
+        fields["n"], fields["coeffs"] = n, coeffs
+        return obj
+
+    @classmethod
     def zero(cls, n: int) -> "KClass":
         _record.check_int(n, "ambient index must be nonnegative", 0)
         return cls(n, (0,) * (n + 1))
@@ -160,16 +172,22 @@ class KClass(Record):
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "KClass":
-        return truncpoly.power(self, exponent, KClass.unit(self.n))
+        return _powers.power(self, exponent, KClass.unit(self.n))
 
     def render(self) -> str:
-        return truncpoly.render_sum(zip(self.coeffs, truncpoly.power_names("γ", self.n)))
+        return _powers.render_powers(self.coeffs, "γ")
 
 
 def k_ring_mul(a: KClass, b: KClass) -> KClass:
-    """Product in the truncated power basis: γ^(n+1) = 0."""
+    """Product in the truncated power basis: γ^(n+1) = 0.
+
+    The factors are valid classes, so the product of their int
+    coefficients is one too and is not validated again.
+    """
+    if type(a) is not KClass or type(b) is not KClass:
+        raise ValueError("k_ring_mul multiplies two classes")
     a._check_ambient(b)
-    return KClass(a.n, tuple(truncpoly.truncated_product(a.coeffs, b.coeffs)))
+    return KClass._make(a.n, tuple(_powers.truncated_product(a.coeffs, b.coeffs)))
 
 
 def chern_character_map(a: KClass) -> truncpoly.TruncPoly:
@@ -253,7 +271,11 @@ class KGroupTable(Record):
         object.__setattr__(self, "entries", entries)
 
     def group(self, q: int) -> linalg.FgAbelianGroup:
-        return dict(self.entries)[q]
+        _record.check_int(q, "degree must be an integer")
+        for degree, group in self.entries:
+            if degree == q:
+                return group
+        raise ValueError(f"degree {q} is not in the table")
 
 
 def k_groups(space: Space, q: int) -> linalg.FgAbelianGroup:
@@ -282,7 +304,7 @@ def _k_groups_by_parity(space: Space) -> tuple[linalg.FgAbelianGroup, linalg.FgA
 
 def k_group_table(space: Space, q_min: int, q_max: int) -> KGroupTable:
     _record.check_int(q_min, "degree must be an integer")
-    _record.check_int(q_max, "degree must be an integer")
+    _record.check_int(q_max, "q_max must be an integer no less than q_min", q_min)
     groups = _k_groups_by_parity(space)
     entries = tuple((q, groups[q % 2]) for q in range(q_min, q_max + 1))
     return KGroupTable(space, entries)

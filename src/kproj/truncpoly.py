@@ -6,8 +6,10 @@ is a checkable property of a value, not a separate type, since the same
 carrier has to hold integer cohomology classes and rational character
 expansions.  MultiPoly is a sparse exact multivariate polynomial used as
 the brute-force side of symmetric-function identities.  The truncated
-product, powering and the signed-sum renderer are module functions shared
-by both classes and by the virtual-bundle ring of the ktheory module.
+product, powering and the signed-sum renderer come from the private
+_powers module, which the virtual-bundle ring of the ktheory module uses
+directly, so that ring N loads neither this module nor fractions; the
+names stay bound here.
 """
 
 from __future__ import annotations
@@ -15,9 +17,14 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import lru_cache
 
-from . import _record, linalg
+from . import _powers, _record, linalg
+
+# the power-basis arithmetic this module shares with ktheory, bound here
+# so that `from kproj.truncpoly import truncated_product` keeps working
+power, power_names, render_powers, render_sum, truncated_product = (
+    _powers.power, _powers.power_names, _powers.render_powers, _powers.render_sum,
+    _powers.truncated_product)
 
 # the exact scalar types; a bool is not one, although it is an int
 _SCALARS = (int, Fraction)
@@ -34,60 +41,6 @@ def _exact(c) -> Fraction:
     if type(c) is int:
         return Fraction(c)
     raise ValueError("coefficients must be exact integers or fractions")
-
-
-def truncated_product(a: Sequence, b: Sequence) -> list:
-    """Coefficients of a * b cut at degree len(a) - 1; len(b) == len(a)."""
-    n = len(a)
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j in range(n - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def power(base, exponent: int, one):
-    """base ** exponent by repeated squaring in a commutative ring with unit one."""
-    _record.check_int(exponent, "exponent must be a nonnegative integer", 0)
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        base = base * base
-        exponent >>= 1
-    return result
-
-
-@lru_cache(maxsize=4)
-def power_names(var: str, n: int) -> tuple[str, ...]:
-    """Monomial texts of 1, var, var^2, .., var^n; the constant's is ''."""
-    return ("", var, *(f"{var}^{k}" for k in range(2, n + 1)))[:n + 1]
-
-
-def render_sum(terms) -> str:
-    """Signed sum of (coefficient, monomial text) pairs, zeros skipped.
-
-    A unit coefficient is dropped before a monomial but not on the
-    constant term: "2 - x + 3/2*x^2".
-    """
-    parts = []
-    for c, monomial in terms:
-        if not c:
-            continue
-        if c < 0:
-            sign, mag = (" - " if parts else "-"), -c
-        else:
-            sign, mag = (" + " if parts else ""), c
-        if not monomial:
-            parts.append(sign + str(mag))
-        elif mag == 1:
-            parts.append(sign + monomial)
-        else:
-            parts.append(sign + str(mag) + "*" + monomial)
-    return "".join(parts) if parts else "0"
 
 
 class TruncPoly:
@@ -187,7 +140,7 @@ class TruncPoly:
     # -- rendering --------------------------------------------------------
 
     def render(self) -> str:
-        return render_sum(zip(self.coeffs, power_names("x", self.order)))
+        return render_powers(self.coeffs, "x")
 
     def __str__(self) -> str:
         return self.render()

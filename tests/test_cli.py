@@ -396,6 +396,8 @@ class TestPinnedDocuments:
             "58173d9ab290dd7add8040e8a23f86ce01df912090cf45db38b4aa5db64a94df",
         ("ring", "0"):
             "17ed1e8fb3722e8f98fd6bb1397c66ae2a608561bc9def78cf9fb2d96370fc3d",
+        ("ring", "100"):
+            "56a1c8b62cf0676e98cd88c921b364005ee6c9068bebf5de3ab20adef81269f7",
         ("ch", "--rank", "5", "--chern", "1-3x+3x^2+x^3-3x^4+x^5", "--order", "16"):
             "50edd8274f4940a36303e5ebd2395789d5540c20f5b7e13951642fc088987beb",
         ("ch", "--rank", "0", "--chern", "1", "--order", "3"):
@@ -415,6 +417,18 @@ class TestPinnedDocuments:
         code, out, err = run(capsys, "--format", "machine", *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[argv]
+
+    # sha256 of human reports, pinned the same way
+    HUMAN_PINNED = {
+        ("ring", "100"):
+            "a4aaf8773f30bb015eea5233ac121b8e8df2aa019aae62763354decc8bc4e1b6",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(HUMAN_PINNED), ids=" ".join)
+    def test_human_report_is_byte_identical(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.HUMAN_PINNED[argv]
 
 
 class TestSizeLimits:

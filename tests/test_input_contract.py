@@ -149,6 +149,7 @@ SIZE_TAKERS = {
     "k-groups": lambda bad, n: k_groups(Space.cpn(n), bad),
     "k-group-table-min": lambda bad, n: k_group_table(Space.cpn(2), bad, n),
     "k-group-table-max": lambda bad, n: k_group_table(Space.cpn(2), -n, bad),
+    "k-group-table-group": lambda bad, n: k_group_table(Space.cpn(2), 0, n).group(bad),
     "replay-induction": lambda bad, n: replay_induction(bad),
     "truncpoly": lambda bad, n: TruncPoly(bad, (1,) + (0,) * n),
     "truncpoly-constant": lambda bad, n: TruncPoly.constant(bad, 1),
@@ -206,6 +207,8 @@ class TestSizes:
     @example("reduced-sphere-k", 2.0, 0)
     @example("k-groups", 1.0, 2)
     @example("k-group-table-min", 0.0, 1)
+    @example("k-group-table-group", True, 1)
+    @example("k-group-table-group", 0.0, 1)
     @example("replay-induction", True, 0)
     @example("truncpoly", 2.0, 2)
     @example("truncpoly-monomial-degree", 1.0, 2)
@@ -234,6 +237,16 @@ class TestSizes:
     def test_a_free_class_of_the_wrong_length_is_a_value_error(self, call):
         # zip would silently truncate the longer vector
         with pytest.raises(ValueError, match="wrong number of coordinates"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: k_group_table(Space.cpn(2), 0, 3).group(5),
+        lambda: k_group_table(Space.cpn(2), 0, 3).group(-1),
+        lambda: k_group_table(Space.cpn(1), 3, 1),
+    ], ids=["group-above-the-table", "group-below-the-table", "reversed-degree-range"])
+    def test_a_degree_outside_the_table_is_a_value_error(self, call):
+        # a lookup used to raise KeyError, and a reversed range gave an empty table
+        with pytest.raises(ValueError):
             call()
 
 

@@ -3,8 +3,9 @@
 Each case starts a fresh interpreter.  A kproj module counts as run when
 its object in sys.modules is a plain module: a lazy module not loaded yet
 is of a subclass, and turns into a plain module when it loads.  The
-private _elimination is registered the same way; it runs only for a matrix
-that linalg cannot decompose in closed form.
+private _elimination and _powers are registered the same way: the first
+runs only for a matrix that linalg cannot decompose in closed form, the
+second only for arithmetic on power-basis coefficients.
 """
 
 import subprocess
@@ -49,7 +50,7 @@ def probe(*argv):
 def test_import_registers_every_module_and_runs_none():
     # perfbench/shim.py reads sys.modules["kproj.<module>"] right after import
     ran, registered, _ = probe()
-    assert registered == {f"kproj.{m}" for m in (*COMPUTE, "_elimination", "cli")}
+    assert registered == {f"kproj.{m}" for m in (*COMPUTE, "_elimination", "_powers", "cli")}
     assert ran == {"cli"}
 
 
@@ -90,12 +91,18 @@ def test_the_replay_loads_no_rationals_and_no_general_elimination(argv):
     # every matrix of the replay is a signed partial permutation, decomposed in closed form
     ran, _, rationals = probe(*argv)
     assert {"homology", "linalg"} <= ran
-    assert "_elimination" not in ran
+    assert not ran & {"_elimination", "_powers"}
+    assert rationals == set()
+
+
+def test_ring_runs_only_the_ring_it_prints():
+    # the γ-power ring has int coefficients: truncpoly and the rationals stay unloaded
+    ran, _, rationals = probe("ring", "5")
+    assert ran == {"cli", "_record", "ktheory", "_powers"}
     assert rationals == set()
 
 
 @pytest.mark.parametrize("argv", [
-    ("ring", "5"),
     ("ch", "cpn:3", "--class=0,1,0,0"),
     ("ch", "--rank", "2", "--chern", "1+2x+x^2", "--order", "3"),
 ], ids=" ".join)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kproj.ktheory import KClass
+from kproj.ktheory import KClass, k_ring_mul
 from kproj.linalg import IntegerMatrix, is_isomorphism
 from kproj.truncpoly import (
     MultiPoly,
@@ -360,6 +360,24 @@ def coefficient_lists(elements, max_order=8):
 
 
 @st.composite
+def kclass_factors(draw, n):
+    """A class on CP^n that is all zero, sparse (at most two nonzeros) or dense."""
+    kind = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    coeffs = [0] * (n + 1)
+    if kind == "sparse":
+        for k in draw(st.sets(st.integers(0, n), max_size=2)):
+            coeffs[k] = draw(st.integers(-40, 40).filter(bool))
+    elif kind == "dense":
+        coeffs = draw(st.lists(st.integers(-40, 40).filter(bool),
+                               min_size=n + 1, max_size=n + 1))
+    return KClass(n, tuple(coeffs))
+
+
+kclass_pairs = st.integers(0, 12).flatmap(lambda n: st.tuples(kclass_factors(n),
+                                                             kclass_factors(n)))
+
+
+@st.composite
 def multipolys(draw):
     count = draw(st.integers(0, 3))
     exponents = st.tuples(*[st.integers(0, 3)] * count)
@@ -418,3 +436,25 @@ class TestSharedCore:
     def test_truncated_product_matches_double_loop(self, pair):
         a, b = pair
         assert truncated_product(a, b) == naive_truncated_product(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kclass_pairs)
+    def test_k_ring_mul_matches_double_loop_and_validated_class(self, pair):
+        # the product skips KClass validation, so it must equal the validated
+        # class exactly: same fields, same hash, same repr
+        a, b = pair
+        product = k_ring_mul(a, b)
+        validated = KClass(a.n, tuple(naive_truncated_product(a.coeffs, b.coeffs)))
+        assert product == validated
+        assert hash(product) == hash(validated)
+        assert repr(product) == repr(validated)
+        assert type(product.coeffs) is tuple
+        assert {type(c) for c in product.coeffs} == {int}
+
+    @pytest.mark.parametrize("other", [2, (0, 1), TruncPoly.monomial(1, 1)], ids=repr)
+    def test_k_ring_mul_rejects_a_factor_that_is_not_a_class(self, other):
+        # the product is not validated, so its factors must be classes
+        with pytest.raises(ValueError):
+            k_ring_mul(KClass.gamma(1), other)
+        with pytest.raises(ValueError):
+            k_ring_mul(other, KClass.gamma(1))
