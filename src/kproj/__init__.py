@@ -9,11 +9,12 @@ polynomial rings over exact rationals, and the Chern character calculus
 on top of Newton's identities.
 
 The six compute modules, the private _elimination that linalg calls for
-matrices outside its closed form, and the private _powers that truncpoly
-and the ring of ktheory share, are loaded lazily: each is in sys.modules
-and is an attribute of the package from the start, but its code runs on
-the first attribute read.  The names below are re-exported on first
-use.
+matrices outside its closed form, the private _groups that holds the
+abelian groups linalg and grothendieck return, and the private _powers
+that truncpoly and the ring of ktheory share, are loaded lazily: each is
+in sys.modules and is an attribute of the package from the start, but
+its code runs on the first attribute read.  The names below are
+re-exported on first use.
 """
 
 import sys
@@ -100,7 +101,7 @@ def _lazy_submodule(name: str):
 
 
 globals().update({module: _lazy_submodule(module)
-                  for module in (*_EXPORTS, "_elimination", "_powers")})
+                  for module in (*_EXPORTS, "_elimination", "_groups", "_powers")})
 
 __all__ = sorted([*_EXPORTS, *_OWNER])
 

@@ -46,11 +46,15 @@ COHOMOLOGY_MAX_TOP = 30000
 # 64-bit entries about 8 s in-process
 SMITH_MAX_SIDE = 100
 SMITH_MAX_BITS = 24
-# groth --table validates a table of order n in O(n^3), which is most of
-# its time, and classifies its group on one relation per generator of a
-# greedy generating set: tables of order 288 take 2-3 s end to end, and
-# orders 384 and 512 about 6 s and 13 s in-process
-GROTH_MAX_ORDER = 288
+# groth --table parses n^2 entries, checks associativity by Light's test,
+# n row compositions per element of a greedy generating set, and counts
+# element orders to classify the class group.  A group needs at most
+# log2(n) + 1 generators: end to end, groups of order 512 take 0.24-0.35 s
+# and of order 1024 0.9-1.2 s and 126 MB.  A monoid with no small
+# generating set, such as x + y = max(x, y), needs all n, so n^3 lookups
+# at C speed: 0.8 s at n = 288 and 2.7-4.0 s at 512, about what groups of
+# order 288 took before Light's test
+GROTH_MAX_ORDER = 512
 
 
 # ----------------------------------------------------------------------
@@ -226,9 +230,11 @@ def _run_groth(args) -> tuple[dict, dict]:
 
 def _run_smith(args) -> tuple[dict, dict]:
     with open(args.matrix, "r", encoding="utf-8") as handle:
-        matrix = linalg.IntegerMatrix.from_text(handle.read())
-    if max(matrix.rows, matrix.cols) > SMITH_MAX_SIDE:
+        text = handle.read()
+    header = text.split(maxsplit=2)[:2]
+    if len(header) == 2 and max(map(int, header)) > SMITH_MAX_SIDE:
         raise ValueError(f"the matrix needs rows and cols at most {SMITH_MAX_SIDE}")
+    matrix = linalg.IntegerMatrix.from_text(text)
     if any(e.bit_length() > SMITH_MAX_BITS for e in matrix.entries):
         raise ValueError(f"matrix entries need absolute value below 2^{SMITH_MAX_BITS}")
     form = linalg.smith_normal_form(matrix)

@@ -9,7 +9,8 @@ the sum of all elements.  K is a group whose identity e is its only
 idempotent, and x |-> x + e is the universal map from M to a group, so
 K already is the completion: the pair (x, y) is the element
 (x + e) - (y + e) of K, found on demand, and K's addition table is
-classified as an abelian group in invariant-factor form.  For N^k the
+classified as an abelian group in invariant-factor form by counting the
+elements each prime power kills, with no linear algebra.  For N^k the
 relation is cancellative and the completion is Z^k on the nose.
 
 The word problem for general presented monoids is undecidable, which is
@@ -18,17 +19,66 @@ why exactly these two carriers (and nothing more ambitious) exist here.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
+from math import gcd
+from operator import itemgetter
 
-from . import _record, linalg
+from . import _groups, _record
 from ._record import Record
+
+
+def _generators(table: Sequence[Sequence[int]]) -> list[int]:
+    """A greedy set S whose sums, bracketed from the left, give every element.
+
+    An element joins S when no sum of the ones before it reaches it.
+    In a group each one at least doubles what is reached, so S has at
+    most log2(n) + 1 elements.
+    """
+    reached, gens = set(), []
+    for x in range(len(table)):
+        if x in reached:
+            continue
+        gens.append(x)
+        # an old sum plus x, or a new one plus any generator, is a sum
+        todo = [x, *map(table[x].__getitem__, reached)]
+        while todo:
+            w = todo.pop()
+            if w not in reached:
+                reached.add(w)
+                todo += map(table[w].__getitem__, gens)
+    return gens
+
+
+def _associativity_failure(table: Sequence[Sequence[int]], middles):
+    """The first (x, y, z) with y in middles and (x + y) + z != x + (y + z), or None.
+
+    For each x and y the row of x + y, which holds (x + y) + z for every
+    z, is compared with x + (y + z) for every z, read from the row of x
+    at C speed by an itemgetter over the row of y.
+    """
+    if len(table) == 1:  # its entry is in range, so 0 + 0 = 0; itemgetter(0) gives no tuple
+        return None
+    plus = [(y, itemgetter(*table[y])) for y in middles]
+    for x, row in enumerate(table):
+        for y, plus_y in plus:
+            left, right = table[row[y]], plus_y(row)
+            if left != right:
+                return x, y, next(z for z in range(len(row)) if left[z] != right[z])
+    return None
 
 
 class FiniteCommutativeMonoid(Record):
     """Commutative monoid on {0, .., n-1} given by its Cayley table.
 
-    Commutativity, associativity, and the identity law are verified
-    exhaustively at construction; the sizes in play are tiny.
+    Commutativity, associativity, and the identity law are verified at
+    construction.  Associativity is decided by Light's test (Clifford and
+    Preston, The Algebraic Theory of Semigroups I, 1961): the elements s
+    with (x + s) + y = x + (s + y) for all x and y are closed under the
+    sum, so it is enough to check s in a set whose sums reach every
+    element, O(n^2) lookups per element of the set.  Only a table that
+    fails is scanned whole, so that the error names its first failing
+    triple.
     """
 
     _fields = ("table", "identity")
@@ -42,17 +92,19 @@ class FiniteCommutativeMonoid(Record):
             raise ValueError("Cayley table must be square")
         _record.check_int(identity, "identity index out of range", 0, n)
         for row in table:
-            for e in row:
-                _record.check_int(e, "table entry out of range", 0, n)
-        for x in range(n):
-            for y in range(x + 1, n):
-                if table[x][y] != table[y][x]:
-                    raise ValueError(f"table is not commutative at ({x}, {y})")
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    if table[table[x][y]][z] != table[x][table[y][z]]:
-                        raise ValueError(f"table is not associative at ({x}, {y}, {z})")
+            _record.exact_ints(row, "table entry out of range")
+        if min(map(min, table)) < 0 or max(map(max, table)) >= n:
+            raise ValueError("table entry out of range")
+        # zip(*table) yields the columns one at a time; the first row that
+        # differs from its column differs from it right of the diagonal
+        x = next((x for x, (row, column) in enumerate(zip(table, zip(*table)))
+                  if row != column), None)
+        if x is not None:
+            y = next(y for y in range(x + 1, n) if table[x][y] != table[y][x])
+            raise ValueError(f"table is not commutative at ({x}, {y})")
+        if _associativity_failure(table, _generators(table)) is not None:
+            x, y, z = _associativity_failure(table, range(n))
+            raise ValueError(f"table is not associative at ({x}, {y}, {z})")
         e = identity
         for x in range(n):
             if table[e][x] != x or table[x][e] != x:
@@ -105,11 +157,10 @@ class FiniteCommutativeMonoid(Record):
         if len(tokens) < 2:
             raise ValueError("Cayley table text must start with 'n identity_index'")
         n, identity = int(tokens[0]), int(tokens[1])
-        body = tokens[2:]
-        if len(body) != n * n:
-            raise ValueError(f"expected {n * n} table entries, got {len(body)}")
-        table = tuple(tuple(int(body[i * n + j]) for j in range(n)) for i in range(n))
-        return cls(table, identity)
+        if len(tokens) - 2 != n * n:
+            raise ValueError(f"expected {n * n} table entries, got {len(tokens) - 2}")
+        rows = (tokens[2 + i * n:2 + (i + 1) * n] for i in range(n))
+        return cls(tuple(tuple(map(int, row)) for row in rows), identity)
 
 
 class FreeCommutativeMonoid(Record):
@@ -157,39 +208,46 @@ def pair_equivalent(monoid: Monoid, x, y, u, v) -> bool:
                for t in range(monoid.size))
 
 
-def _classify_group_table(table: Sequence[Sequence[int]]) -> linalg.FgAbelianGroup:
+def _classify_group_table(table: Sequence[Sequence[int]]) -> _groups.FgAbelianGroup:
     """Invariant factors of a finite abelian group given by its Cayley table.
 
-    The group is presented on a greedy generating set S = (s_1, .., s_t),
-    where each s_j lies outside the span H of the ones before it.  Walking
-    the cosets k s_j + H for k = 1, 2, .. gives each new element its
-    coordinates over S, until some k s_j + h is the identity: then
-    k e_j + coords(h) = 0 is the relation of s_j, with k the index of H
-    in H + <s_j>.  The t relations form a lower-triangular t x t matrix
-    whose determinant is the product of the indices, the order of the
-    group; they hold in the group, so the lattice they span has the same
-    index as the lattice of all relations, and the two are equal.  The
-    cokernel of the relation matrix gives the group in normal form.
+    The elements that p^j kills, for a prime p, form a subgroup G[p^j],
+    and |G[p^j]| / |G[p^(j-1)]| = p^c, where c counts the invariant
+    factors divisible by p^j: so the i-th largest factor takes one p for
+    each j whose c is at least i.  The counts come from the element
+    orders, found by walking the multiples x, 2x, .., mx = 0 of each
+    element not met before: kx has order m / gcd(k, m).
     """
-    zero = next(z for z in range(len(table)) if table[z][z] == z)
-    coords = {zero: ()}
-    rows = []
-    for x in range(len(table)):
-        if x in coords:
+    n = len(table)
+    zero = next(z for z in range(n) if table[z][z] == z)
+    orders = {zero: 1}
+    for x in range(n):
+        if x in orders:
             continue
-        # layer k maps each k x + h to the h of the span it came from
-        layer, k = {table[x][h]: h for h in coords}, 1
-        while zero not in layer:
-            for y, h in layer.items():
-                coords[y] = coords[h] + (k,)
-            layer, k = {table[x][y]: h for y, h in layer.items()}, k + 1
-        rows.append(coords[layer[zero]] + (k,))
-        for h in coords:
-            if len(coords[h]) < len(rows):
-                coords[h] += (0,)
-    t = len(rows)
-    relations = [row + (0,) * (t - len(row)) for row in rows]
-    return linalg.cokernel(linalg.IntegerMatrix.from_rows(relations, cols=t))
+        row, multiples = table[x], [x]
+        while multiples[-1] != zero:
+            multiples.append(row[multiples[-1]])
+        m = len(multiples)
+        for k, y in enumerate(multiples, 1):
+            orders[y] = m // gcd(k, m)
+    tally = Counter(orders.values())
+    factors = []  # the invariant factors, largest first
+    rest, p = n, 2
+    while rest > 1:
+        if rest % p:
+            p += 1
+            continue
+        while rest % p == 0:
+            rest //= p
+        killed, power = 1, p  # |G[p^(j-1)]| and p^j
+        while tally[power]:
+            grown, c = killed + tally[power], 0
+            while killed < grown:
+                killed, c = killed * p, c + 1
+            factors += [1] * (c - len(factors))
+            factors[:c] = [f * p for f in factors[:c]]
+            power *= p
+    return _groups.FgAbelianGroup(0, tuple(reversed(factors)))
 
 
 class GrothendieckGroup:
@@ -209,7 +267,7 @@ class GrothendieckGroup:
         self.monoid = monoid
         if isinstance(monoid, FreeCommutativeMonoid):
             self.kind = "free"
-            self.carrier = linalg.FgAbelianGroup.free(monoid.generator_count)
+            self.carrier = _groups.FgAbelianGroup.free(monoid.generator_count)
             return
         self.kind = "finite"
         # a, the sum of all elements, lies in every ideal, so K = M + a is
@@ -218,11 +276,12 @@ class GrothendieckGroup:
         for x in range(1, monoid.size):
             a = t[a][x]
         self._zero = e = next(k for k in t[a] if t[k][k] == k)
-        self._elements = tuple(dict.fromkeys(t[e]))
-        self._index = {k: i for i, k in enumerate(self._elements)}
-        self._minus = {g: h for g in self._elements for h in self._elements if t[g][h] == e}
-        self._add_table = [tuple(self._index[t[g][h]] for h in self._elements)
-                           for g in self._elements]
+        self._elements = elements = tuple(dict.fromkeys(t[e]))
+        self._index = index = {k: i for i, k in enumerate(elements)}
+        # g + h = e for some h of M, and then h + e is the negative of g in K
+        self._minus = {g: t[e][t[g].index(e)] for g in elements}
+        self._add_table = [tuple(map(index.__getitem__, map(t[g].__getitem__, elements)))
+                           for g in elements]
         self.carrier = _classify_group_table(self._add_table)
 
     # -- class arithmetic -------------------------------------------------
@@ -263,7 +322,7 @@ def completion(monoid: Monoid) -> GrothendieckGroup:
 class CompletionHomomorphism:
     """The induced map theta with theta([(x, y)]) = psi(x) - psi(y)."""
 
-    def __init__(self, group: GrothendieckGroup, target: linalg.FgAbelianGroup, data):
+    def __init__(self, group: GrothendieckGroup, target: _groups.FgAbelianGroup, data):
         self.group = group
         self.target = target
         self._data = data
@@ -280,7 +339,7 @@ class CompletionHomomorphism:
 
 
 def universal_factor(monoid: Monoid, group: GrothendieckGroup,
-                     target: linalg.FgAbelianGroup,
+                     target: _groups.FgAbelianGroup,
                      psi: Sequence) -> CompletionHomomorphism:
     """Factor a monoid homomorphism psi through the completion.
 

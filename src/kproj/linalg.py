@@ -1,10 +1,11 @@
 """Exact integer linear algebra.
 
 Smith normal form with unimodular transforms, integer kernels and
-cokernels, linear-system solving over Z, and finitely generated abelian
-groups in invariant-factor normal form.  All arithmetic is exact: the
-module runs on Python's arbitrary-precision integers and nothing here
-(or anywhere downstream) touches floating point.
+cokernels, and linear-system solving over Z.  Finitely generated abelian
+groups in invariant-factor normal form live in the private _groups and
+are bound here as FgAbelianGroup.  All arithmetic is exact: the module
+runs on Python's arbitrary-precision integers and nothing here (or
+anywhere downstream) touches floating point.
 
 The Smith transforms are built only for callers that read them.  A
 signed partial permutation is decomposed in closed form here; every
@@ -22,8 +23,10 @@ from functools import cached_property, lru_cache
 from itertools import chain, compress
 from operator import add, mul, neg, sub
 
-from . import _elimination, _record
+from . import _elimination, _groups, _record
 from ._record import Record
+
+FgAbelianGroup = _groups.FgAbelianGroup
 
 
 # Identity matrices kept, one per size.  A stage of the induction replay
@@ -234,9 +237,10 @@ class SmithForm(Record):
     determinant +-1.
 
     Every part is computed on first read and then kept.  Reading d or
-    rank first builds no transforms: d comes from
-    _elimination._invariant_factors, which works modulo a multiple of a
-    determinantal divisor, and that is all that cokernel needs.  The first
+    rank first builds no transforms: d of a zero matrix is empty, and any
+    other d comes from _elimination._invariant_factors, which works
+    modulo a multiple of a determinantal divisor, and that is all that
+    cokernel needs.  The first
     read of u or v runs _eliminate, which builds the transforms, in closed
     form or by _elimination._eliminate; it keeps d, u and v, so a caller
     that reads a transform first pays for one elimination only.  d is
@@ -250,6 +254,8 @@ class SmithForm(Record):
 
     @cached_property
     def d(self) -> tuple[int, ...]:
+        if self.a.is_zero():  # as every boundary of cpn_complex and sphere_complex is
+            return ()
         return _elimination._invariant_factors(self.a)
 
     @cached_property
@@ -347,7 +353,7 @@ def smith_normal_form(a: IntegerMatrix) -> SmithForm:
     return SmithForm(a)
 
 
-def cokernel(a: IntegerMatrix) -> "FgAbelianGroup":
+def cokernel(a: IntegerMatrix) -> FgAbelianGroup:
     """Quotient of Z^cols by the subgroup generated by the rows of a.
 
     Each row of a is read as a relation among the cols standard
@@ -419,109 +425,3 @@ def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     # where every factor is 1 and a has full rank, y is c itself, uncopied
     y = c[:ones * k] + quotients + (0,) * ((n - rank) * k)
     return form.v @ IntegerMatrix._make(n, k, y)
-
-
-# ----------------------------------------------------------------------
-# finitely generated abelian groups
-# ----------------------------------------------------------------------
-
-
-class FgAbelianGroup(Record):
-    """Finitely generated abelian group in invariant-factor normal form.
-
-    free_rank copies of Z plus cyclic factors Z/torsion[i] where each
-    torsion entry is at least 2 and divides the next.  Structural
-    equality therefore decides isomorphism.
-    """
-
-    _fields = ("free_rank", "torsion")
-
-    def __init__(self, free_rank: int, torsion: Sequence[int] = ()):
-        _record.check_int(free_rank, "group invariants must be exact integers")
-        torsion = _record.exact_ints(torsion, "group invariants must be exact integers")
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        for t in torsion:
-            if t < 2:
-                raise ValueError("torsion coefficients must be at least 2")
-        for s, t in zip(torsion, torsion[1:]):
-            if t % s:
-                raise ValueError("torsion coefficients must form a divisibility chain")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-
-    @cached_property
-    def _relations(self) -> IntegerMatrix:
-        """The relations as columns: t times the unit vector of each torsion coordinate t."""
-        m, free = len(self.torsion), self.free_rank
-        entries = [0] * ((free + m) * m)
-        entries[free * m::m + 1] = self.torsion
-        return IntegerMatrix._make(free + m, m, tuple(entries))
-
-    @classmethod
-    def trivial(cls) -> "FgAbelianGroup":
-        return cls(0, ())
-
-    @classmethod
-    def free(cls, rank: int) -> "FgAbelianGroup":
-        return cls(rank, ())
-
-    @classmethod
-    def cyclic(cls, order: int) -> "FgAbelianGroup":
-        _record.check_int(order, "group invariants must be exact integers")
-        if order == 0:
-            return cls(1, ())
-        if order == 1:
-            return cls(0, ())
-        return cls(0, (order,))
-
-    def direct_sum(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
-        """Direct sum, renormalized into a single invariant-factor chain."""
-        free = self.free_rank + other.free_rank
-        torsion = self.torsion + other.torsion
-        if not torsion:
-            return FgAbelianGroup(free, ())
-        k = len(torsion)
-        normalized = cokernel(IntegerMatrix.diagonal(torsion, k, k))
-        return FgAbelianGroup(free, normalized.torsion)
-
-    # -- rendering -----------------------------------------------------
-
-    def render(self) -> str:
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " ⊕ ".join(parts) if parts else "0"
-
-    def __str__(self) -> str:
-        return self.render()
-
-    # -- element arithmetic ---------------------------------------------
-    # Elements are integer tuples: free coordinates first, then one
-    # residue per torsion factor.
-
-    def element_length(self) -> int:
-        return self.free_rank + len(self.torsion)
-
-    def normalize_element(self, element: Sequence[int]) -> tuple[int, ...]:
-        element = _record.exact_ints(element, "element coordinates must be exact integers")
-        if len(element) != self.element_length():
-            raise ValueError("element has the wrong number of coordinates")
-        free = element[:self.free_rank]
-        tors = tuple(c % t for c, t in zip(element[self.free_rank:], self.torsion))
-        return free + tors
-
-    def zero_element(self) -> tuple[int, ...]:
-        return (0,) * self.element_length()
-
-    def add_elements(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        a = self.normalize_element(a)
-        b = self.normalize_element(b)
-        return self.normalize_element(tuple(x + y for x, y in zip(a, b)))
-
-    def scale_element(self, a: Sequence[int], c: int) -> tuple[int, ...]:
-        a = self.normalize_element(a)
-        return self.normalize_element(tuple(c * x for x in a))

@@ -3,10 +3,11 @@
 Nothing in here calls the library's Smith machinery: determinants come
 from cofactor expansion, invariant factors from the gcd-of-minors
 characterization, diagonalization from plain repeated-subtraction row and
-column reduction, and finite quotients from literal enumeration of
-canonical representatives.  The polynomial oracles (the exponential
-series, elementary symmetric polynomials and power sums) are built from
-the plain truncated and multivariate polynomial arithmetic, and the
+column reduction, finite quotients from literal enumeration of
+canonical representatives, and associativity from every triple of a
+table.  The polynomial oracles (the exponential series, elementary
+symmetric polynomials and power sums) are built from the plain
+truncated and multivariate polynomial arithmetic, and the
 elementary symmetric values of integer roots from plain ints.  The
 Chern character of a class in powers of γ is also read off Stirling
 numbers of the second kind, a route the library no longer takes.
@@ -270,6 +271,21 @@ def enumerated_cyclic_order(relation_rows, n) -> int | None:
     except ValueError:
         return None
     return max(q.order_of(e) for e in q.elements())
+
+
+def first_nonassociative_triple(table):
+    """The first (x, y, z) in lexicographic order with (x y) z != x (y z), or None.
+
+    Every one of the n^3 triples is tried: the check the library made
+    before it took Light's test.
+    """
+    n = len(table)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if table[table[x][y]][z] != table[x][table[y][z]]:
+                    return x, y, z
+    return None
 
 
 def full_group_presentation(table) -> list[list[int]]:

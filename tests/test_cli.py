@@ -304,6 +304,19 @@ class TestSmithCommand:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("shape", [(SIDE + 1, 1), (1, SIDE + 1)], ids=["rows", "cols"])
+    def test_a_header_above_the_bound_is_rejected_before_any_entry(self, capsys, tmp_path,
+                                                                   shape):
+        code, out, err = run(capsys, "smith", "--matrix", self.write(tmp_path, *shape, []))
+        assert (code, out) == (2, "")
+        assert err == f"error: the matrix needs rows and cols at most {self.SIDE}\n"
+
+    @pytest.mark.parametrize("shape", [(SIDE, 1), (1, SIDE)], ids=["rows", "cols"])
+    def test_a_header_at_the_bound_passes_the_header_check(self, capsys, tmp_path, shape):
+        code, _, err = run(capsys, "smith", "--matrix", self.write(tmp_path, *shape, []))
+        assert code == 2
+        assert f"expected {self.SIDE} entries, got 0" in err
+
 
 class TestTraceCommand:
     def test_machine_trace(self, capsys):

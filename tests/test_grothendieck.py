@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import kproj.grothendieck as grothendieck_module
+import kproj.linalg as linalg_module
 from kproj.grothendieck import (
     FiniteCommutativeMonoid,
     FreeCommutativeMonoid,
+    _associativity_failure,
     _classify_group_table,
+    _generators,
     completion,
     pair_equivalent,
     universal_factor,
 )
-from kproj.linalg import FgAbelianGroup, IntegerMatrix, cokernel
+from kproj.linalg import FgAbelianGroup, IntegerMatrix, cokernel, smith_normal_form
 
-from oracles import chain_from_diagonal, full_group_presentation
+from oracles import chain_from_diagonal, first_nonassociative_triple, full_group_presentation
 
 
 def truncated_addition_monoid(cap):
@@ -42,13 +44,18 @@ def monogenic(index, period):
     return FiniteCommutativeMonoid(table, 0)
 
 
+def relabelled_table(table, perm):
+    """The table with element x renamed perm[x]."""
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    out = [()] * len(table)
+    for x, row in enumerate(table):
+        out[perm[x]] = tuple(perm[row[i]] for i in inverse)
+    return tuple(out)
+
+
 def relabel(m, perm):
     """The same monoid with element x renamed perm[x]."""
-    table = [[0] * m.size for _ in range(m.size)]
-    for x in range(m.size):
-        for y in range(m.size):
-            table[perm[x]][perm[y]] = perm[m.table[x][y]]
-    return FiniteCommutativeMonoid(tuple(map(tuple, table)), perm[m.identity])
+    return FiniteCommutativeMonoid(relabelled_table(m.table, perm), perm[m.identity])
 
 
 FACTORS = st.one_of(
@@ -86,6 +93,42 @@ CATALOG = [
 ]
 
 
+def cyclic_sum_table(orders):
+    """Cayley table of Z/n1 + .. + Z/nk, with (a1, .., ak) at index ((a1 n2 + a2) n3 + ..) + ak."""
+    table = [[0]]
+    for m in orders:
+        table = [[table[x][y] * m + (j + k) % m for y in range(len(table)) for k in range(m)]
+                 for x in range(len(table)) for j in range(m)]
+    return table
+
+
+@st.composite
+def abelian_groups(draw, max_order=288):
+    """Orders n1, .., nk with product at most max_order, the table of their sum
+    relabelled, and the label of its zero."""
+    orders = []
+    while 2 * math.prod(orders) <= max_order and draw(st.booleans()):
+        room = max_order // math.prod(orders)
+        orders.append(draw(st.integers(2, min(room, 4)) | st.integers(2, room)))
+    perm = draw(st.permutations(range(math.prod(orders))))
+    return orders, relabelled_table(cyclic_sum_table(orders), perm), perm[0]
+
+
+@st.composite
+def tables_off_by_one_entry(draw):
+    """(table, identity): a small monoid with its (x, y) and (y, x) entries replaced.
+
+    Neither x nor y is the identity, so the table stays commutative with
+    the same identity, and only associativity can fail.
+    """
+    m = draw(small_monoids().filter(lambda m: m.size > 1))
+    others = st.sampled_from([x for x in range(m.size) if x != m.identity])
+    x, y, value = draw(others), draw(others), draw(st.integers(0, m.size - 1))
+    table = [list(row) for row in m.table]
+    table[x][y] = table[y][x] = value
+    return tuple(map(tuple, table)), m.identity
+
+
 class TestMonoidConstruction:
     def test_rejects_noncommutative(self):
         table = ((0, 1), (0, 1))
@@ -97,6 +140,25 @@ class TestMonoidConstruction:
         table = ((0, 1, 2), (1, 0, 0), (2, 0, 1))
         with pytest.raises(ValueError):
             FiniteCommutativeMonoid(table, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables_off_by_one_entry())
+    def test_lights_test_agrees_with_every_triple(self, case):
+        table, identity = case
+        failure = first_nonassociative_triple(table)
+        assert (_associativity_failure(table, _generators(table)) is None) == (failure is None)
+        if failure is None:
+            assert FiniteCommutativeMonoid(table, identity).table == table
+        else:
+            with pytest.raises(ValueError) as info:
+                FiniteCommutativeMonoid(table, identity)
+            assert str(info.value) == f"table is not associative at {failure}"
+
+    @settings(max_examples=30, deadline=None)
+    @given(abelian_groups())
+    def test_a_group_needs_at_most_log2_of_its_order_plus_one_generators(self, case):
+        _, table, _ = case
+        assert len(_generators(table)) <= len(table).bit_length()
 
     def test_rejects_bad_identity(self):
         table = ((0, 0), (0, 0))
@@ -399,17 +461,36 @@ class TestGroupTablePresentation:
         assert got == FgAbelianGroup(0, tuple(chain_from_diagonal(orders)))
 
     def test_trivial_group_is_zero(self):
-        # no generators: the relation matrix is 0 x 0 and presents the trivial group
+        # no prime divides the order 1, so there is no invariant factor
         assert _classify_group_table(((0,),)) == FgAbelianGroup.trivial()
 
-    def test_relations_grow_with_the_log_of_the_order(self, monkeypatch):
-        shapes = []
-        monkeypatch.setattr(grothendieck_module.linalg, "cokernel",
-                            lambda a: shapes.append((a.rows, a.cols)) or cokernel(a))
-        for chain in ([64], [4, 16], [4, 4, 4], [2] * 6):
-            completion(FiniteCommutativeMonoid.from_invariants(chain))
-        # one relation on each of at most log2(64) = 6 generators, against
-        # 64 * 65 / 2 = 2080 pairs on 64 symbols
-        assert len(shapes) == 4
-        assert all(rows == cols <= 6 for rows, cols in shapes)
-        assert shapes[0] == (1, 1) and shapes[3] == (6, 6)
+    @settings(max_examples=40, deadline=None)
+    @given(abelian_groups())
+    def test_torsion_counts_classify_every_group_up_to_order_288(self, case):
+        orders, table, _ = case
+        assert _classify_group_table(table) == FgAbelianGroup(0, tuple(chain_from_diagonal(orders)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(abelian_groups(max_order=144), st.booleans())
+    def test_completion_of_a_group_with_an_absorbing_or_idempotent_element(self, case, absorbing):
+        orders, table, zero = case
+        n = len(table)
+        if absorbing:  # G with z adjoined, z + x = z: the least ideal is {z}
+            table = [row + (n,) for row in table] + [(n,) * (n + 1)]
+            expected = FgAbelianGroup.trivial()
+        else:  # G x {0, e} with e + e = e, (g, b) at index 2g + b: the least ideal is G x {e}
+            table = [tuple(2 * table[g][h] + (b | c) for h in range(n) for c in (0, 1))
+                     for g in range(n) for b in (0, 1)]
+            zero, expected = 2 * zero, FgAbelianGroup(0, tuple(chain_from_diagonal(orders)))
+        g = completion(FiniteCommutativeMonoid(table, zero))
+        assert g.carrier == expected
+        assert g.class_count == (1 if absorbing else n)
+
+    def test_completion_makes_no_smith_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(linalg_module, "smith_normal_form",
+                            lambda a: calls.append(a) or smith_normal_form(a))
+        for chain in ([64], [4, 16], [4, 4, 4], [2] * 6, [2, 12, 12]):
+            g = completion(FiniteCommutativeMonoid.from_invariants(chain))
+            assert g.carrier == FgAbelianGroup(0, tuple(chain))
+        assert calls == []

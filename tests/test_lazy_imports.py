@@ -3,9 +3,10 @@
 Each case starts a fresh interpreter.  A kproj module counts as run when
 its object in sys.modules is a plain module: a lazy module not loaded yet
 is of a subclass, and turns into a plain module when it loads.  The
-private _elimination and _powers are registered the same way: the first
-runs only for a matrix that linalg cannot decompose in closed form, the
-second only for arithmetic on power-basis coefficients.
+private _elimination, _groups and _powers are registered the same way:
+the first runs only for a nonzero matrix that linalg cannot decompose in
+closed form, the second for abelian groups, with linalg or without it,
+and the third only for arithmetic on power-basis coefficients.
 """
 
 import subprocess
@@ -50,17 +51,19 @@ def probe(*argv):
 def test_import_registers_every_module_and_runs_none():
     # perfbench/shim.py reads sys.modules["kproj.<module>"] right after import
     ran, registered, _ = probe()
-    assert registered == {f"kproj.{m}" for m in (*COMPUTE, "_elimination", "_powers", "cli")}
+    assert registered == {f"kproj.{m}"
+                          for m in (*COMPUTE, "_elimination", "_groups", "_powers", "cli")}
     assert ran == {"cli"}
 
 
 @pytest.mark.parametrize("argv, expected", [
     (("--version",), {"cli"}),
-    (("smith", "--matrix", "{matrix}"), {"cli", "_record", "linalg", "_elimination"}),
-    (("groth", "--table", "{table}"),
-     {"cli", "_record", "linalg", "_elimination", "grothendieck"}),
-    (("cohomology", "cpn:3"), {"cli", "_record", "linalg", "_elimination", "homology", "ktheory"}),
-    (("bott-check",), {"cli", "_record", "linalg", "_elimination", "ktheory"}),
+    (("smith", "--matrix", "{matrix}"), {"cli", "_record", "linalg", "_groups", "_elimination"}),
+    # the group table is classified by counting element orders: no matrix at all
+    (("groth", "--table", "{table}"), {"cli", "_record", "_groups", "grothendieck"}),
+    # every boundary of cpn:N is zero, and a zero matrix has no invariant factor
+    (("cohomology", "cpn:3"), {"cli", "_record", "linalg", "_groups", "homology", "ktheory"}),
+    (("bott-check",), {"cli", "_record", "linalg", "_groups", "_elimination", "ktheory"}),
 ])
 def test_a_subcommand_runs_exactly_the_modules_it_needs(tmp_path, argv, expected):
     matrix, table = tmp_path / "m.matrix", tmp_path / "z3.table"
