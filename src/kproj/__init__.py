@@ -10,11 +10,11 @@ on top of Newton's identities.
 
 The six compute modules, the private _elimination that linalg calls for
 matrices outside its closed form, the private _groups that holds the
-abelian groups linalg and grothendieck return, and the private _powers
-that truncpoly and the ring of ktheory share, are loaded lazily: each is
-in sys.modules and is an attribute of the package from the start, but
-its code runs on the first attribute read.  The names below are
-re-exported on first use.
+abelian groups linalg, grothendieck and ktheory return, and the private
+_powers that truncpoly and the ring of ktheory share, are loaded lazily:
+each is in sys.modules and is an attribute of the package from the
+start, but its code runs on the first attribute read.  The names below
+are re-exported on first use.
 """
 
 import sys

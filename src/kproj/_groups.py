@@ -3,8 +3,9 @@
 FgAbelianGroup is the value type that every layer passes around, and
 linalg binds it under its public name.  It lives apart from the matrices
 so that a caller which only builds groups, the group completion of a
-Cayley table, runs no linear algebra: linalg is reached only by the
-relations matrix that the exact-sequence checks read and by direct_sum.
+Cayley table or the K-groups of a sphere, runs no linear algebra: linalg
+is reached only by the relations matrix that the exact-sequence checks
+read and by direct_sum of groups with torsion.
 """
 
 from __future__ import annotations

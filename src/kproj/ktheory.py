@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import _powers, _record, homology, linalg, truncpoly
+from . import _groups, _powers, _record, homology, linalg, truncpoly
 from ._record import Record
 
 
@@ -237,7 +237,7 @@ def ch_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
 # ----------------------------------------------------------------------
 
 
-def reduced_sphere_k(i: int) -> linalg.FgAbelianGroup:
+def reduced_sphere_k(i: int) -> _groups.FgAbelianGroup:
     """Reduced K-theory of the i-sphere: Z in even dimensions, 0 in odd.
 
     This is the axiom table: the homotopy-theoretic computation behind it
@@ -245,7 +245,7 @@ def reduced_sphere_k(i: int) -> linalg.FgAbelianGroup:
     as such wherever they are used.
     """
     _record.check_int(i, "sphere dimension must be nonnegative", 0)
-    return linalg.FgAbelianGroup.free(1) if i % 2 == 0 else linalg.FgAbelianGroup.trivial()
+    return _groups.FgAbelianGroup.free(1) if i % 2 == 0 else _groups.FgAbelianGroup.trivial()
 
 
 class KGroupTable(Record):
@@ -258,7 +258,7 @@ class KGroupTable(Record):
 
     _fields = ("space", "entries")
 
-    def __init__(self, space: Space, entries: Sequence[tuple[int, linalg.FgAbelianGroup]]):
+    def __init__(self, space: Space, entries: Sequence[tuple[int, _groups.FgAbelianGroup]]):
         entries = tuple((q, group) for q, group in entries)
         lookup = dict(entries)
         _record.exact_ints(lookup, "degrees must be exact integers")
@@ -270,7 +270,7 @@ class KGroupTable(Record):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "entries", entries)
 
-    def group(self, q: int) -> linalg.FgAbelianGroup:
+    def group(self, q: int) -> _groups.FgAbelianGroup:
         _record.check_int(q, "degree must be an integer")
         for degree, group in self.entries:
             if degree == q:
@@ -278,7 +278,7 @@ class KGroupTable(Record):
         raise ValueError(f"degree {q} is not in the table")
 
 
-def k_groups(space: Space, q: int) -> linalg.FgAbelianGroup:
+def k_groups(space: Space, q: int) -> _groups.FgAbelianGroup:
     """K-group of a space in any integer degree.
 
     Degrees are reduced modulo two.  Sphere values are assembled from the
@@ -290,7 +290,7 @@ def k_groups(space: Space, q: int) -> linalg.FgAbelianGroup:
     return _k_groups_by_parity(space)[q % 2]
 
 
-def _k_groups_by_parity(space: Space) -> tuple[linalg.FgAbelianGroup, linalg.FgAbelianGroup]:
+def _k_groups_by_parity(space: Space) -> tuple[_groups.FgAbelianGroup, _groups.FgAbelianGroup]:
     """The K-groups of a space in degrees 0 and 1; at most one replay."""
     if space.kind == "point" or (space.kind == "cpn" and space.parameter == 0):
         return reduced_sphere_k(0), reduced_sphere_k(1)
@@ -335,15 +335,15 @@ class InductionTrace(Record):
     _fields = ("n", "steps", "reduced_k0", "k0", "k1")
 
     def __init__(self, n: int, steps: tuple[InductionStep, ...],
-                 reduced_k0: linalg.FgAbelianGroup, k0: linalg.FgAbelianGroup,
-                 k1: linalg.FgAbelianGroup):
+                 reduced_k0: _groups.FgAbelianGroup, k0: _groups.FgAbelianGroup,
+                 k1: _groups.FgAbelianGroup):
         for name, value in zip(self._fields, (n, steps, reduced_k0, k0, k1)):
             object.__setattr__(self, name, value)
 
 
-def _inclusion_window(sub: linalg.FgAbelianGroup, middle: linalg.FgAbelianGroup,
-                      quot: linalg.FgAbelianGroup,
-                      tail: linalg.FgAbelianGroup) -> homology.GroupSequence:
+def _inclusion_window(sub: _groups.FgAbelianGroup, middle: _groups.FgAbelianGroup,
+                      quot: _groups.FgAbelianGroup,
+                      tail: _groups.FgAbelianGroup) -> homology.GroupSequence:
     """The five-term window 0 -> sub -> middle -> quot -> tail.
 
     The middle group is the splitting conclusion, checked as it stands:
@@ -361,14 +361,14 @@ def _inclusion_window(sub: linalg.FgAbelianGroup, middle: linalg.FgAbelianGroup,
         proj,
         linalg.IntegerMatrix.zero(tail.element_length(), b),
     )
-    return homology.GroupSequence((linalg.FgAbelianGroup.trivial(), sub, middle, quot, tail),
+    return homology.GroupSequence((_groups.FgAbelianGroup.trivial(), sub, middle, quot, tail),
                                   maps)
 
 
-def _vanishing_window(left: linalg.FgAbelianGroup, middle: linalg.FgAbelianGroup,
-                      right: linalg.FgAbelianGroup) -> homology.GroupSequence:
+def _vanishing_window(left: _groups.FgAbelianGroup, middle: _groups.FgAbelianGroup,
+                      right: _groups.FgAbelianGroup) -> homology.GroupSequence:
     """The window left -> 0 -> middle -> 0 -> right with zero maps."""
-    zero = linalg.FgAbelianGroup.trivial()
+    zero = _groups.FgAbelianGroup.trivial()
     maps = (
         linalg.IntegerMatrix.zero(0, left.element_length()),
         linalg.IntegerMatrix.zero(middle.element_length(), 0),
@@ -438,8 +438,8 @@ def replay_induction(n: int) -> InductionTrace:
         )
 
         # degree-1 window: Z -> 0 -> middle -> 0 -> Z^(k+1), middle pinched to 0
-        prev_k0 = homology.split_free_extension(prev_reduced, linalg.FgAbelianGroup.free(1))
-        new_k1 = linalg.FgAbelianGroup.trivial()
+        prev_k0 = homology.split_free_extension(prev_reduced, _groups.FgAbelianGroup.free(1))
+        new_k1 = _groups.FgAbelianGroup.trivial()
         window1 = _vanishing_window(quot, new_k1, prev_k0)
         exact1, verdict1 = _check_window(window1)
         step1 = InductionStep(
@@ -460,7 +460,7 @@ def replay_induction(n: int) -> InductionTrace:
 
         steps += (step0, step1)
         prev_reduced, prev_k1 = middle, new_k1
-    k0 = homology.split_free_extension(prev_reduced, linalg.FgAbelianGroup.free(1))
+    k0 = homology.split_free_extension(prev_reduced, _groups.FgAbelianGroup.free(1))
     steps.append(InductionStep(
         index=len(steps),
         kind="unreduced-assembly",

@@ -8,8 +8,9 @@ runs on Python's arbitrary-precision integers and nothing here (or
 anywhere downstream) touches floating point.
 
 The Smith transforms are built only for callers that read them.  A
-signed partial permutation is decomposed in closed form here; every
-other matrix goes to the general elimination in _elimination, where
+signed partial permutation is decomposed in closed form here, and a
+transform whose pivots are in place is the marked identity, which @ skips;
+every other matrix goes to the general elimination in _elimination, where
 invariant factors, ranks and cokernels come from one fraction-free pass,
 which gives the rank and a multiple D of a determinantal divisor, and
 then from an elimination modulo D, whose entries stay below D however
@@ -46,7 +47,6 @@ class IntegerMatrix(Record):
 
     _fields = ("rows", "cols", "entries")
     _is_identity = False  # set by identity(); a product returns its other factor
-    _gather = None  # (source row, sign) per row, set on signed permutations in closed form
 
     def __init__(self, rows: int, cols: int, entries: Sequence[int] = ()):
         _check_sizes(rows, cols)
@@ -83,15 +83,10 @@ class IntegerMatrix(Record):
             raise ValueError("cols argument does not match row width")
         return cls(len(rows), width if cols is None else cols, tuple(chain.from_iterable(rows)))
 
-    @classmethod
-    @lru_cache(maxsize=IDENTITY_CACHE_SIZE, typed=True)  # identity(True) is not identity(1)
-    def identity(cls, n: int) -> "IntegerMatrix":
-        _check_sizes(n)
-        entries = [0] * (n * n)
-        entries[::n + 1] = [1] * n
-        eye = cls._make(n, n, tuple(entries))
-        eye.__dict__["_is_identity"] = True
-        return eye
+    @staticmethod
+    def identity(n: int) -> "IntegerMatrix":
+        _check_sizes(n)  # before the cache, which would hash an unhashable n
+        return _identity(n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
@@ -121,7 +116,8 @@ class IntegerMatrix(Record):
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
+        if not (type(i) is int and type(j) is int  # a bool or a float is no index
+                and 0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(key)
         return self.entries[i * self.cols + j]
 
@@ -164,33 +160,20 @@ class IntegerMatrix(Record):
             return other
         if other._is_identity:
             return self
-        return IntegerMatrix._make(self.rows, other.cols, self._rows_times(other))
-
-    def _rows_times(self, other: "IntegerMatrix", first: int = 0) -> tuple[int, ...]:
-        """The entries of rows first.. of self @ other, row-major."""
         n, m, k = self.rows, other.cols, self.cols
-        b = other.entries
-        if self._is_identity:
-            return b[first * m:]
-        if not n * m * k:
-            return (0,) * ((n - first) * m)
-        if self._gather is not None:  # row i of the product is sign times row source of b
-            out = []
-            for j, s in self._gather[first:]:
-                row = b[j * m:(j + 1) * m]
-                out += row if s == 1 else map(s.__mul__, row)
-            return tuple(out)
-        a, columns = self.entries, [b[j::m] for j in range(m)]
-        return tuple(sum(map(mul, a[i:i + k], column))
-                     for i in range(first * k, n * k, k) for column in columns)
+        if not n * m * k:  # k == 0 would give range() below a zero step
+            return IntegerMatrix._make(n, m, (0,) * (n * m))
+        a, b = self.entries, other.entries
+        columns = [b[j::m] for j in range(m)]
+        entries = tuple(sum(map(mul, a[i:i + k], column))
+                        for i in range(0, n * k, k) for column in columns)
+        return IntegerMatrix._make(n, m, entries)
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
             raise ValueError("row counts do not match")
         if not other.cols:  # matrices are immutable, so a side may be shared
             return self
-        if not self.cols:
-            return other
         a, b, p, q = self.entries, other.entries, self.cols, other.cols
         flat = []
         for i in range(self.rows):
@@ -222,6 +205,15 @@ class IntegerMatrix(Record):
         if len(body) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(body)}")
         return cls(rows, cols, tuple(map(int, body)))
+
+
+@lru_cache(maxsize=IDENTITY_CACHE_SIZE)
+def _identity(n: int) -> IntegerMatrix:
+    entries = [0] * (n * n)
+    entries[::n + 1] = [1] * n
+    eye = IntegerMatrix._make(n, n, tuple(entries))
+    eye.__dict__["_is_identity"] = True
+    return eye
 
 
 # ----------------------------------------------------------------------
@@ -290,16 +282,14 @@ class SmithForm(Record):
 
 
 def _signed_permutation(src: list[int], signs: Sequence[int]) -> IntegerMatrix:
-    """The matrix with rows signs[i] e_{src[i]}: the marked identity, or one marked for gathers."""
+    """The matrix with rows signs[i] e_{src[i]}: the marked identity if it is one."""
     n = len(src)
     if src == list(range(n)) and signs.count(1) == n:
         return IntegerMatrix.identity(n)
     entries = [0] * (n * n)
     for p, s in zip(map(add, range(0, n * n, n), src), signs):
         entries[p] = s
-    matrix = IntegerMatrix._make(n, n, tuple(entries))
-    matrix.__dict__["_gather"] = tuple(zip(src, signs))
-    return matrix
+    return IntegerMatrix._make(n, n, tuple(entries))
 
 
 def _permutation_form(a: IntegerMatrix):
@@ -382,30 +372,29 @@ def is_isomorphism(a: IntegerMatrix) -> bool:
     return abs(a.det()) == 1
 
 
-def _reduce(a: IntegerMatrix, b: IntegerMatrix, whole: bool):
-    """(form, c): the Smith form u @ a @ v = D of a and c = u @ b, or None if no x has a @ x = b.
+def _reduce(a: IntegerMatrix, b: IntegerMatrix):
+    """(form, c): the Smith form u @ a @ v = D of a and c = (u @ b).entries, or None.
 
-    D y = c is solvable when c is zero from row rank on and row i below it
-    is divisible by d[i]; so unless whole, c holds rows d.count(1).. only.
+    None means that no x has a @ x = b: D y = c is solvable when c is zero
+    from row rank on and each row i < rank is divisible by d[i].
     """
     if a.rows != b.rows:
         raise ValueError("row counts do not match")
     form = smith_normal_form(a)
     u = form.u  # before d, so that one elimination fills both
     d, k = form.d, b.cols
-    first = 0 if whole else d.count(1)  # the 1s lead the divisibility chain
-    c = u._rows_times(b, first)
-    if any(c[(len(d) - first) * k:]):
+    c = (u @ b).entries
+    if any(c[len(d) * k:]):
         return None
-    for i in range(d.count(1), len(d)):  # row i of u @ b is row i - first of c
-        if any(map(d[i].__rmod__, c[(i - first) * k:(i - first + 1) * k])):
+    for i in range(d.count(1), len(d)):  # the 1s lead the divisibility chain
+        if any(map(d[i].__rmod__, c[i * k:(i + 1) * k])):
             return None
     return form, c
 
 
 def _spans(a: IntegerMatrix, b: IntegerMatrix) -> bool:
     """Whether every column of b lies in the lattice spanned by the columns of a."""
-    return _reduce(a, b, whole=False) is not None
+    return _reduce(a, b) is not None
 
 
 def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
@@ -415,7 +404,7 @@ def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     D y = u b, solved coordinate by coordinate; free coordinates are set
     to zero.
     """
-    reduced = _reduce(a, b, whole=True)
+    reduced = _reduce(a, b)
     if reduced is None:
         return None
     form, c = reduced

@@ -8,8 +8,7 @@ expansions.  MultiPoly is a sparse exact multivariate polynomial used as
 the brute-force side of symmetric-function identities.  The truncated
 product, powering and the signed-sum renderer come from the private
 _powers module, which the virtual-bundle ring of the ktheory module uses
-directly, so that ring N loads neither this module nor fractions; the
-names stay bound here.
+too, so that ring N loads neither this module nor fractions.
 """
 
 from __future__ import annotations
@@ -19,12 +18,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import _powers, _record, linalg
-
-# the power-basis arithmetic this module shares with ktheory, bound here
-# so that `from kproj.truncpoly import truncated_product` keeps working
-power, power_names, render_powers, render_sum, truncated_product = (
-    _powers.power, _powers.power_names, _powers.render_powers, _powers.render_sum,
-    _powers.truncated_product)
 
 # the exact scalar types; a bool is not one, although it is an int
 _SCALARS = (int, Fraction)
@@ -130,17 +123,17 @@ class TruncPoly:
         if not isinstance(other, TruncPoly):
             return NotImplemented
         self._check_order(other)
-        return TruncPoly(self.order, truncated_product(self.coeffs, other.coeffs))
+        return TruncPoly(self.order, _powers.truncated_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        return power(self, exponent, TruncPoly.one(self.order))
+        return _powers.power(self, exponent, TruncPoly.one(self.order))
 
     # -- rendering --------------------------------------------------------
 
     def render(self) -> str:
-        return render_powers(self.coeffs, "x")
+        return _powers.render_powers(self.coeffs, "x")
 
     def __str__(self) -> str:
         return self.render()
@@ -337,7 +330,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        return power(self, exponent, MultiPoly.constant(self.variable_count, 1))
+        return _powers.power(self, exponent, MultiPoly.constant(self.variable_count, 1))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -367,7 +360,7 @@ class MultiPoly:
             raise ValueError("need one name per variable")
         ordered = sorted(self.terms,
                          key=lambda e: (-sum(e), tuple(-x for x in e)))
-        return render_sum(
+        return _powers.render_sum(
             (self.terms[exps],
              "*".join(name if e == 1 else f"{name}^{e}"
                       for name, e in zip(names, exps) if e))

@@ -195,6 +195,7 @@ class TestSizes:
     @example("from_rows-empty", 2.5, 0)
     @example("zero-rows", 1.5, 2)
     @example("identity", True, 0)
+    @example("identity", [1], 0)  # checked before the identity cache, which would hash it
     @example("chain-complex", 1.5, 0)
     @example("cohomology", 1.0, 0)
     @example("sphere-complex", 2.0, 0)

@@ -64,6 +64,10 @@ def test_import_registers_every_module_and_runs_none():
     # every boundary of cpn:N is zero, and a zero matrix has no invariant factor
     (("cohomology", "cpn:3"), {"cli", "_record", "linalg", "_groups", "homology", "ktheory"}),
     (("bott-check",), {"cli", "_record", "linalg", "_groups", "_elimination", "ktheory"}),
+    # the K-groups of a sphere, the point and cpn:0 are read off the axiom table
+    (("kgroups", "sphere:4"), {"cli", "_record", "_groups", "ktheory"}),
+    (("kgroups", "point"), {"cli", "_record", "_groups", "ktheory"}),
+    (("kgroups", "cpn:0"), {"cli", "_record", "_groups", "ktheory"}),
 ])
 def test_a_subcommand_runs_exactly_the_modules_it_needs(tmp_path, argv, expected):
     matrix, table = tmp_path / "m.matrix", tmp_path / "z3.table"
