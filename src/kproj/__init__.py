@@ -10,8 +10,10 @@ on top of Newton's identities.
 
 The six compute modules, the private _elimination that linalg calls for
 matrices outside its closed form, the private _groups that holds the
-abelian groups linalg, grothendieck and ktheory return, and the private
-_powers that truncpoly and the ring of ktheory share, are loaded lazily:
+abelian groups linalg, grothendieck and ktheory return, the private
+_powers that truncpoly and the ring of ktheory share, and the private
+_certify that certifies the induction for ktheory and trace, are loaded
+lazily:
 each is in sys.modules and is an attribute of the package from the
 start, but its code runs on the first attribute read.  The names below
 are re-exported on first use.
@@ -101,7 +103,7 @@ def _lazy_submodule(name: str):
 
 
 globals().update({module: _lazy_submodule(module)
-                  for module in (*_EXPORTS, "_elimination", "_groups", "_powers")})
+                  for module in (*_EXPORTS, "_certify", "_elimination", "_groups", "_powers")})
 
 __all__ = sorted([*_EXPORTS, *_OWNER])
 

@@ -2,10 +2,11 @@
 
 linalg calls _invariant_factors when d is read before the transforms,
 _eliminate for the transforms of a matrix that is not a signed partial
-permutation, and _bareiss for a determinant.  The induction replay reads
-transforms first, of signed partial permutations only, so it calls none
-of them: kproj registers this module lazily, and a replay process never
-compiles or runs it.
+permutation, and _bareiss for a determinant.  The induction replay that
+trace prints reads transforms first, of signed partial permutations only,
+and the certified induction behind kgroups cpn:N builds no matrix at all,
+so neither calls any of them: kproj registers this module lazily, and
+such a process never compiles or runs it.
 """
 
 from __future__ import annotations

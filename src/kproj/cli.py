@@ -7,7 +7,8 @@ writes as it is; the report is rendered from the payload, and the
 machine document is the one object {format_version, command, inputs,
 result}, written with sorted keys and an indent of two.  Results go to
 stdout, diagnostics to stderr, and the exit status is zero exactly when
-the computation succeeded.
+the computation succeeded: 2 for bad input, and 3 when a verdict of the
+certified induction is false, which good input never meets.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import gc
 import os
 import sys
 
-from . import __version__, chern, grothendieck, homology, ktheory, linalg, truncpoly
+from . import __version__, _certify, chern, grothendieck, homology, ktheory, linalg, truncpoly
 
 FORMAT_VERSION = "1"
 
@@ -29,10 +30,13 @@ NEWTON_MAX_K = 40
 # coefficients scanned at C speed: ring 200 takes 0.6-0.7 s end to end and
 # prints 0.7 MB, and in-process ring 400 about 3.8 s and 2.8 MB
 RING_MAX_N = 200
-# trace N and kgroups cpn:N replay the induction, which grows faster than
-# N^2: end to end, 0.17-0.20 s at N = 100 and 0.60-0.73 s at N = 200
-# (quartiles of 11, no bytecode cache) on a shared 2-vCPU x86-64 host under
-# Python 3.11, so N stays at most 200 until trace 200 runs in under 0.5 s
+# trace N replays the induction, which grows faster than N^2: end to end,
+# 0.17-0.20 s at N = 100 and 0.60-0.73 s at N = 200 (quartiles of 11, no
+# bytecode cache) on a shared 2-vCPU x86-64 host under Python 3.11, so N
+# stays at most 200 until trace 200 runs in under 0.5 s.  kgroups cpn:N
+# certifies the induction instead, O(k) sparse entries at stage k, about N^2
+# in all (0.20-0.26 s end to end at N = 200, quartiles of 21), and keeps the
+# same bound until the certificate replaces the replay in trace
 REPLAY_MAX_N = 200
 # cohomology of cpn:N or sphere:M builds a cell complex of top degree 2N
 # or M and prints one row per degree: top degree 30000 takes about 2 s
@@ -195,7 +199,13 @@ def _run_trace(args) -> tuple[dict, dict]:
         "k0": _group_fields(trace.k0),
         "k1": _group_fields(trace.k1),
     }
-    return {"n": args.n}, result
+    inputs = {"n": args.n}
+    if args.certificates:
+        stages = list(_certify.stages(args.n))
+        inputs["certificates"] = True
+        result["certificates"] = {"certified": not any(s.failures() for s in stages),
+                                  "stages": [s.payload() for s in stages]}
+    return inputs, result
 
 
 def _run_newton(args) -> tuple[dict, dict]:
@@ -301,6 +311,8 @@ def _render_human(result: dict) -> str:
             lines.append(f"  => {step['conclusion']}")
         lines.append(f"K^0 = {result['k0']['text']}")
         lines.append(f"K^1 = {result['k1']['text']}")
+        for stage in result.get("certificates", {}).get("stages", ()):
+            lines.append(f"certified stage {stage['stage']}: {stage['text']}")
     elif kind == "smith":
         lines.append("invariant factors: "
                      + (" ".join(str(d) for d in result["d"]) or "(none)"))
@@ -358,6 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="replay the K-group induction for cpn:N")
     p.add_argument("n", type=int)
+    p.add_argument("--certificates", action="store_true",
+                   help="add the certified induction: per stage its window, maps, "
+                        "witnesses and verdicts")
     p.set_defaults(run=_run_trace)
 
     p = sub.add_parser("newton", help="Newton polynomial s_k")
@@ -396,6 +411,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ktheory.FalseVerdictError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     if args.format == "machine":
         import json  # here, not at the top: --version and human reports never load json
 
@@ -403,7 +421,7 @@ def main(argv=None) -> int:
                           "inputs": inputs, "result": result}, indent=2, sort_keys=True))
     else:
         print(_render_human(result))
-    return 0
+    return 3 if result.get("certificates", {}).get("certified") is False else 0
 
 
 def main_entry():

@@ -280,8 +280,13 @@ class GrothendieckGroup:
         self._index = index = {k: i for i, k in enumerate(elements)}
         # g + h = e for some h of M, and then h + e is the negative of g in K
         self._minus = {g: t[e][t[g].index(e)] for g in elements}
-        self._add_table = [tuple(map(index.__getitem__, map(t[g].__getitem__, elements)))
-                           for g in elements]
+        if len(elements) == len(t):
+            # K = M is a group with identity e, so its elements are e + x = x in
+            # order, index is the identity, and its table is the monoid's own
+            self._add_table = t
+        else:
+            self._add_table = [tuple(map(index.__getitem__, map(t[g].__getitem__, elements)))
+                               for g in elements]
         self.carrier = _classify_group_table(self._add_table)
 
     # -- class arithmetic -------------------------------------------------

@@ -9,19 +9,22 @@ basis is lower unitriangular, which certifies both injectivity and the
 independence of the basis classes.
 
 The additive structure is not tabulated: k_groups for projective spaces
-replays the inductive exact-sequence argument step by step, running the
-exactness and Five Lemma checkers of the homology module on every window
-and recording a machine-checkable trace.  The one genuinely topological
-input, the reduced K-theory of spheres, enters as an explicit axiom table
-and is flagged as such in the trace; together with two-periodicity this
-is the only fact taken on faith.
+reads the groups off the certified induction of the private _certify,
+one six-term window per stage, whose every exactness, Chern character
+and Bott verdict carries a witness checked on sparse maps, with no Smith
+form.  replay_induction keeps the older replay behind the trace
+subcommand: it runs the exactness and Five Lemma checkers of the
+homology module on every window and records a machine-checkable trace.
+The one genuinely topological input, the reduced K-theory of spheres,
+enters as an explicit axiom table and is flagged as such in the trace;
+together with two-periodicity this is the only fact taken on faith.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from . import _groups, _powers, _record, homology, linalg, truncpoly
+from . import _certify, _groups, _powers, _record, homology, linalg, truncpoly
 from ._record import Record
 
 
@@ -284,22 +287,37 @@ def k_groups(space: Space, q: int) -> _groups.FgAbelianGroup:
     Degrees are reduced modulo two.  Sphere values are assembled from the
     axiom table through the suspension relation (the based sphere with a
     disjoint basepoint suspends to a wedge of two spheres); projective
-    spaces are computed by replaying the induction, never looked up.
+    spaces are read off the certified induction, never looked up, and a
+    false verdict raises FalseVerdictError.
     """
     _record.check_int(q, "degree must be an integer")
     return _k_groups_by_parity(space)[q % 2]
 
 
+class FalseVerdictError(Exception):
+    """A verdict of the certified induction is false: the groups are not certified.
+
+    Not a ValueError: the input was good, and the CLI gives it an exit
+    status of its own.
+    """
+
+
 def _k_groups_by_parity(space: Space) -> tuple[_groups.FgAbelianGroup, _groups.FgAbelianGroup]:
-    """The K-groups of a space in degrees 0 and 1; at most one replay."""
+    """The K-groups of a space in degrees 0 and 1; at most one certification."""
     if space.kind == "point" or (space.kind == "cpn" and space.parameter == 0):
         return reduced_sphere_k(0), reduced_sphere_k(1)
     if space.kind == "sphere":
         m = space.parameter
         return tuple(reduced_sphere_k(m + parity).direct_sum(reduced_sphere_k(parity))
                      for parity in (0, 1))
-    trace = replay_induction(space.parameter)
-    return trace.k0, trace.k1
+    for stage in _certify.stages(space.parameter):
+        failures = stage.failures()
+        if failures:
+            raise FalseVerdictError(f"stage {stage.k} of the certified induction for "
+                                    f"{space.label()} fails its {' and '.join(failures)} verdict")
+    # the last stage concludes K~ and K^1 of CP^n; K^0 adds the basepoint's Z
+    reduced, odd = stage.ranks[1], stage.ranks[4]
+    return _groups.FgAbelianGroup.free(reduced + 1), _groups.FgAbelianGroup.free(odd)
 
 
 def k_group_table(space: Space, q_min: int, q_max: int) -> KGroupTable:

@@ -10,14 +10,16 @@ symmetric polynomials and power sums) are built from the plain
 truncated and multivariate polynomial arithmetic, and the
 elementary symmetric values of integer roots from plain ints.  The
 Chern character of a class in powers of γ is also read off Stirling
-numbers of the second kind, a route the library no longer takes.
+numbers of the second kind, a route the library no longer takes.  A
+certificate document of `kproj trace N --certificates` is re-checked
+with plain int arithmetic, from nothing but its JSON.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from kproj.truncpoly import MultiPoly, TruncPoly
 
@@ -391,3 +393,67 @@ def stirling_character(coeffs) -> list[Fraction]:
     return [Fraction(sum(c * factorial(k) * row[k] for k, c in enumerate(coeffs) if k <= m),
                      factorial(m))
             for m, row in enumerate(stirling2_rows(len(coeffs) - 1))]
+
+
+def verify_certificates(document: dict) -> list[dict]:
+    """Re-check each stage of a `kproj trace N --certificates` document.
+
+    Plain ints, nothing from kproj.  A map is (rows, cols, {(row, col):
+    value}).  Exactness at position i, between map i - 1 and map i, is
+    b a = 0, b K = 0, a X = K, L K = I and K L + M b = I for the witness
+    (K, X, L, M), with the rank of position i the one both maps act on;
+    each stage starts from the sphere ranks (1, 0) and from the previous
+    stage's conclusions (the point's (0, 0) before stage 0).  Returns
+    each stage's verdicts in the form the document records them.
+    """
+    def read(m):
+        rows, cols, out = m["rows"], m["cols"], {}
+        for i, j, v in m["entries"]:
+            if not (0 <= i < rows and 0 <= j < cols):
+                return None
+            out[i, j] = out.get((i, j), 0) + v
+        return rows, cols, {key: v for key, v in out.items() if v}
+
+    def times(a, b):
+        if a is None or b is None or a[1] != b[0]:
+            return None
+        by_row, out = {}, {}
+        for (t, j), v in b[2].items():
+            by_row.setdefault(t, []).append((j, v))
+        for (i, t), w in a[2].items():
+            for j, v in by_row.get(t, ()):
+                out[i, j] = out.get((i, j), 0) + w * v
+        return a[0], b[1], {key: v for key, v in out.items() if v}
+
+    def plus(a, b):
+        if a is None or b is None or a[:2] != b[:2]:
+            return None
+        out = dict(a[2])
+        for key, v in b[2].items():
+            out[key] = out.get(key, 0) + v
+        return a[0], a[1], {key: v for key, v in out.items() if v}
+
+    def eye(n):
+        return n, n, {(i, i): 1 for i in range(n)}
+
+    verdicts, previous = [], [0, 0]
+    for index, stage in enumerate(document["result"]["certificates"]["stages"]):
+        ranks, maps = stage["ranks"], [read(m) for m in stage["maps"]]
+        linked = (stage["stage"] == index and [ranks[0], ranks[3]] == [1, 0]
+                  and [ranks[2], ranks[5]] == previous)
+        exactness = []
+        for i, witness in enumerate(stage["witnesses"]):
+            a, b = maps[i - 1], maps[i]
+            kernel, lift, dual, section = (read(witness[name]) for name in "KXLM")
+            exactness.append(
+                linked and None not in (a, b, kernel) and a[0] == b[1] == ranks[i]
+                and times(b, a) == (b[0], a[1], {})
+                and times(b, kernel) == (b[0], kernel[1], {})
+                and times(a, lift) == kernel and times(dual, kernel) == eye(kernel[1])
+                and plus(times(kernel, dual), times(section, b)) == eye(ranks[i]))
+        previous, m = [ranks[1], ranks[4]], index + 1
+        top = sum((-1) ** (m - j) * comb(m, j) * j ** m for j in range(m + 1))
+        verdicts.append({"exactness": exactness,
+                         "chern": int(stage["top_character"]) == top == factorial(m),
+                         "bott": stage["product"] == [[m, 1]]})
+    return verdicts

@@ -1,0 +1,291 @@
+"""The certified induction: its windows, witnesses and verdicts, the verifier, and exit 3.
+
+Each mutation corrupts one input of the certifier, or one field of a
+certificate document, and must flip exactly the verdict it targets:
+exactness for the generator, the restriction and the section, chern for
+a character coefficient, bott for the γ product.
+"""
+
+import contextlib
+import io
+import json
+from math import comb, factorial
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import kproj._certify as certify_module
+import kproj.ktheory as ktheory_module
+from kproj._certify import SparseMap, exact_at, stages
+from kproj.cli import main
+from kproj.ktheory import FalseVerdictError, Space, k_groups, replay_induction
+from kproj.linalg import FgAbelianGroup
+
+from oracles import verify_certificates
+
+
+def failing(verdicts) -> set[str]:
+    """The names of the false verdicts among per-stage {exactness, chern, bott} dicts."""
+    return {name for v in verdicts for name, holds in (
+        ("exactness", all(v["exactness"])), ("chern", v["chern"]), ("bott", v["bott"]))
+        if not holds}
+
+
+def stage_verdicts(n):
+    return [{"exactness": s.exactness, "chern": s.chern, "bott": s.bott} for s in stages(n)]
+
+
+def certificate_document(capsys, n, expected_code=0):
+    assert main(["--format", "machine", "trace", str(n), "--certificates"]) == expected_code
+    return json.loads(capsys.readouterr().out)
+
+
+class TestCertifier:
+    def test_stage_windows_on_gamma_powers(self):
+        certified = list(stages(4))
+        assert [s.ranks for s in certified] == [(1, k + 1, k, 0, 0, 0) for k in range(4)]
+        assert not any(s.failures() for s in certified)
+        stage = certified[2]
+        generator, restriction = stage.maps[:2]
+        assert generator == SparseMap(3, 1, {0: {2: 1}})  # the sphere generator is γ^3
+        assert restriction == SparseMap(2, 3, {0: {0: 1}, 1: {1: 1}})  # γ^3 restricts to 0
+        assert all(m.columns == {} for m in stage.maps[2:])  # connecting maps and K^1 are zero
+        assert stage.top_character == factorial(3)
+        assert stage.product == ((3, 1),)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_every_verdict_holds_and_concludes_the_groups(self, n):
+        verdicts = stage_verdicts(n)
+        assert len(verdicts) == n
+        assert failing(verdicts) == set()
+        assert [k_groups(Space.cpn(n), q) for q in (0, 1)] == [FgAbelianGroup.free(n + 1),
+                                                               FgAbelianGroup.trivial()]
+
+    def test_the_point_has_no_stage(self):
+        assert list(stages(0)) == []
+
+    @pytest.mark.parametrize("bad", [-1, True, 2.0, "3"])
+    def test_a_bad_n_is_a_value_error(self, bad):
+        with pytest.raises(ValueError):
+            next(stages(bad))
+
+    def test_a_failed_identity_is_false_not_an_error(self):
+        eye = SparseMap.identity(2)
+        # shapes that do not compose, a kernel that is not one, a lift that misses
+        assert not exact_at(eye, SparseMap.identity(3), (eye, eye, eye, eye))
+        assert not exact_at(SparseMap.zero(2, 0), eye, (eye, SparseMap.zero(0, 2), eye,
+                                                        SparseMap.zero(2, 2)))
+        assert not exact_at(SparseMap.zero(2, 0), SparseMap.zero(0, 2),
+                            (eye, SparseMap.zero(0, 2), eye, SparseMap.zero(2, 0)))
+        assert exact_at(SparseMap.zero(2, 0), eye, (SparseMap.zero(2, 0), SparseMap.zero(0, 0),
+                                                    SparseMap.zero(0, 2), eye))
+
+    def test_sparse_products_cost_their_nonzeros(self):
+        # a 10^6 x 10^6 map with two nonzeros composes without reading its zeros
+        big = 10 ** 6
+        a = SparseMap(big, big, {0: {5: 3}, 7: {0: -1}})
+        b = SparseMap(big, 2, {0: {0: 2}, 1: {7: 1, 0: 1}})
+        assert certify_module._compose(a, b) == SparseMap(big, 2, {0: {5: 6}, 1: {0: -1, 5: 3}})
+        assert certify_module._add(a, a.transpose().transpose()) == SparseMap(
+            big, big, {0: {5: 6}, 7: {0: -2}})
+
+
+# one mutation per verdict: (name, what it corrupts, the verdict it flips)
+def double_generator(p, s):
+    return SparseMap(p + s, s, {i: {p + i: 2} for i in range(s)})
+
+
+def drop_restriction_coordinate(p, s):
+    return SparseMap(p, p + s, {j: {j: 1} for j in range(1, p)})
+
+
+def doubled_section(p, s):
+    return SparseMap(p + s, p, {j: {j: 2} for j in range(p)})
+
+
+def double_top_binomial(m, j):
+    return 2 * comb(m, j) if j == m else comb(m, j)
+
+
+CERTIFIER_MUTATIONS = [
+    ("_generator", double_generator, "exactness"),
+    ("_restriction", drop_restriction_coordinate, "exactness"),
+    ("_section", doubled_section, "exactness"),
+    ("comb", double_top_binomial, "chern"),
+]
+
+
+class TestCertifierMutations:
+    @pytest.mark.parametrize("name, corrupt, verdict", CERTIFIER_MUTATIONS,
+                             ids=[m[0] for m in CERTIFIER_MUTATIONS])
+    def test_a_corrupted_input_flips_exactly_its_verdict(self, monkeypatch, name, corrupt,
+                                                         verdict):
+        monkeypatch.setattr(certify_module, name, corrupt)
+        assert failing(stage_verdicts(5)) == {verdict}
+
+    def test_a_corrupted_gamma_product_flips_bott(self, monkeypatch):
+        product = ktheory_module.k_ring_mul
+        monkeypatch.setattr(ktheory_module, "k_ring_mul", lambda a, b: product(a, b) * 2)
+        assert failing(stage_verdicts(5)) == {"bott"}
+
+    def test_the_section_is_checked_where_it_is_a_witness(self, monkeypatch):
+        # the section is the lift at the quotient and the complement at the middle
+        monkeypatch.setattr(certify_module, "_section", doubled_section)
+        stage = list(stages(3))[2]
+        assert stage.exactness == (True, False, False, True, True, True)
+
+
+# one corruption per verdict of a stage's document: (name, edit, verdict)
+def edit_generator(stage):
+    stage["maps"][0]["entries"][0][2] = 2
+
+
+def edit_restriction(stage):
+    stage["maps"][1]["entries"].pop(0)
+
+
+def edit_section(stage):
+    stage["witnesses"][1]["M"]["entries"][0][2] = 2
+
+
+def edit_character(stage):
+    stage["top_character"] = str(2 * int(stage["top_character"]))
+
+
+def edit_product(stage):
+    stage["product"][0][1] = 2
+
+
+DOCUMENT_MUTATIONS = [
+    ("generator", edit_generator, "exactness"),
+    ("restriction", edit_restriction, "exactness"),
+    ("section", edit_section, "exactness"),
+    ("character", edit_character, "chern"),
+    ("product", edit_product, "bott"),
+]
+
+
+class TestVerifier:
+    @settings(max_examples=4, deadline=None)
+    @given(st.integers(1, 200))
+    @example(1)
+    @example(200)
+    def test_the_verifier_agrees_with_every_document(self, n):
+        # capsys does not reset between hypothesis examples, so read main's
+        # document through a fresh redirect
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--format", "machine", "trace", str(n), "--certificates"]) == 0
+        doc = json.loads(out.getvalue())
+        verdicts = verify_certificates(doc)
+        certified = doc["result"]["certificates"]["stages"]
+        assert len(verdicts) == n
+        assert verdicts == [s["verdicts"] for s in certified]
+        assert failing(verdicts) == set()
+        assert certified[-1]["ranks"][1] + 1 == doc["result"]["k0"]["free_rank"] == n + 1
+
+    @pytest.mark.parametrize("name, edit, verdict", DOCUMENT_MUTATIONS,
+                             ids=[m[0] for m in DOCUMENT_MUTATIONS])
+    def test_a_corrupted_document_flips_exactly_its_verdict(self, capsys, name, edit, verdict):
+        doc = certificate_document(capsys, 6)
+        edit(doc["result"]["certificates"]["stages"][3])
+        verdicts = verify_certificates(doc)
+        assert failing(verdicts[3:4]) == {verdict}
+        assert failing(verdicts[:3] + verdicts[4:]) == set()
+
+    def test_a_broken_induction_link_fails_the_next_stage(self, capsys):
+        doc = certificate_document(capsys, 4)
+        stage = doc["result"]["certificates"]["stages"][2]
+        stage["ranks"][2] += 1  # claims a larger smaller space than stage 1 concluded
+        assert [all(v["exactness"]) for v in verify_certificates(doc)] == [
+            True, True, False, True]
+
+
+class TestAgreementWithTheReplay:
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(1, 200))
+    @example(1)
+    @example(2)
+    def test_the_groups_agree_with_the_replay(self, n):
+        trace = replay_induction(n)
+        assert [k_groups(Space.cpn(n), q) for q in (0, 1)] == [trace.k0, trace.k1]
+
+    def test_every_stage_agrees_with_the_replay_conclusions(self):
+        # stage k concludes the groups of CP^(k+1) whatever n is, so this covers
+        # n = 1..200: replay_induction(n) for each n would take about 30 s
+        steps = replay_induction(200).steps
+        certified = list(stages(200))
+        for stage in certified[1:]:
+            k = stage.k
+            reduced, odd = (FgAbelianGroup.free(r).render() for r in stage.ranks[1::3])
+            assert steps[2 * k - 1].conclusion == f"reduced K(CP^{k + 1}) = {reduced}"
+            assert steps[2 * k].conclusion == f"K^1(CP^{k + 1}) = {odd}"
+        assert FgAbelianGroup.free(certified[0].ranks[1]) == replay_induction(1).reduced_k0
+
+
+class TestFalseVerdictExit:
+    @pytest.fixture
+    def stage_3_corrupted(self, monkeypatch):
+        generator = certify_module._generator
+        monkeypatch.setattr(certify_module, "_generator",
+                            lambda p, s: double_generator(p, s) if p == 3 else generator(p, s))
+
+    def test_k_groups_raise_a_false_verdict_error(self, stage_3_corrupted):
+        with pytest.raises(FalseVerdictError, match="stage 3 .* CP\\^5 fails its exactness"):
+            k_groups(Space.cpn(5), 0)
+        assert not issubclass(FalseVerdictError, ValueError)
+        assert k_groups(Space.cpn(3), 0) == FgAbelianGroup.free(4)  # stages 0..2 hold
+
+    @pytest.mark.parametrize("q", ["0", "1"])
+    def test_kgroups_exits_3_with_one_error_line(self, capsys, stage_3_corrupted, q):
+        code = main(["kgroups", "cpn:5", "--q", q])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: stage 3 of the certified induction for CP^5 fails its exactness verdict"]
+
+    def test_trace_prints_the_false_verdict_then_exits_3(self, capsys, stage_3_corrupted):
+        doc = certificate_document(capsys, 5, expected_code=3)
+        certificates = doc["result"]["certificates"]
+        assert certificates["certified"] is False
+        assert [all(s["verdicts"]["exactness"]) for s in certificates["stages"]] == [
+            True, True, True, False, True]
+        assert failing(verify_certificates(doc)) == {"exactness"}
+
+    def test_the_human_trace_marks_the_stage_and_exits_3(self, capsys, stage_3_corrupted):
+        assert main(["trace", "5", "--certificates"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == [
+            "certified stage 3: Z -> Z^4 -> Z^3 -> 0 -> 0 -> 0 "
+            "[exactness FAILED; chern ok; bott ok]",
+            "certified stage 4: Z -> Z^5 -> Z^4 -> 0 -> 0 -> 0 "
+            "[exactness ok; chern ok; bott ok]",
+        ]
+
+    def test_bad_input_still_exits_2(self, capsys):
+        assert main(["trace", "201", "--certificates"]) == 2
+        assert main(["kgroups", "cpn:201"]) == 2
+
+
+class TestTraceCertificates:
+    def test_the_flag_adds_one_member_and_one_line_per_stage(self, capsys):
+        assert main(["--format", "machine", "trace", "3"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        doc = certificate_document(capsys, 3)
+        assert doc["inputs"] == {"n": 3, "certificates": True}
+        certificates = doc["result"].pop("certificates")
+        assert doc["result"] == plain["result"]
+        assert certificates["certified"] is True
+        assert [s["window"] for s in certificates["stages"]][2] == [
+            "reduced K(S^6)", "reduced K(CP^3)", "reduced K(CP^2)",
+            "K^1(S^6)", "K^1(CP^3)", "K^1(CP^2)"]
+        assert main(["trace", "3", "--certificates"]) == 0
+        human = capsys.readouterr().out.splitlines()
+        assert main(["trace", "3"]) == 0
+        assert human[:-3] == capsys.readouterr().out.splitlines()
+        assert human[-3:] == [
+            f"certified stage {k}: Z -> {FgAbelianGroup.free(k + 1).render()} -> "
+            f"{FgAbelianGroup.free(k).render()} -> 0 -> 0 -> 0 "
+            "[exactness ok; chern ok; bott ok]" for k in range(3)]

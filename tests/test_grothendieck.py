@@ -226,6 +226,21 @@ class TestCompletion:
         g = completion(FiniteCommutativeMonoid.cyclic_group(2))
         assert g.carrier == FgAbelianGroup(0, (2,))
 
+    def test_a_group_is_its_own_least_ideal_and_keeps_its_table(self):
+        # Z/5 with element x renamed (2x + 3) mod 5, so the identity is 3
+        name = {x: (2 * x + 3) % 5 for x in range(5)}
+        table = [[0] * 5 for _ in range(5)]
+        for x in range(5):
+            for y in range(5):
+                table[name[x]][name[y]] = name[(x + y) % 5]
+        for m in (FiniteCommutativeMonoid(table, 3),
+                  FiniteCommutativeMonoid.from_invariants([2, 4])):
+            g = completion(m)
+            assert g._add_table is m.table
+            assert [g.class_of_pair(x, m.identity) for x in range(m.size)] == list(range(m.size))
+            assert all(g.add(g.class_of(x), g.class_of(y)) == g.class_of(m.add(x, y))
+                       for x in range(m.size) for y in range(m.size))
+
     def test_absorbing_monoid_collapses(self):
         g = completion(ABSORBING)
         assert g.carrier == FgAbelianGroup.trivial()

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kproj._certify as certify_module
 import kproj._elimination as elimination_module
 import kproj.homology as homology_module
 import kproj.ktheory as ktheory_module
 import kproj.linalg as linalg_module
+from kproj._certify import stages
 from kproj.cli import main
 from kproj.homology import cohomology, cpn_complex
 from kproj.ktheory import (
@@ -267,15 +269,22 @@ class TestKGroupTable:
                     assert table.group(q) == table.group(q + 2)
 
     def test_one_replay_per_table(self, monkeypatch):
-        calls = []
+        # the groups come from one certification; the old replay runs only for trace
+        certified, replayed = [], []
+
+        def counting_stages(n):
+            certified.append(n)
+            return stages(n)
 
         def counting_replay(n):
-            calls.append(n)
+            replayed.append(n)
             return replay_induction(n)
 
+        monkeypatch.setattr(certify_module, "stages", counting_stages)
         monkeypatch.setattr(ktheory_module, "replay_induction", counting_replay)
         table = k_group_table(Space.cpn(3), -4, 4)
-        assert calls == [3]
+        assert certified == [3]
+        assert replayed == []
         assert table.group(0) == FgAbelianGroup.free(4)
 
     def test_corrupted_table_rejected(self):

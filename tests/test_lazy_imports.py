@@ -3,10 +3,11 @@
 Each case starts a fresh interpreter.  A kproj module counts as run when
 its object in sys.modules is a plain module: a lazy module not loaded yet
 is of a subclass, and turns into a plain module when it loads.  The
-private _elimination, _groups and _powers are registered the same way:
-the first runs only for a nonzero matrix that linalg cannot decompose in
-closed form, the second for abelian groups, with linalg or without it,
-and the third only for arithmetic on power-basis coefficients.
+private _certify, _elimination, _groups and _powers are registered the
+same way: the first runs only to certify the induction of cpn:N, the
+second only for a nonzero matrix that linalg cannot decompose in closed
+form, the third for abelian groups, with linalg or without it, and the
+fourth only for arithmetic on power-basis coefficients.
 """
 
 import subprocess
@@ -52,7 +53,8 @@ def test_import_registers_every_module_and_runs_none():
     # perfbench/shim.py reads sys.modules["kproj.<module>"] right after import
     ran, registered, _ = probe()
     assert registered == {f"kproj.{m}"
-                          for m in (*COMPUTE, "_elimination", "_groups", "_powers", "cli")}
+                          for m in (*COMPUTE, "_certify", "_elimination", "_groups", "_powers",
+                                    "cli")}
     assert ran == {"cli"}
 
 
@@ -68,6 +70,10 @@ def test_import_registers_every_module_and_runs_none():
     (("kgroups", "sphere:4"), {"cli", "_record", "_groups", "ktheory"}),
     (("kgroups", "point"), {"cli", "_record", "_groups", "ktheory"}),
     (("kgroups", "cpn:0"), {"cli", "_record", "_groups", "ktheory"}),
+    # cpn:N is certified on sparse maps, with γ products through _powers: no Smith form
+    (("kgroups", "cpn:12"), {"cli", "_record", "_groups", "_powers", "ktheory", "_certify"}),
+    (("kgroups", "cpn:12", "--q", "1"),
+     {"cli", "_record", "_groups", "_powers", "ktheory", "_certify"}),
 ])
 def test_a_subcommand_runs_exactly_the_modules_it_needs(tmp_path, argv, expected):
     matrix, table = tmp_path / "m.matrix", tmp_path / "z3.table"
@@ -80,8 +86,10 @@ def test_a_subcommand_runs_exactly_the_modules_it_needs(tmp_path, argv, expected
 @pytest.mark.parametrize("argv, unused", [
     (("ring", "3"), {"linalg", "homology"}),
     (("ch", "cpn:3", "--class=0,1,0,0"), {"linalg", "homology"}),
-    (("trace", "3"), {"truncpoly", "chern", "grothendieck", "_elimination"}),
-    (("kgroups", "cpn:3"), {"truncpoly", "chern", "grothendieck", "_elimination"}),
+    (("trace", "3"), {"truncpoly", "chern", "grothendieck", "_elimination", "_certify"}),
+    (("trace", "3", "--certificates"), {"truncpoly", "chern", "grothendieck", "_elimination"}),
+    (("kgroups", "cpn:3"),
+     {"truncpoly", "chern", "grothendieck", "_elimination", "linalg", "homology"}),
 ])
 def test_a_subcommand_leaves_other_layers_unrun(argv, unused):
     ran, _, _ = probe(*argv)
@@ -91,14 +99,23 @@ def test_a_subcommand_leaves_other_layers_unrun(argv, unused):
 
 @pytest.mark.parametrize("argv", [
     ("trace", "20"),
-    ("kgroups", "cpn:12"),
-    ("kgroups", "cpn:12", "--q", "1"),
 ], ids=" ".join)
 def test_the_replay_loads_no_rationals_and_no_general_elimination(argv):
-    # every matrix of the replay is a signed partial permutation, decomposed in closed form
+    # every matrix of the replay is a signed partial permutation, decomposed in closed form;
+    # without --certificates trace never certifies
     ran, _, rationals = probe(*argv)
     assert {"homology", "linalg"} <= ran
-    assert not ran & {"_elimination", "_powers"}
+    assert not ran & {"_elimination", "_powers", "_certify"}
+    assert rationals == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("kgroups", "cpn:12"),
+    ("trace", "3", "--certificates"),
+], ids=" ".join)
+def test_the_certified_induction_loads_no_rationals(argv):
+    # the Chern verdict sums ints, and the γ product stays in _powers
+    _, _, rationals = probe(*argv)
     assert rationals == set()
 
 
