@@ -14,9 +14,13 @@ connecting maps are zero, so each half is a split sequence
 The sphere ranks s come from the axiom table, the quotient ranks p from
 the previous stage's conclusion, and stage 0 starts from the point.
 
-Exactness at B of A -a-> B -b-> C is certified by integer maps
-(K, X, L, M) with b a = 0, b K = 0, a X = K, L K = I and K L + M b = I:
-then every v with b v = 0 is K L v = a X L v, so ker b = im a (the
+Each half is certified by one splitting: a retraction r of its
+generator f and a section σ of its restriction g, with r f = I, g σ = I
+and f r + σ g = I.  Exactness at a position is its incoming and outgoing
+maps composing to zero together with one of these identities: r f = I at
+the sphere (f is injective), f r + σ g = I at the middle (any v with
+g v = 0 is f (r v), so ker g = im f) and g σ = I at the quotient (g is
+onto), each identity on the rank the window gives that position (the
 certifying-algorithm pattern of McConnell, Mehlhorn, Näher and
 Schweitzer, 2011).  Each stage adds two verdicts on the paper's other
 ingredients: the Chern character carries the sphere generator γ^(k+1)
@@ -67,13 +71,6 @@ class SparseMap(Record):
         entries = [[i, j, v] for j, column in sorted(self.columns.items())
                    for i, v in sorted(column.items())]
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
-
-    def transpose(self) -> "SparseMap":
-        out: dict[int, dict[int, int]] = {}
-        for j, column in self.columns.items():
-            for i, v in column.items():
-                out.setdefault(i, {})[j] = v
-        return SparseMap(self.cols, self.rows, out)
 
 
 def _compose(a: SparseMap | None, b: SparseMap | None) -> SparseMap | None:
@@ -136,18 +133,6 @@ def _is_zero(a: SparseMap | None) -> bool:
     return a is not None and not a.columns
 
 
-def exact_at(a: SparseMap, b: SparseMap, witness: tuple[SparseMap, ...]) -> bool:
-    """Whether (K, X, L, M) = witness certifies ker b = im a; False on any failed identity."""
-    kernel, lift, dual, section = witness
-    if not (_is_zero(_compose(b, a)) and _is_zero(_compose(b, kernel))
-            and _compose(a, lift) == kernel):
-        return False
-    eye = SparseMap.identity(b.cols)
-    return (_compose(dual, kernel) == (eye if kernel.cols == b.cols
-                                       else SparseMap.identity(kernel.cols))
-            and _add(_compose(kernel, dual), _compose(section, b)) == eye)
-
-
 # ----------------------------------------------------------------------
 # one split half 0 -> Z^s -> Z^(p+s) -> Z^p -> 0 on γ-power coordinates
 # ----------------------------------------------------------------------
@@ -174,32 +159,40 @@ def _retraction(p: int, s: int) -> SparseMap:
 
 
 def _window(spheres: tuple[int, int], previous: tuple[int, int]):
-    """The six groups' ranks, maps and witnesses of one stage.
+    """The six groups' ranks and maps of one stage, and the splitting of each half.
 
     spheres holds the ranks of K~ and K^1 of the cofibre sphere, and
     previous those of K~ and K^1 of the smaller space.  Map i goes from
-    position i to position i + 1 (mod 6), and witness i certifies
-    exactness at position i.
+    position i to position i + 1 (mod 6), and half h, positions 3h to
+    3h + 2, is split by (retraction, section) = splittings[h].
     """
-    ranks, maps, witnesses = [], [], []
+    ranks, maps, splittings = [], [], []
     for s, p in zip(spheres, previous):
         ranks += (s, p + s, p)
         maps += (_generator(p, s), _restriction(p, s), None)
+        splittings.append((_retraction(p, s), _section(p, s)))
     for i in (2, 5):  # the connecting maps are zero
         maps[i] = SparseMap.zero(ranks[(i + 1) % 6], ranks[i])
-    for half, (s, p) in enumerate(zip(spheres, previous)):
-        retraction, section, eye = _retraction(p, s), _section(p, s), SparseMap.identity(p)
-        incoming, outgoing = ranks[3 * half - 1], ranks[(3 * half + 3) % 6]
-        witnesses += (
-            # the generator is injective: nothing is in its kernel
-            (SparseMap.zero(s, 0), SparseMap.zero(incoming, 0), SparseMap.zero(0, s),
-             retraction),
-            # the kernel of restriction is spanned by the image of the generator
-            (retraction.transpose(), SparseMap.identity(s), retraction, section),
-            # restriction is onto: everything is in the kernel of the zero map
-            (eye, section, eye, SparseMap.zero(p, outgoing)),
-        )
-    return tuple(ranks), tuple(maps), tuple(witnesses)
+    return tuple(ranks), tuple(maps), tuple(splittings)
+
+
+def _exactness(ranks, maps, splittings) -> tuple[bool, ...]:
+    """Exactness at each of the six positions, each identity computed once.
+
+    Position j holds when map j after map j - 1 is zero and its half's
+    identity is the identity on ranks[j]: r f at the sphere, f r + σ g at
+    the middle and g σ at the quotient.
+    """
+    verdicts = []
+    for i, (retraction, section) in zip((0, 3), splittings):
+        generator, restriction = maps[i], maps[i + 1]
+        identities = (_compose(retraction, generator),
+                      _add(_compose(generator, retraction), _compose(section, restriction)),
+                      _compose(restriction, section))
+        verdicts += (_is_zero(_compose(maps[j], maps[j - 1]))
+                     and identity == SparseMap.identity(ranks[j])
+                     for j, identity in enumerate(identities, i))
+    return tuple(verdicts)
 
 
 def _top_character(m: int) -> int:
@@ -222,9 +215,9 @@ def _gamma_product(k: int) -> tuple[tuple[int, int], ...]:
 
 
 class Stage(Record):
-    """One certified stage: the window, its witnesses and its verdicts."""
+    """One certified stage: the window, its splittings and its verdicts."""
 
-    _fields = ("k", "ranks", "maps", "witnesses", "top_character", "product", "exactness",
+    _fields = ("k", "ranks", "maps", "splittings", "top_character", "product", "exactness",
                "chern", "bott")
 
     def __init__(self, *values):
@@ -245,7 +238,7 @@ class Stage(Record):
                                    for name in ("exactness", "chern", "bott")) + "]")
 
     def payload(self) -> dict:
-        """The stage as trace --certificates writes it: every map and witness, each verdict."""
+        """The stage as trace --certificates writes it: every map and splitting, each verdict."""
         k = self.k
         return {
             "stage": k,
@@ -254,8 +247,8 @@ class Stage(Record):
                        f"K^1(CP^{k})"],
             "ranks": self.ranks,
             "maps": [m.payload() for m in self.maps],
-            "witnesses": [{name: m.payload() for name, m in zip("KXLM", w)}
-                          for w in self.witnesses],
+            "splittings": [{"retraction": retraction.payload(), "section": section.payload()}
+                           for retraction, section in self.splittings],
             "top_character": str(self.top_character),
             "product": self.product,
             "verdicts": {"exactness": self.exactness, "chern": self.chern, "bott": self.bott},
@@ -264,12 +257,9 @@ class Stage(Record):
 
 
 def _stage(k: int, spheres: tuple[int, int], previous: tuple[int, int]) -> Stage:
-    ranks, maps, witnesses = _window(spheres, previous)
+    ranks, maps, splittings = _window(spheres, previous)
     top, product = _top_character(k + 1), _gamma_product(k)
-    # the rank read as the stage's conclusion must be the one its maps act on
-    exactness = tuple(ranks[i] == maps[i].cols and exact_at(maps[i - 1], maps[i], witnesses[i])
-                      for i in range(6))
-    return Stage(k, ranks, maps, witnesses, top, product, exactness,
+    return Stage(k, ranks, maps, splittings, top, product, _exactness(ranks, maps, splittings),
                  top == factorial(k + 1), product == ((k + 1, 1),))
 
 

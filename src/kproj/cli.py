@@ -35,8 +35,9 @@ RING_MAX_N = 200
 # bytecode cache) on a shared 2-vCPU x86-64 host under Python 3.11, so N
 # stays at most 200 until trace 200 runs in under 0.5 s.  kgroups cpn:N
 # certifies the induction instead, O(k) sparse entries at stage k, about N^2
-# in all (0.20-0.26 s end to end at N = 200, quartiles of 21), and keeps the
-# same bound until the certificate replaces the replay in trace
+# in all (0.16-0.23 s end to end at N = 200, quartiles of 21; 0.07 s of it
+# certifying, in-process), and keeps the same bound until the certificate
+# replaces the replay in trace
 REPLAY_MAX_N = 200
 # cohomology of cpn:N or sphere:M builds a cell complex of top degree 2N
 # or M and prints one row per degree: top degree 30000 takes about 2 s
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--certificates", action="store_true",
                    help="add the certified induction: per stage its window, maps, "
-                        "witnesses and verdicts")
+                        "splittings and verdicts")
     p.set_defaults(run=_run_trace)
 
     p = sub.add_parser("newton", help="Newton polynomial s_k")

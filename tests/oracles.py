@@ -399,12 +399,12 @@ def verify_certificates(document: dict) -> list[dict]:
     """Re-check each stage of a `kproj trace N --certificates` document.
 
     Plain ints, nothing from kproj.  A map is (rows, cols, {(row, col):
-    value}).  Exactness at position i, between map i - 1 and map i, is
-    b a = 0, b K = 0, a X = K, L K = I and K L + M b = I for the witness
-    (K, X, L, M), with the rank of position i the one both maps act on;
-    each stage starts from the sphere ranks (1, 0) and from the previous
-    stage's conclusions (the point's (0, 0) before stage 0).  Returns
-    each stage's verdicts in the form the document records them.
+    value}).  Half h, positions 3h to 3h + 2, has generator f = map 3h,
+    restriction g = map 3h + 1 and splitting (r, σ).  Exactness at i is
+    map i after map i - 1 being zero and r f, f r + σ g or g σ (sphere,
+    middle, quotient) being the identity on rank i.  Each stage starts
+    from the sphere ranks (1, 0) and the previous stage's conclusions (the
+    point's (0, 0) first).  Returns the verdicts as the document has them.
     """
     def read(m):
         rows, cols, out = m["rows"], m["cols"], {}
@@ -442,15 +442,13 @@ def verify_certificates(document: dict) -> list[dict]:
         linked = (stage["stage"] == index and [ranks[0], ranks[3]] == [1, 0]
                   and [ranks[2], ranks[5]] == previous)
         exactness = []
-        for i, witness in enumerate(stage["witnesses"]):
-            a, b = maps[i - 1], maps[i]
-            kernel, lift, dual, section = (read(witness[name]) for name in "KXLM")
-            exactness.append(
-                linked and None not in (a, b, kernel) and a[0] == b[1] == ranks[i]
-                and times(b, a) == (b[0], a[1], {})
-                and times(b, kernel) == (b[0], kernel[1], {})
-                and times(a, lift) == kernel and times(dual, kernel) == eye(kernel[1])
-                and plus(times(kernel, dual), times(section, b)) == eye(ranks[i]))
+        for i, split in zip((0, 3), stage["splittings"]):
+            (f, g), r, sigma = maps[i:i + 2], read(split["retraction"]), read(split["section"])
+            identities = times(r, f), plus(times(f, r), times(sigma, g)), times(g, sigma)
+            for j, identity in enumerate(identities, i):
+                composite = times(maps[j], maps[j - 1])
+                exactness.append(linked and composite is not None and not composite[2]
+                                 and identity == eye(ranks[j]))
         previous, m = [ranks[1], ranks[4]], index + 1
         top = sum((-1) ** (m - j) * comb(m, j) * j ** m for j in range(m + 1))
         verdicts.append({"exactness": exactness,

@@ -1,14 +1,16 @@
-"""The certified induction: its windows, witnesses and verdicts, the verifier, and exit 3.
+"""The certified induction: its windows, splittings and verdicts, the verifier, and exit 3.
 
 Each mutation corrupts one input of the certifier, or one field of a
 certificate document, and must flip exactly the verdict it targets:
-exactness for the generator, the restriction and the section, chern for
-a character coefficient, bott for the γ product.
+exactness for the generator, the restriction, the retraction and the
+section, chern for a character coefficient, bott for the γ product.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import kproj._certify as certify_module
 import kproj.ktheory as ktheory_module
-from kproj._certify import SparseMap, exact_at, stages
+from kproj._certify import SparseMap, stages
 from kproj.cli import main
 from kproj.ktheory import FalseVerdictError, Space, k_groups, replay_induction
 from kproj.linalg import FgAbelianGroup
@@ -71,15 +73,19 @@ class TestCertifier:
             next(stages(bad))
 
     def test_a_failed_identity_is_false_not_an_error(self):
-        eye = SparseMap.identity(2)
-        # shapes that do not compose, a kernel that is not one, a lift that misses
-        assert not exact_at(eye, SparseMap.identity(3), (eye, eye, eye, eye))
-        assert not exact_at(SparseMap.zero(2, 0), eye, (eye, SparseMap.zero(0, 2), eye,
-                                                        SparseMap.zero(2, 2)))
-        assert not exact_at(SparseMap.zero(2, 0), SparseMap.zero(0, 2),
-                            (eye, SparseMap.zero(0, 2), eye, SparseMap.zero(2, 0)))
-        assert exact_at(SparseMap.zero(2, 0), eye, (SparseMap.zero(2, 0), SparseMap.zero(0, 0),
-                                                    SparseMap.zero(0, 2), eye))
+        exactness = certify_module._exactness
+        # the half Z -> Z^2 -> Z of stage 1, split by r and σ, and a zero K^1 half
+        ranks, maps, ((r, section), odd) = certify_module._window((1, 0), (1, 0))
+        assert exactness(ranks, maps, ((r, section), odd)) == (True,) * 6
+        for split, verdicts in [
+            ((r, SparseMap.identity(3)), (True, False, False)),  # shapes that do not compose
+            ((SparseMap.zero(1, 2), section), (False, False, True)),  # r f != I
+            ((r, SparseMap.zero(2, 1)), (True, False, False)),  # g σ != I
+        ]:
+            assert exactness(ranks, maps, (split, odd)) == verdicts + (True,) * 3
+        # a rank the maps do not act on
+        assert exactness((1, 2, 2) + ranks[3:], maps, ((r, section), odd)) == (
+            True, True, False, True, True, True)
 
     def test_sparse_products_cost_their_nonzeros(self):
         # a 10^6 x 10^6 map with two nonzeros composes without reading its zeros
@@ -87,8 +93,9 @@ class TestCertifier:
         a = SparseMap(big, big, {0: {5: 3}, 7: {0: -1}})
         b = SparseMap(big, 2, {0: {0: 2}, 1: {7: 1, 0: 1}})
         assert certify_module._compose(a, b) == SparseMap(big, 2, {0: {5: 6}, 1: {0: -1, 5: 3}})
-        assert certify_module._add(a, a.transpose().transpose()) == SparseMap(
-            big, big, {0: {5: 6}, 7: {0: -2}})
+        assert certify_module._add(a, a) == SparseMap(big, big, {0: {5: 6}, 7: {0: -2}})
+        assert certify_module._add(a, SparseMap(big, big, {0: {5: -3}, 9: {1: 4}})) == SparseMap(
+            big, big, {7: {0: -1}, 9: {1: 4}})  # column 0 cancels
 
 
 # one mutation per verdict: (name, what it corrupts, the verdict it flips)
@@ -104,6 +111,10 @@ def doubled_section(p, s):
     return SparseMap(p + s, p, {j: {j: 2} for j in range(p)})
 
 
+def doubled_retraction(p, s):
+    return SparseMap(s, p + s, {p + i: {i: 2} for i in range(s)})
+
+
 def double_top_binomial(m, j):
     return 2 * comb(m, j) if j == m else comb(m, j)
 
@@ -112,6 +123,7 @@ CERTIFIER_MUTATIONS = [
     ("_generator", double_generator, "exactness"),
     ("_restriction", drop_restriction_coordinate, "exactness"),
     ("_section", doubled_section, "exactness"),
+    ("_retraction", doubled_retraction, "exactness"),
     ("comb", double_top_binomial, "chern"),
 ]
 
@@ -130,10 +142,40 @@ class TestCertifierMutations:
         assert failing(stage_verdicts(5)) == {"bott"}
 
     def test_the_section_is_checked_where_it_is_a_witness(self, monkeypatch):
-        # the section is the lift at the quotient and the complement at the middle
+        # the section enters f r + σ g = I at the middle and g σ = I at the quotient
         monkeypatch.setattr(certify_module, "_section", doubled_section)
         stage = list(stages(3))[2]
         assert stage.exactness == (True, False, False, True, True, True)
+
+    def test_the_retraction_is_checked_at_the_sphere_and_the_middle(self, monkeypatch):
+        # the retraction enters r f = I at the sphere and f r + σ g = I at the middle
+        monkeypatch.setattr(certify_module, "_retraction", doubled_retraction)
+        assert {s.exactness for s in stages(5)} == {(False, False, True, True, True, True)}
+
+
+class TestCheckOnce:
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_each_stage_makes_14_products_and_2_sums(self, monkeypatch, n):
+        # per half: three composites that must vanish, r f, f r + σ g and g σ
+        counts = Counter()
+        for name in ("_compose", "_add"):
+            def counted(a, b, work=getattr(certify_module, name), name=name):
+                counts[name] += 1
+                return work(a, b)
+            monkeypatch.setattr(certify_module, name, counted)
+        per_stage = []
+        for _ in stages(n):  # stage k's work is done by the time it is yielded
+            per_stage.append(dict(counts))
+            counts.clear()
+        assert per_stage == [{"_compose": 14, "_add": 2}] * n
+
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_a_certificate_holds_n_times_n_plus_1_nonzeros(self, capsys, n):
+        # stage k: γ^(k+1) and its retraction one each, restriction and section k each
+        certified = certificate_document(capsys, n)["result"]["certificates"]["stages"]
+        assert sum(len(m["entries"]) for stage in certified
+                   for m in stage["maps"] + [m for split in stage["splittings"]
+                                             for m in split.values()]) == n * (n + 1)
 
 
 # one corruption per verdict of a stage's document: (name, edit, verdict)
@@ -145,8 +187,12 @@ def edit_restriction(stage):
     stage["maps"][1]["entries"].pop(0)
 
 
+def edit_retraction(stage):
+    stage["splittings"][0]["retraction"]["entries"][0][2] = 2
+
+
 def edit_section(stage):
-    stage["witnesses"][1]["M"]["entries"][0][2] = 2
+    stage["splittings"][0]["section"]["entries"][0][2] = 2
 
 
 def edit_character(stage):
@@ -160,6 +206,7 @@ def edit_product(stage):
 DOCUMENT_MUTATIONS = [
     ("generator", edit_generator, "exactness"),
     ("restriction", edit_restriction, "exactness"),
+    ("retraction", edit_retraction, "exactness"),
     ("section", edit_section, "exactness"),
     ("character", edit_character, "chern"),
     ("product", edit_product, "bott"),
@@ -193,6 +240,11 @@ class TestVerifier:
         verdicts = verify_certificates(doc)
         assert failing(verdicts[3:4]) == {verdict}
         assert failing(verdicts[:3] + verdicts[4:]) == set()
+
+    def test_a_corrupted_retraction_fails_the_sphere_and_the_middle(self, capsys):
+        doc = certificate_document(capsys, 6)
+        edit_retraction(doc["result"]["certificates"]["stages"][3])
+        assert verify_certificates(doc)[3]["exactness"] == [False, False, True, True, True, True]
 
     def test_a_broken_induction_link_fails_the_next_stage(self, capsys):
         doc = certificate_document(capsys, 4)
@@ -270,6 +322,21 @@ class TestFalseVerdictExit:
 
 
 class TestTraceCertificates:
+    # sha256 of outputs that read the certifier; a change to one must be
+    # deliberate and re-pin it
+    PINNED = {
+        ("trace", "6", "--certificates"):
+            "05345f586991a35815128ff22bdeef146e86d516021460718ff81ab6a43de5d7",
+        ("--format", "machine", "kgroups", "cpn:6", "--q", "0"):
+            "f5742346c9579ba9f35b4febf2476bbda76a0e677d515a45622c9b2ed34b40fd",
+    }
+
+    @pytest.mark.parametrize("argv", sorted(PINNED), ids=" ".join)
+    def test_the_output_is_byte_identical(self, capsys, argv):
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[argv]
+
     def test_the_flag_adds_one_member_and_one_line_per_stage(self, capsys):
         assert main(["--format", "machine", "trace", "3"]) == 0
         plain = json.loads(capsys.readouterr().out)
