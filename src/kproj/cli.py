@@ -9,14 +9,21 @@ result}, written with sorted keys and an indent of two.  Results go to
 stdout, diagnostics to stderr, and the exit status is zero exactly when
 the computation succeeded: 2 for bad input, and 3 when a verdict of the
 certified induction is false, which good input never meets.
+
+The grammar, top-level options and subcommands with their arguments, is
+declared once, as tables that two readers share.  A plain command line
+is read by _read, exact matches only, without importing argparse;
+anything else (help, an abbreviation, an error) goes to the parser that
+build_parser makes from the same tables, so help, usage and every parse
+error are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__, _certify, chern, grothendieck, homology, ktheory, linalg, truncpoly
 
@@ -202,10 +209,14 @@ def _run_trace(args) -> tuple[dict, dict]:
     }
     inputs = {"n": args.n}
     if args.certificates:
-        stages = list(_certify.stages(args.n))
+        # the human report prints one line per stage: only the machine
+        # document writes each stage's maps and splittings
+        machine, certified, stages = args.format == "machine", True, []
+        for stage in _certify.stages(args.n):
+            certified = certified and not stage.failures()
+            stages.append(stage.payload() if machine else {"stage": stage.k, "text": stage.render()})
         inputs["certificates"] = True
-        result["certificates"] = {"certified": not any(s.failures() for s in stages),
-                                  "stages": [s.payload() for s in stages]}
+        result["certificates"] = {"certified": certified, "stages": stages}
     return inputs, result
 
 
@@ -327,83 +338,152 @@ def _render_human(result: dict) -> str:
 
 
 # ----------------------------------------------------------------------
-# argument parsing and dispatch
+# the command-line grammar, declared once: build_parser and _read both read it
 # ----------------------------------------------------------------------
 
+SPACE_HELP = "space spec: cpn:N, sphere:M, or point"
 
-def build_parser() -> argparse.ArgumentParser:
+# each argument is its name or flag with its argparse keywords: dest, type,
+# default, action, nargs, choices, required and help, where they are set
+OPTIONS = {
+    "--format": {"choices": ("human", "machine"), "default": "human",
+                 "help": "output format (default: human)"},
+    "--version": {"action": "store_true", "help": "print library and format versions and exit"},
+}
+# each subcommand is (help, run function, arguments)
+SUBCOMMANDS = {
+    "cohomology": ("integral cohomology of a space", _run_cohomology, {
+        "space": {"help": SPACE_HELP},
+        "--degree": {"type": int, "default": None},
+    }),
+    "kgroups": ("K-group of a space in one degree", _run_kgroups, {
+        "space": {"help": SPACE_HELP},
+        "--q": {"type": int, "default": 0},
+    }),
+    "ring": ("the virtual-bundle ring on cpn:N", _run_ring, {
+        "n": {"type": int},
+    }),
+    "ch": ("Chern character of a class or formal bundle", _run_ch, {
+        "space": {"nargs": "?", "default": None,
+                  "help": "ambient space cpn:N for the class form"},
+        "--class": {"dest": "klass", "default": None,
+                    "help": "comma-separated coefficients against 1, γ, .., γ^n"},
+        "--rank": {"type": int, "default": None, "help": "bundle rank (bundle form)"},
+        "--chern": {"default": None,
+                    "help": "total Chern class, e.g. \"1+2x+x^2\" (bundle form)"},
+        "--order": {"type": int, "default": None, "help": "truncation order (bundle form)"},
+    }),
+    "trace": ("replay the K-group induction for cpn:N", _run_trace, {
+        "n": {"type": int},
+        "--certificates": {"action": "store_true",
+                           "help": "add the certified induction: per stage its window, maps, "
+                                   "splittings and verdicts"},
+    }),
+    "newton": ("Newton polynomial s_k", _run_newton, {
+        "--k": {"type": int, "required": True},
+    }),
+    "groth": ("group completion of a Cayley-table monoid", _run_groth, {
+        "--table": {"required": True, "help": "Cayley table file"},
+    }),
+    "smith": ("Smith normal form of a matrix file", _run_smith, {
+        "--matrix": {"required": True,
+                     "help": "matrix file: first line 'rows cols', then entries"},
+    }),
+    "bott-check": ("periodicity instance on the 2-sphere", _run_bott_check, {}),
+}
+
+
+def build_parser():
+    """The argparse parser of the grammar: help, usage and every parse error are its own."""
+    import argparse  # here only: a plain command line is read without it
+
     parser = argparse.ArgumentParser(
         prog="kproj",
         description="Exact K-theory and cohomology computations for projective "
                     "spaces and spheres.",
     )
-    parser.add_argument("--format", choices=("human", "machine"), default="human",
-                        help="output format (default: human)")
-    parser.add_argument("--version", action="store_true",
-                        help="print library and format versions and exit")
+    for flag, settings in OPTIONS.items():
+        parser.add_argument(flag, **settings)
     sub = parser.add_subparsers(dest="subcommand")
-
-    p = sub.add_parser("cohomology", help="integral cohomology of a space")
-    p.add_argument("space", help="space spec: cpn:N, sphere:M, or point")
-    p.add_argument("--degree", type=int, default=None)
-    p.set_defaults(run=_run_cohomology)
-
-    p = sub.add_parser("kgroups", help="K-group of a space in one degree")
-    p.add_argument("space", help="space spec: cpn:N, sphere:M, or point")
-    p.add_argument("--q", type=int, default=0)
-    p.set_defaults(run=_run_kgroups)
-
-    p = sub.add_parser("ring", help="the virtual-bundle ring on cpn:N")
-    p.add_argument("n", type=int)
-    p.set_defaults(run=_run_ring)
-
-    p = sub.add_parser("ch", help="Chern character of a class or formal bundle")
-    p.add_argument("space", nargs="?", default=None,
-                   help="ambient space cpn:N for the class form")
-    p.add_argument("--class", dest="klass", default=None,
-                   help="comma-separated coefficients against 1, γ, .., γ^n")
-    p.add_argument("--rank", type=int, default=None, help="bundle rank (bundle form)")
-    p.add_argument("--chern", default=None,
-                   help="total Chern class, e.g. \"1+2x+x^2\" (bundle form)")
-    p.add_argument("--order", type=int, default=None,
-                   help="truncation order (bundle form)")
-    p.set_defaults(run=_run_ch)
-
-    p = sub.add_parser("trace", help="replay the K-group induction for cpn:N")
-    p.add_argument("n", type=int)
-    p.add_argument("--certificates", action="store_true",
-                   help="add the certified induction: per stage its window, maps, "
-                        "splittings and verdicts")
-    p.set_defaults(run=_run_trace)
-
-    p = sub.add_parser("newton", help="Newton polynomial s_k")
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(run=_run_newton)
-
-    p = sub.add_parser("groth", help="group completion of a Cayley-table monoid")
-    p.add_argument("--table", required=True, help="Cayley table file")
-    p.set_defaults(run=_run_groth)
-
-    p = sub.add_parser("smith", help="Smith normal form of a matrix file")
-    p.add_argument("--matrix", required=True,
-                   help="matrix file: first line 'rows cols', then entries")
-    p.set_defaults(run=_run_smith)
-
-    p = sub.add_parser("bott-check", help="periodicity instance on the 2-sphere")
-    p.set_defaults(run=_run_bott_check)
-
+    for name, (help_, run, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for flag, settings in arguments.items():
+            p.add_argument(flag, **settings)
+        p.set_defaults(run=run)
     return parser
 
 
+def _read(argv):
+    """The namespace build_parser() makes of a plain argv, or None for any other argv.
+
+    Plain is what every argparse reads alike: options spelt out in full,
+    each where it belongs (the top-level ones before the subcommand), a
+    value joined by = (not starting with --) or given as the next word
+    (not starting with -), values that convert and are among the choices,
+    the subcommand's positionals in number (one with nargs "?" before the
+    subcommand's options), its required options present, and a
+    subcommand or --version.  Help, abbreviations and errors are left to
+    argparse.
+    """
+    values, arguments, positionals, optioned = {"subcommand": None}, OPTIONS, [], False
+
+    def convert(settings, word):
+        try:
+            value = settings.get("type", str)(word)
+        except ValueError:
+            return None
+        return value if value in settings.get("choices", (value,)) else None
+
+    words = iter(argv)
+    for word in words:
+        if word.startswith("-"):
+            name, joined, word = word.partition("=")
+            settings = arguments.get(name)
+            if settings is None:
+                return None
+            if settings.get("action") == "store_true":
+                value = None if joined else True
+            else:
+                word = word if joined else next(words, "-")  # a missing value reads as "-"
+                value = None if word.startswith("--" if joined else "-") else convert(settings, word)
+            optioned = values["subcommand"] is not None
+        elif values["subcommand"] is None:
+            if word not in SUBCOMMANDS:
+                return None
+            values["subcommand"], (_, values["run"], arguments) = word, SUBCOMMANDS[word]
+            positionals = [name for name in arguments if not name.startswith("-")]
+            continue
+        elif not positionals or optioned and arguments[positionals[0]].get("nargs") == "?":
+            return None
+        else:
+            name = positionals.pop(0)
+            settings = arguments[name]
+            value = convert(settings, word)
+        if value is None:
+            return None
+        values[settings.get("dest", name.lstrip("-"))] = value
+    if values["subcommand"] is None and not values.get("version"):
+        return None
+    for name, settings in {**OPTIONS, **arguments}.items():
+        dest = settings.get("dest", name.lstrip("-"))
+        if dest not in values:
+            if settings.get("required") or name in positionals and settings.get("nargs") != "?":
+                return None
+            values[dest] = settings.get("default", False if "action" in settings else None)
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _read(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if not (args.version or args.subcommand):
+            parser.print_usage(sys.stderr)
+            return 2
     if args.version:
         print(f"kproj {__version__} (format {FORMAT_VERSION})")
         return 0
-    if not getattr(args, "subcommand", None):
-        parser.print_usage(sys.stderr)
-        return 2
     try:
         # argparse reads "--opt=--" as an empty list, not as the text "--"
         if [] in vars(args).values():

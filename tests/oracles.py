@@ -6,8 +6,9 @@ characterization, diagonalization from plain repeated-subtraction row and
 column reduction, finite quotients from literal enumeration of
 canonical representatives, and associativity from every triple of a
 table.  The polynomial oracles (the exponential series, elementary
-symmetric polynomials and power sums) are built from the plain
-truncated and multivariate polynomial arithmetic, and the
+symmetric polynomials and power sums) are built from kproj's plain
+truncated and multivariate polynomial arithmetic, which each of them
+imports itself, so that the module loads without kproj; the
 elementary symmetric values of integer roots from plain ints.  The
 Chern character of a class in powers of γ is also read off Stirling
 numbers of the second kind, a route the library no longer takes.  A
@@ -20,8 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, gcd
-
-from kproj.truncpoly import MultiPoly, TruncPoly
 
 
 def det_cofactor(rows) -> int:
@@ -336,6 +335,8 @@ def exp_nilpotent(p: TruncPoly) -> TruncPoly:
     The argument is nilpotent in the truncated ring, so the series stops
     at the truncation order and every coefficient is an exact rational.
     """
+    from kproj.truncpoly import TruncPoly
+
     if p.coeffs[0] != 0:
         raise ValueError("exp requires a zero constant term")
     result = TruncPoly.one(p.order)
@@ -348,6 +349,8 @@ def exp_nilpotent(p: TruncPoly) -> TruncPoly:
 
 def elementary_symmetric(k: int, n: int) -> MultiPoly:
     """k-th elementary symmetric polynomial in n variables (zero for k > n)."""
+    from kproj.truncpoly import MultiPoly
+
     if k < 0:
         raise ValueError("index must be nonnegative")
     if k == 0:
@@ -363,6 +366,8 @@ def elementary_symmetric(k: int, n: int) -> MultiPoly:
 
 def power_sum(k: int, n: int) -> MultiPoly:
     """k-th power sum x_1^k + .. + x_n^k."""
+    from kproj.truncpoly import MultiPoly
+
     if k < 1:
         raise ValueError("index must be at least 1")
     terms = {}

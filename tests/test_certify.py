@@ -10,8 +10,11 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 from collections import Counter
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -93,9 +96,11 @@ class TestCertifier:
         a = SparseMap(big, big, {0: {5: 3}, 7: {0: -1}})
         b = SparseMap(big, 2, {0: {0: 2}, 1: {7: 1, 0: 1}})
         assert certify_module._compose(a, b) == SparseMap(big, 2, {0: {5: 6}, 1: {0: -1, 5: 3}})
-        assert certify_module._add(a, a) == SparseMap(big, big, {0: {5: 6}, 7: {0: -2}})
-        assert certify_module._add(a, SparseMap(big, big, {0: {5: -3}, 9: {1: 4}})) == SparseMap(
-            big, big, {7: {0: -1}, 9: {1: 4}})  # column 0 cancels
+        assert certify_module._add(a, SparseMap(big, big, {9: {1: 4}})) == SparseMap(
+            big, big, {0: {5: 3}, 7: {0: -1}, 9: {1: 4}})
+        # a sum whose columns overlap is none the certificate forms: it fails closed
+        assert certify_module._add(a, a) is None
+        assert certify_module._add(a, SparseMap(big, big, {0: {5: -3}, 9: {1: 4}})) is None
 
 
 # one mutation per verdict: (name, what it corrupts, the verdict it flips)
@@ -246,6 +251,25 @@ class TestVerifier:
         edit_retraction(doc["result"]["certificates"]["stages"][3])
         assert verify_certificates(doc)[3]["exactness"] == [False, False, True, True, True, True]
 
+    # the stored document of `kproj --format machine trace 3 --certificates`
+    STORED = Path(__file__).parent / "data" / "trace_cpn3_certificates.json"
+    # verify it in an interpreter where any import of kproj fails
+    ALONE = ("import json, sys; sys.modules['kproj'] = None; sys.path.insert(0, sys.argv[1]); "
+             "import oracles; "
+             "print(json.dumps(oracles.verify_certificates(json.load(open(sys.argv[2])))))")
+
+    def test_the_verifier_runs_without_kproj(self, capsys):
+        proc = subprocess.run([sys.executable, "-c", self.ALONE, str(Path(__file__).parent),
+                               str(self.STORED)], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        stored = self.STORED.read_text(encoding="utf-8")
+        verdicts = json.loads(proc.stdout)
+        assert verdicts == [s["verdicts"]
+                            for s in json.loads(stored)["result"]["certificates"]["stages"]]
+        assert len(verdicts) == 3 and failing(verdicts) == set()
+        assert main(["--format", "machine", "trace", "3", "--certificates"]) == 0
+        assert capsys.readouterr().out == stored
+
     def test_a_broken_induction_link_fails_the_next_stage(self, capsys):
         doc = certificate_document(capsys, 4)
         stage = doc["result"]["certificates"]["stages"][2]
@@ -336,6 +360,14 @@ class TestTraceCertificates:
         assert main(list(argv)) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[argv]
+
+    def test_the_human_report_builds_no_payload(self, capsys, monkeypatch):
+        def refuse(stage):
+            raise AssertionError("a stage payload built for the human report")
+        monkeypatch.setattr(certify_module.Stage, "payload", refuse)
+        assert main(["trace", "6", "--certificates"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [x.split(":")[0] for x in lines[-6:]] == [f"certified stage {k}" for k in range(6)]
 
     def test_the_flag_adds_one_member_and_one_line_per_stage(self, capsys):
         assert main(["--format", "machine", "trace", "3"]) == 0

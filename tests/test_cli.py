@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kproj
 from kproj.cli import (
@@ -15,6 +19,10 @@ from kproj.cli import (
     GROTH_MAX_ORDER,
     SMITH_MAX_BITS,
     SMITH_MAX_SIDE,
+    OPTIONS,
+    SUBCOMMANDS,
+    _read,
+    build_parser,
     main,
 )
 
@@ -633,3 +641,212 @@ class TestTopLevel:
                                   stdout=full, stderr=subprocess.PIPE, timeout=60)
         assert proc.returncode == 1
         assert proc.stderr == b"error: [Errno 28] No space left on device\n"
+
+
+def declared(parser, help=None):
+    """{prog: (description, help, actions)} for parser and each of its subparsers.
+
+    Each action is read as (option strings, dest, nargs, const, default,
+    type name, choices, required, help, metavar), the attributes that
+    decide argparse's help, usage and errors on every Python version.
+    """
+    rows = []
+    found = {parser.prog: (parser.description, help, rows)}
+    for action in parser._actions:
+        rows.append((tuple(action.option_strings), action.dest, action.nargs, action.const,
+                     action.default, getattr(action.type, "__name__", action.type),
+                     None if action.choices is None else list(action.choices),
+                     action.required, action.help, action.metavar))
+        helps = {choice.dest: choice.help for choice in getattr(action, "_choices_actions", ())}
+        for name, subparser in (action.choices.items() if helps else ()):
+            found.update(declared(subparser, helps[name]))
+    return found
+
+
+class TestDeclaredParser:
+    # build_parser() as it was before the grammar became a table; a change
+    # here changes --help, usage or an error message
+    HELP = (("-h", "--help"), "help", 0, None, "==SUPPRESS==", None, None, False,
+            "show this help message and exit", None)
+    SPACE = ((), "space", None, None, None, None, None, True,
+             "space spec: cpn:N, sphere:M, or point", None)
+    PARSER = {
+        "kproj": ("Exact K-theory and cohomology computations for projective spaces and spheres.",
+                  None, [
+            HELP,
+            (("--format",), "format", None, None, "human", None, ["human", "machine"], False,
+             "output format (default: human)", None),
+            (("--version",), "version", 0, True, False, None, None, False,
+             "print library and format versions and exit", None),
+            ((), "subcommand", "A...", None, None, None,
+             ["cohomology", "kgroups", "ring", "ch", "trace", "newton", "groth", "smith",
+              "bott-check"], False, None, None),
+        ]),
+        "kproj cohomology": (None, "integral cohomology of a space", [
+            HELP,
+            SPACE,
+            (("--degree",), "degree", None, None, None, "int", None, False, None, None),
+        ]),
+        "kproj kgroups": (None, "K-group of a space in one degree", [
+            HELP,
+            SPACE,
+            (("--q",), "q", None, None, 0, "int", None, False, None, None),
+        ]),
+        "kproj ring": (None, "the virtual-bundle ring on cpn:N", [
+            HELP,
+            ((), "n", None, None, None, "int", None, True, None, None),
+        ]),
+        "kproj ch": (None, "Chern character of a class or formal bundle", [
+            HELP,
+            ((), "space", "?", None, None, None, None, False,
+             "ambient space cpn:N for the class form", None),
+            (("--class",), "klass", None, None, None, None, None, False,
+             "comma-separated coefficients against 1, γ, .., γ^n", None),
+            (("--rank",), "rank", None, None, None, "int", None, False,
+             "bundle rank (bundle form)", None),
+            (("--chern",), "chern", None, None, None, None, None, False,
+             'total Chern class, e.g. "1+2x+x^2" (bundle form)', None),
+            (("--order",), "order", None, None, None, "int", None, False,
+             "truncation order (bundle form)", None),
+        ]),
+        "kproj trace": (None, "replay the K-group induction for cpn:N", [
+            HELP,
+            ((), "n", None, None, None, "int", None, True, None, None),
+            (("--certificates",), "certificates", 0, True, False, None, None, False,
+             "add the certified induction: per stage its window, maps, splittings and verdicts",
+             None),
+        ]),
+        "kproj newton": (None, "Newton polynomial s_k", [
+            HELP,
+            (("--k",), "k", None, None, None, "int", None, True, None, None),
+        ]),
+        "kproj groth": (None, "group completion of a Cayley-table monoid", [
+            HELP,
+            (("--table",), "table", None, None, None, None, None, True, "Cayley table file",
+             None),
+        ]),
+        "kproj smith": (None, "Smith normal form of a matrix file", [
+            HELP,
+            (("--matrix",), "matrix", None, None, None, None, None, True,
+             "matrix file: first line 'rows cols', then entries", None),
+        ]),
+        "kproj bott-check": (None, "periodicity instance on the 2-sphere", [
+            HELP,
+        ]),
+    }
+
+    def test_the_parser_declares_what_it_always_declared(self):
+        assert declared(build_parser()) == self.PARSER
+
+
+def argparse_namespace(argv):
+    """vars() of what build_parser() makes of argv, or None where argparse exits."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+FLAGS = sorted({*OPTIONS, *(name for _, _, arguments in SUBCOMMANDS.values()
+                            for name in arguments if name.startswith("-"))})
+NAMES = [*FLAGS, *SUBCOMMANDS]
+VALUES = st.one_of(
+    st.integers(-30, 300).map(str),
+    st.sampled_from(["cpn:3", "sphere:4", "point", "human", "machine", "xml", "1+2x+x^2",
+                     "0,1,0,0", "-1,1,0,0", "-1", "-x", "x", "3 ", "", "-", "--", "-h", "--help"]),
+)
+PREFIXES = st.sampled_from(NAMES).flatmap(
+    lambda name: st.integers(1, len(name)).map(lambda k: name[:k]))
+JOINED = st.tuples(st.one_of(st.sampled_from(FLAGS), PREFIXES), VALUES).map("=".join)
+WORDS = st.one_of(st.sampled_from(NAMES), PREFIXES, JOINED, VALUES)
+
+
+@st.composite
+def command_lines(draw):
+    """Top-level options, a subcommand and its arguments in any order, and stray words.
+
+    Each argument is left out or given once: a flag, a value joined with =
+    or given as the next word, or a positional value, mostly of its type.
+    """
+    def plausible(declared):
+        if "choices" in declared:
+            return st.sampled_from(declared["choices"])
+        if "type" in declared:
+            return st.integers(-3, 300).map(str)
+        return st.sampled_from(["cpn:3", "0,1,0,0", "-1,1,0,0", "1+2x+x^2", "m3.matrix"])
+
+    def spelt(arguments):
+        groups = []
+        for name, declared in arguments.items():
+            value = draw(st.one_of(plausible(declared), VALUES))
+            if not draw(st.booleans()):
+                continue
+            if not name.startswith("-"):
+                groups.append([value])
+            elif "action" in declared:
+                groups.append([name])
+            else:
+                groups.append([f"{name}={value}"] if draw(st.booleans()) else [name, value])
+        return [word for group in draw(st.permutations(groups)) for word in group]
+
+    name = draw(st.sampled_from(list(SUBCOMMANDS)))
+    argv = [*spelt(OPTIONS), name, *spelt(SUBCOMMANDS[name][2])]
+    for stray in draw(st.lists(WORDS, max_size=1)):
+        argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+class TestPlainReader:
+    """_read gives argparse's namespace or None: never a different reading."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.lists(WORDS, max_size=8), command_lines()))
+    @example(["ch", "cpn:3", "--class=-1,1,0,0"])
+    @example(["ch", "--class=0,1", "cpn:1"])
+    @example(["ch", "cpn:1", "--chern="])
+    @example(["kgroups", "--q", "1", "cpn:2"])
+    @example(["--version"])
+    @example(["--format", "machine"])
+    def test_the_reader_agrees_with_argparse(self, argv):
+        read = _read(argv)
+        assert read is None or vars(read) == argparse_namespace(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["--version"],
+        ["--format", "machine", "--version", "trace", "3"],
+        ["--format=machine", "kgroups", "cpn:16", "--q", "1"],
+        ["trace", "3", "--certificates"],
+        ["trace", "--certificates", "3"],
+        ["kgroups", "--q", "1", "cpn:2"],
+        ["cohomology", "sphere:4", "--degree=4"],
+        ["ring", "20"],
+        ["ch", "cpn:3", "--class=-1,1,0,0"],
+        ["ch", "cpn:3", "--class", "0,1,0,0"],
+        ["ch", "--rank", "2", "--chern", "1+2x+x^2", "--order", "3"],
+        ["ch", "--rank=-2", "--chern=-1-x", "--order=3"],
+        ["newton", "--k", "4"],
+        ["groth", "--table", "z3.table"],
+        ["smith", "--matrix", "m3.matrix"],
+        ["bott-check"],
+    ], ids=" ".join)
+    def test_a_plain_command_line_is_read(self, argv):
+        read = _read(argv)
+        assert read is not None and vars(read) == argparse_namespace(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [],  # no subcommand: main prints the usage
+        ["--format", "machine"],
+        ["-h"], ["--help"], ["trace", "-h"],
+        ["--form", "machine", "ring", "2"], ["trace", "3", "--cert"], ["tr", "3"],  # abbreviations
+        ["trace", "3", "--bogus"], ["trace", "3", "--format", "machine"],  # unknown here
+        ["--format"], ["kgroups", "cpn:3", "--q"], ["ring", "x"], ["--format", "xml", "ring", "1"],
+        ["kgroups", "cpn:3", "--q", "-1"], ["ch", "cpn:3", "--class", "-1,1,0,0"],  # separate -…
+        ["ch", "cpn:2", "--class=--"], ["ch", "cpn:2", "--class=--x"],  # joined --…
+        ["trace", "3", "--certificates=1"], ["--version=yes"],
+        ["trace"], ["ring", "1", "2"], ["bott-check", "x"], ["ch", "--class=0,1", "cpn:1"],
+        ["newton"], ["groth"],
+        ["ring", "-1"], ["ring", "-"], ["ring", "--", "2"], ["--", "ring", "2"],
+    ], ids=lambda argv: " ".join(argv) or "(empty)")
+    def test_any_other_command_line_is_left_to_argparse(self, argv):
+        assert _read(argv) is None

@@ -7,7 +7,9 @@ private _certify, _elimination, _groups and _powers are registered the
 same way: the first runs only to certify the induction of cpn:N, the
 second only for a nonzero matrix that linalg cannot decompose in closed
 form, the third for abelian groups, with linalg or without it, and the
-fourth only for arithmetic on power-basis coefficients.
+fourth only for arithmetic on power-basis coefficients.  A well-formed
+command line is read without argparse (and so without gettext and
+locale), which loads only for help and errors.
 """
 
 import subprocess
@@ -117,6 +119,64 @@ def test_the_certified_induction_loads_no_rationals(argv):
     # the Chern verdict sums ints, and the γ product stays in _powers
     _, _, rationals = probe(*argv)
     assert rationals == set()
+
+
+PARSER_PROBE = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+parsing = ("argparse", "gettext", "locale")
+before = [name for name in parsing if name in sys.modules]
+import kproj.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = kproj.cli.main(sys.argv[2:])
+    except SystemExit as exited:
+        code = exited.code
+print(code)
+print(" ".join(name for name in parsing if name in sys.modules and name not in before))
+"""
+
+
+def parsing_modules(*argv):
+    """(exit status, which of argparse, gettext and locale `kproj ARGV` imported)."""
+    proc = subprocess.run([sys.executable, "-c", PARSER_PROBE, SRC, *map(str, argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, imported = proc.stdout.split("\n", 1)
+    return int(code), set(imported.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ("--version",),
+    ("cohomology", "cpn:3"),
+    ("--format", "machine", "kgroups", "cpn:3", "--q", "1"),
+    ("ring", "3"),
+    ("ch", "cpn:3", "--class=-1,1,0,0"),
+    ("ch", "--rank", "2", "--chern", "1+2x+x^2", "--order", "3"),
+    ("trace", "3", "--certificates"),
+    ("newton", "--k", "4"),
+    ("groth", "--table", "{table}"),
+    ("smith", "--matrix", "{matrix}"),
+    ("bott-check",),
+], ids=" ".join)
+def test_a_well_formed_command_skips_argparse(tmp_path, argv):
+    matrix, table = tmp_path / "m.matrix", tmp_path / "z3.table"
+    matrix.write_text("2 2\n2 4\n6 8\n")
+    table.write_text("3 0\n0 1 2\n1 2 0\n2 0 1\n")
+    code, imported = parsing_modules(*(a.format(matrix=matrix, table=table) for a in argv))
+    assert (code, imported) == (0, set())
+
+
+@pytest.mark.parametrize("argv", [
+    ("trace", "3", "--bogus"),
+    ("ch", "cpn:3", "--class", "-1,1,0,0"),  # a separate value that starts with -
+    ("trace", "-h"),
+    (),
+], ids=lambda argv: " ".join(argv) or "(empty)")
+def test_help_and_errors_are_argparse_own(argv):
+    code, imported = parsing_modules(*argv)
+    assert code == (0 if "-h" in argv else 2)
+    assert "argparse" in imported
 
 
 def test_ring_runs_only_the_ring_it_prints():
