@@ -54,10 +54,6 @@ class SparseMap(Record):
 
     _fields = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, columns: dict[int, dict[int, int]]):
-        fields = self.__dict__
-        fields["rows"], fields["cols"], fields["columns"] = rows, cols, columns
-
     @classmethod
     def identity(cls, n: int) -> "SparseMap":
         return cls(n, n, {j: {j: 1} for j in range(n)})
@@ -210,10 +206,6 @@ class Stage(Record):
 
     _fields = ("k", "ranks", "maps", "splittings", "top_character", "product", "exactness",
                "chern", "bott")
-
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values, strict=True):
-            object.__setattr__(self, name, value)
 
     def failures(self) -> tuple[str, ...]:
         """The names of the verdicts that are false."""

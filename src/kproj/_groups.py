@@ -38,8 +38,7 @@ class FgAbelianGroup(Record):
         for s, t in zip(torsion, torsion[1:]):
             if t % s:
                 raise ValueError("torsion coefficients must form a divisibility chain")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
+        super().__init__(free_rank, torsion)
 
     @cached_property
     def _relations(self) -> linalg.IntegerMatrix:

@@ -32,9 +32,11 @@ def exact_ints(values, message: str) -> tuple[int, ...]:
 class Record:
     """Immutable value compared, hashed and shown by the fields in _fields.
 
-    A subclass names its fields in order in _fields; its __init__
-    validates and sets them with object.__setattr__.  Objects of different
-    classes never compare equal.
+    A subclass names its fields in order in _fields, and only Record sets
+    them: a subclass whose arguments need checking validates in its own
+    __init__ and then hands its fields to Record.__init__, and a library
+    result that is valid by construction is built by _make, which runs no
+    check.  Objects of different classes never compare equal.
     """
 
     _fields: tuple[str, ...] = ()
@@ -42,6 +44,22 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    @classmethod
+    def _make(cls, *values):
+        """The record with these field values, for library results: no check runs.
+
+        The caller guarantees one value per field, each what cls.__init__
+        would have stored (a tuple of ints where it would convert a list).
+        Not even the count is checked: zip's strict would cost a quarter of
+        a construction, and _make builds most of a job's records.
+        """
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values))
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -39,10 +39,6 @@ class NewtonPolynomial(Record):
 
     _fields = ("k", "expression")
 
-    def __init__(self, k: int, expression: truncpoly.MultiPoly):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "expression", expression)
-
     def variable_names(self) -> list[str]:
         return [f"e{i + 1}" for i in range(self.expression.variable_count)]
 
@@ -98,8 +94,7 @@ class FormalBundle(Record):
                 raise ValueError(
                     f"class in degree {k} is nonzero beyond the bundle rank"
                 )
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "total_chern", total_chern)
+        super().__init__(dimension, total_chern)
 
     @property
     def order(self) -> int:

@@ -109,8 +109,7 @@ class FiniteCommutativeMonoid(Record):
         for x in range(n):
             if table[e][x] != x or table[x][e] != x:
                 raise ValueError("identity element does not act as identity")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "identity", identity)
+        super().__init__(table, identity)
 
     @property
     def size(self) -> int:
@@ -170,7 +169,7 @@ class FreeCommutativeMonoid(Record):
 
     def __init__(self, generator_count: int):
         _record.check_int(generator_count, "generator count must be nonnegative", 0)
-        object.__setattr__(self, "generator_count", generator_count)
+        super().__init__(generator_count)
 
     def element(self, exponents: Sequence[int]) -> tuple[int, ...]:
         exponents = _record.exact_ints(exponents, "exponents must be exact integers")

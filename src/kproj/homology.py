@@ -59,8 +59,7 @@ class ChainComplex(Record):
         for k in range(2, len(ranks)):
             if not (boundaries[k - 2] @ boundaries[k - 1]).is_zero():
                 raise ValueError(f"boundary composite in degree {k} is nonzero")
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "boundaries", boundaries)
+        super().__init__(ranks, boundaries)
 
     @classmethod
     def with_zero_boundaries(cls, ranks) -> "ChainComplex":
@@ -164,8 +163,7 @@ class GroupSequence(Record):
             raise ValueError("expected one map between consecutive groups")
         for i, f in enumerate(maps):
             _check_well_defined(f"map {i}", f, groups[i], groups[i + 1])
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "maps", maps)
+        super().__init__(groups, maps)
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -227,9 +225,7 @@ class Ladder(Record):
             raise ValueError("a ladder needs five columns")
         for i, f in enumerate(verticals):
             _check_well_defined(f"vertical {i}", f, top.groups[i], bottom.groups[i])
-        object.__setattr__(self, "top", top)
-        object.__setattr__(self, "bottom", bottom)
-        object.__setattr__(self, "verticals", verticals)
+        super().__init__(top, bottom, verticals)
 
 
 def five_lemma_check(ladder: Ladder) -> bool:

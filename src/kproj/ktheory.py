@@ -47,8 +47,7 @@ class Space(Record):
             _record.check_int(parameter, "the point takes no parameter", 0, 1)
         else:
             raise ValueError(f"unknown space kind {kind!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "parameter", parameter)
+        super().__init__(kind, parameter)
 
     @classmethod
     def cpn(cls, n: int) -> "Space":
@@ -110,20 +109,7 @@ class KClass(Record):
         coeffs = _record.exact_ints(coeffs, "coefficients must be exact integers")
         if len(coeffs) != n + 1:
             raise ValueError(f"expected {n + 1} coefficients")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def _make(cls, n: int, coeffs: tuple[int, ...]) -> "KClass":
-        """Internal constructor that skips validation.
-
-        For library results only: the caller guarantees that coeffs is a
-        tuple of exactly n + 1 values of type int.
-        """
-        obj = object.__new__(cls)
-        fields = obj.__dict__
-        fields["n"], fields["coeffs"] = n, coeffs
-        return obj
+        super().__init__(n, coeffs)
 
     @classmethod
     def zero(cls, n: int) -> "KClass":
@@ -270,8 +256,7 @@ class KGroupTable(Record):
         for q, group in lookup.items():
             if q + 2 in lookup and lookup[q + 2] != group:
                 raise ValueError(f"table breaks periodicity between {q} and {q + 2}")
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "entries", entries)
+        super().__init__(space, entries)
 
     def group(self, q: int) -> _groups.FgAbelianGroup:
         _record.check_int(q, "degree must be an integer")
@@ -342,21 +327,13 @@ class InductionStep(Record):
     def __init__(self, index: int, kind: str, stage: int, window: tuple[str, ...],
                  rules: tuple[str, ...], exactness: tuple[bool, ...], five_lemma: bool | None,
                  conclusion: str):
-        for name, value in zip(self._fields, (index, kind, stage, window, rules, exactness,
-                                              five_lemma, conclusion)):
-            object.__setattr__(self, name, value)
+        super().__init__(index, kind, stage, window, rules, exactness, five_lemma, conclusion)
 
 
 class InductionTrace(Record):
     """Machine-checkable record of the replayed induction."""
 
     _fields = ("n", "steps", "reduced_k0", "k0", "k1")
-
-    def __init__(self, n: int, steps: tuple[InductionStep, ...],
-                 reduced_k0: _groups.FgAbelianGroup, k0: _groups.FgAbelianGroup,
-                 k1: _groups.FgAbelianGroup):
-        for name, value in zip(self._fields, (n, steps, reduced_k0, k0, k1)):
-            object.__setattr__(self, name, value)
 
 
 def _inclusion_window(sub: _groups.FgAbelianGroup, middle: _groups.FgAbelianGroup,

@@ -53,21 +53,7 @@ class IntegerMatrix(Record):
         entries = _record.exact_ints(entries, "matrix entries must be exact integers")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def _make(cls, rows: int, cols: int, entries: tuple[int, ...]) -> "IntegerMatrix":
-        """Internal constructor that skips validation.
-
-        For library results only: the caller guarantees that entries is a
-        tuple of exactly rows * cols values of type int.
-        """
-        obj = object.__new__(cls)
-        fields = obj.__dict__
-        fields["rows"], fields["cols"], fields["entries"] = rows, cols, entries
-        return obj
+        super().__init__(rows, cols, entries)
 
     # ------------------------------------------------------------------
     # constructors
@@ -240,9 +226,6 @@ class SmithForm(Record):
     """
 
     _fields = ("a",)
-
-    def __init__(self, a: IntegerMatrix):
-        object.__setattr__(self, "a", a)
 
     @cached_property
     def d(self) -> tuple[int, ...]:

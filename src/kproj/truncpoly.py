@@ -5,10 +5,11 @@ TruncPoly models R[x]/(x^(n+1)) with Fraction coefficients; integrality
 is a checkable property of a value, not a separate type, since the same
 carrier has to hold integer cohomology classes and rational character
 expansions.  MultiPoly is a sparse exact multivariate polynomial used as
-the brute-force side of symmetric-function identities.  The truncated
-product, powering and the signed-sum renderer come from the private
-_powers module, which the virtual-bundle ring of the ktheory module uses
-too, so that ring N loads neither this module nor fractions.
+the brute-force side of symmetric-function identities.  Both are
+immutable Records, compared and hashed by value.  The truncated product,
+powering and the signed-sum renderer come from the private _powers
+module, which the virtual-bundle ring of the ktheory module uses too, so
+that ring N loads neither this module nor fractions.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from . import _powers, _record, linalg
+from ._record import Record
 
 # the exact scalar types; a bool is not one, although it is an int
 _SCALARS = (int, Fraction)
@@ -36,18 +38,17 @@ def _exact(c) -> Fraction:
     raise ValueError("coefficients must be exact integers or fractions")
 
 
-class TruncPoly:
+class TruncPoly(Record):
     """Element of Q[x]/(x^(order+1)); coeffs[k] is the degree-k coefficient."""
 
-    __slots__ = ("order", "coeffs")
+    _fields = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Sequence):
         _record.check_int(order, "truncation order must be nonnegative", 0)
         coeffs = tuple(map(_exact, coeffs))
         if len(coeffs) != order + 1:
             raise ValueError(f"expected {order + 1} coefficients, got {len(coeffs)}")
-        self.order = order
-        self.coeffs = coeffs
+        super().__init__(order, coeffs)
 
     # -- constructors ---------------------------------------------------
 
@@ -76,17 +77,6 @@ class TruncPoly:
     def is_integral(self) -> bool:
         """Whether every coefficient has denominator one."""
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"TruncPoly(order={self.order}, {self.render()!r})"
 
     def _check_order(self, other: "TruncPoly"):
         if self.order != other.order:
@@ -215,14 +205,13 @@ def pairing_matrix(n: int) -> linalg.IntegerMatrix:
 # ----------------------------------------------------------------------
 
 
-class MultiPoly:
-    """Exact multivariate polynomial, sparse over exponent vectors."""
+class MultiPoly(Record):
+    """Exact multivariate polynomial; terms maps exponent tuples to nonzero Fractions."""
 
-    __slots__ = ("variable_count", "terms")
+    _fields = ("variable_count", "terms")
 
     def __init__(self, variable_count: int, terms=None):
         _record.check_int(variable_count, "variable count must be nonnegative", 0)
-        self.variable_count = variable_count
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for exps, c in (terms or {}).items():
             exps = _record.exact_ints(exps, "exponents must be exact integers")
@@ -233,16 +222,7 @@ class MultiPoly:
             c = _exact(c)
             if c:
                 cleaned[exps] = cleaned.get(exps, Fraction(0)) + c
-        self.terms = {e: c for e, c in cleaned.items() if c}
-
-    @classmethod
-    def _make(cls, variable_count: int, terms: dict) -> "MultiPoly":
-        # internal constructor for arithmetic results whose terms are
-        # already canonical (tuple keys, Fraction values, no zeros)
-        obj = object.__new__(cls)
-        obj.variable_count = variable_count
-        obj.terms = terms
-        return obj
+        super().__init__(variable_count, {e: c for e, c in cleaned.items() if c})
 
     # -- constructors ---------------------------------------------------
 
@@ -257,17 +237,8 @@ class MultiPoly:
 
     # -- structure --------------------------------------------------------
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return (self.variable_count == other.variable_count
-                and self.terms == other.terms)
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # terms is a dict, which does not hash
         return hash((self.variable_count, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self) -> str:
-        return f"MultiPoly({self.variable_count}, {self.render()!r})"
 
     def _check_vars(self, other: "MultiPoly"):
         if self.variable_count != other.variable_count:

@@ -22,7 +22,7 @@ from kproj.ktheory import (
     replay_induction,
 )
 from kproj.linalg import FgAbelianGroup, IntegerMatrix, SmithForm
-from kproj.truncpoly import TruncPoly
+from kproj.truncpoly import MultiPoly, TruncPoly
 
 Z = FgAbelianGroup.free(1)
 ZERO = FgAbelianGroup.trivial()
@@ -64,6 +64,8 @@ FACTORIES = {
     "FreeCommutativeMonoid": lambda: FreeCommutativeMonoid(2),
     "NewtonPolynomial": lambda: NewtonPolynomial(2, newton_s(2).expression),
     "FormalBundle": lambda: FormalBundle(1, TruncPoly.parse("1+x")),
+    "TruncPoly": lambda: TruncPoly(2, (1, Fraction(1, 2), 0)),
+    "MultiPoly": lambda: MultiPoly(2, {(1, 0): 1, (0, 2): Fraction(-1, 3)}),
 }
 
 
@@ -73,7 +75,7 @@ def test_the_table_covers_every_record_class():
                 if isinstance(value := getattr(kproj, name), type)
                 and issubclass(value, Record)}
     assert set(FACTORIES) == exported
-    assert len(FACTORIES) == 15
+    assert len(FACTORIES) == 17
 
 
 @pytest.mark.parametrize("name", FACTORIES)
@@ -122,6 +124,41 @@ def test_fields_cannot_be_assigned_or_deleted(name):
         assert getattr(a, f) is before
     with pytest.raises(AttributeError):
         a.extra = 1
+
+
+@pytest.mark.parametrize("name", FACTORIES)
+def test_make_rebuilds_an_equal_record_from_its_fields(name):
+    a = FACTORIES[name]()
+    b = type(a)._make(*map(a.__getattribute__, a._fields))
+    assert b == a and hash(b) == hash(a)
+
+
+def test_a_record_takes_one_value_per_field():
+    # the classes with no __init__ of their own take Record's, which counts
+    expression = newton_s(2).expression
+    with pytest.raises(ValueError):
+        NewtonPolynomial(2)
+    with pytest.raises(ValueError):
+        NewtonPolynomial(2, expression, expression)
+    with pytest.raises(ValueError):
+        InductionTrace(1, (), Z, Z)
+
+
+def test_only_record_stores_fields():
+    # Record.__init__ and Record._make are the one way a value's fields are
+    # written: no other module reaches past Record.__setattr__ or __init__
+    package = Path(kproj.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_record.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert (node.value.id, node.attr) not in {("object", "__setattr__"),
+                                                          ("object", "__new__")}, where
+            if isinstance(node, ast.ClassDef):
+                assert not any(isinstance(item, ast.FunctionDef) and item.name == "_make"
+                               for item in node.body), where
 
 
 def test_repr_names_every_field():
