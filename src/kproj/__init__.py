@@ -11,10 +11,10 @@ on top of Newton's identities.
 The six compute modules, the private _elimination that linalg calls for
 matrices outside its closed form, the private _groups that holds the
 abelian groups linalg, grothendieck and ktheory return, the private
-_powers that truncpoly and the ring of ktheory share, and the private
-_certify that certifies the induction for ktheory and trace, are loaded
-lazily:
-each is in sys.modules and is an attribute of the package from the
+_powers that truncpoly and the ring of ktheory share, the private
+_certify that certifies the induction for ktheory and trace, and the
+private _replay that holds the older replay trace prints, are loaded
+lazily: each is in sys.modules and is an attribute of the package from the
 start, but its code runs on the first attribute read.  The names below
 are re-exported on first use.
 """
@@ -103,7 +103,8 @@ def _lazy_submodule(name: str):
 
 
 globals().update({module: _lazy_submodule(module)
-                  for module in (*_EXPORTS, "_certify", "_elimination", "_groups", "_powers")})
+                  for module in (*_EXPORTS, "_certify", "_elimination", "_groups", "_powers",
+                                 "_replay")})
 
 __all__ = sorted([*_EXPORTS, *_OWNER])
 

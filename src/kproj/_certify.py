@@ -31,7 +31,9 @@ sum_j (-1)^(k+1-j) C(k+1, j) j^(k+1) = (k+1)!, the top coefficient of
 
 Every map is a SparseMap, whose products cost the nonzeros they touch,
 and a failed identity, a wrong shape included, makes its verdict false;
-nothing here raises for one.  No Smith form and no IntegerMatrix is
+nothing here raises for one.  A SparseMap and a Stage compare by value
+but are unhashable: maps are built column by column, in dicts, and are
+never used as keys.  No Smith form and no IntegerMatrix is
 built, so a certifying process runs neither linalg nor homology.
 """
 
@@ -53,6 +55,7 @@ class SparseMap(Record):
     """
 
     _fields = ("rows", "cols", "columns")
+    __hash__ = None
 
     @classmethod
     def identity(cls, n: int) -> "SparseMap":
@@ -206,6 +209,7 @@ class Stage(Record):
 
     _fields = ("k", "ranks", "maps", "splittings", "top_character", "product", "exactness",
                "chern", "bott")
+    __hash__ = None
 
     def failures(self) -> tuple[str, ...]:
         """The names of the verdicts that are false."""

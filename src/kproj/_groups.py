@@ -89,6 +89,10 @@ class FgAbelianGroup(Record):
     def __str__(self) -> str:
         return self.render()
 
+    def payload(self) -> dict:
+        """{free_rank, torsion, text}, the group as the CLI's documents write it."""
+        return {"free_rank": self.free_rank, "torsion": self.torsion, "text": self.render()}
+
     # -- element arithmetic ---------------------------------------------
     # Elements are integer tuples: free coordinates first, then one
     # residue per torsion factor.

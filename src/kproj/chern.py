@@ -29,6 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from types import MappingProxyType
 
 from . import _record, truncpoly
 from ._record import Record
@@ -68,7 +69,7 @@ def newton_s(k: int) -> NewtonPolynomial:
         c = k * fact[n - 1] // prod(fact[m] for m in exps if m > 1)
         terms[exps] = Fraction(-c if (k - n) % 2 else c)
     # distinct partitions give distinct exponent vectors, and no c is zero
-    return NewtonPolynomial(k, truncpoly.MultiPoly._make(k, terms))
+    return NewtonPolynomial(k, truncpoly.MultiPoly._make(k, MappingProxyType(terms)))
 
 
 class FormalBundle(Record):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from collections.abc import Sequence
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import _powers, _record, linalg
 from ._record import Record
@@ -206,7 +207,11 @@ def pairing_matrix(n: int) -> linalg.IntegerMatrix:
 
 
 class MultiPoly(Record):
-    """Exact multivariate polynomial; terms maps exponent tuples to nonzero Fractions."""
+    """Exact multivariate polynomial; terms maps exponent tuples to nonzero Fractions.
+
+    terms is a read-only view of a dict that no other code holds, so a
+    polynomial in a set or a dict keeps its hash.
+    """
 
     _fields = ("variable_count", "terms")
 
@@ -222,7 +227,8 @@ class MultiPoly(Record):
             c = _exact(c)
             if c:
                 cleaned[exps] = cleaned.get(exps, Fraction(0)) + c
-        super().__init__(variable_count, {e: c for e, c in cleaned.items() if c})
+        super().__init__(variable_count,
+                         MappingProxyType({e: c for e, c in cleaned.items() if c}))
 
     # -- constructors ---------------------------------------------------
 
@@ -237,7 +243,7 @@ class MultiPoly(Record):
 
     # -- structure --------------------------------------------------------
 
-    def __hash__(self) -> int:  # terms is a dict, which does not hash
+    def __hash__(self) -> int:  # terms is a mapping, which does not hash
         return hash((self.variable_count, tuple(sorted(self.terms.items()))))
 
     def _check_vars(self, other: "MultiPoly"):
@@ -259,13 +265,13 @@ class MultiPoly(Record):
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        return MultiPoly._make(self.variable_count, terms)
+        return MultiPoly._make(self.variable_count, MappingProxyType(terms))
 
     __radd__ = __add__
 
     def __neg__(self):
         return MultiPoly._make(self.variable_count,
-                               {e: -c for e, c in self.terms.items()})
+                               MappingProxyType({e: -c for e, c in self.terms.items()}))
 
     def __sub__(self, other):
         if type(other) in _SCALARS:
@@ -280,10 +286,10 @@ class MultiPoly(Record):
     def __mul__(self, other):
         if type(other) in _SCALARS:
             if not other:
-                return MultiPoly._make(self.variable_count, {})
+                return MultiPoly._make(self.variable_count, MappingProxyType({}))
             factor = other if type(other) is Fraction else Fraction(other)
-            return MultiPoly._make(self.variable_count,
-                                   {e: c * factor for e, c in self.terms.items()})
+            return MultiPoly._make(self.variable_count, MappingProxyType(
+                {e: c * factor for e, c in self.terms.items()}))
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_vars(other)
@@ -296,7 +302,7 @@ class MultiPoly(Record):
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return MultiPoly._make(self.variable_count, terms)
+        return MultiPoly._make(self.variable_count, MappingProxyType(terms))
 
     __rmul__ = __mul__
 

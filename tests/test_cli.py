@@ -1,6 +1,7 @@
 import contextlib
 import gc
 import hashlib
+import importlib
 import io
 import json
 import subprocess
@@ -13,12 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kproj
+from kproj._commands.cohomology import COHOMOLOGY_MAX_TOP
+from kproj._commands.groth import GROTH_MAX_ORDER
+from kproj._commands.smith import SMITH_MAX_BITS, SMITH_MAX_SIDE
 from kproj.cli import (
-    COHOMOLOGY_MAX_TOP,
     FORMAT_VERSION,
-    GROTH_MAX_ORDER,
-    SMITH_MAX_BITS,
-    SMITH_MAX_SIDE,
     OPTIONS,
     SUBCOMMANDS,
     _read,
@@ -587,6 +587,14 @@ class TestTopLevel:
         code, _, err = run(capsys)
         assert code != 0
         assert "usage" in err
+
+    def test_each_subcommand_names_a_module_of_its_own(self):
+        package = Path(kproj.__file__).resolve().parent / "_commands"
+        modules = [module for _, module, _ in SUBCOMMANDS.values()]
+        assert sorted(modules) == sorted({p.stem for p in package.glob("*.py")} - {"__init__"})
+        for module in modules:
+            command = importlib.import_module(f"kproj._commands.{module}")
+            assert callable(command.run) and callable(command.report)
 
     # the console script, run on this checkout: python -c ENTRY SRC KPROJ_ARGS...
     ENTRY = ("import sys; sys.path.insert(0, sys.argv.pop(1)); import kproj.cli; "

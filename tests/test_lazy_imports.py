@@ -3,13 +3,16 @@
 Each case starts a fresh interpreter.  A kproj module counts as run when
 its object in sys.modules is a plain module: a lazy module not loaded yet
 is of a subclass, and turns into a plain module when it loads.  The
-private _certify, _elimination, _groups and _powers are registered the
-same way: the first runs only to certify the induction of cpn:N, the
-second only for a nonzero matrix that linalg cannot decompose in closed
-form, the third for abelian groups, with linalg or without it, and the
-fourth only for arithmetic on power-basis coefficients.  A well-formed
-command line is read without argparse (and so without gettext and
-locale), which loads only for help and errors.
+private _certify, _elimination, _groups, _powers and _replay are
+registered the same way: the first runs only to certify the induction of
+cpn:N, the second only for a nonzero matrix that linalg cannot decompose
+in closed form, the third for abelian groups, with linalg or without it,
+the fourth only for arithmetic on power-basis coefficients, and the last
+only for the replay that trace prints.  Each subcommand's code is a
+module of the private kproj._commands, which cli imports for that
+subcommand alone.  A well-formed command line is read without argparse
+(and so without gettext and locale), which loads only for help and
+errors.
 """
 
 import subprocess
@@ -56,26 +59,45 @@ def test_import_registers_every_module_and_runs_none():
     ran, registered, _ = probe()
     assert registered == {f"kproj.{m}"
                           for m in (*COMPUTE, "_certify", "_elimination", "_groups", "_powers",
-                                    "cli")}
+                                    "_replay", "cli")}
     assert ran == {"cli"}
+
+
+def command(name, *modules):
+    """What a subcommand runs: cli, the command package, its own command module and modules."""
+    return {"cli", "_commands", f"_commands.{name}", *modules}
 
 
 @pytest.mark.parametrize("argv, expected", [
     (("--version",), {"cli"}),
-    (("smith", "--matrix", "{matrix}"), {"cli", "_record", "linalg", "_groups", "_elimination"}),
+    (("smith", "--matrix", "{matrix}"),
+     command("smith", "_record", "linalg", "_groups", "_elimination")),
     # the group table is classified by counting element orders: no matrix at all
-    (("groth", "--table", "{table}"), {"cli", "_record", "_groups", "grothendieck"}),
+    (("groth", "--table", "{table}"), command("groth", "_record", "_groups", "grothendieck")),
     # every boundary of cpn:N is zero, and a zero matrix has no invariant factor
-    (("cohomology", "cpn:3"), {"cli", "_record", "linalg", "_groups", "homology", "ktheory"}),
-    (("bott-check",), {"cli", "_record", "linalg", "_groups", "_elimination", "ktheory"}),
+    (("cohomology", "cpn:3"),
+     command("cohomology", "_record", "linalg", "_groups", "homology", "ktheory")),
+    (("bott-check",),
+     command("bott_check", "_record", "linalg", "_groups", "_elimination", "ktheory")),
     # the K-groups of a sphere, the point and cpn:0 are read off the axiom table
-    (("kgroups", "sphere:4"), {"cli", "_record", "_groups", "ktheory"}),
-    (("kgroups", "point"), {"cli", "_record", "_groups", "ktheory"}),
-    (("kgroups", "cpn:0"), {"cli", "_record", "_groups", "ktheory"}),
+    (("kgroups", "sphere:4"), command("kgroups", "_record", "_groups", "ktheory")),
+    (("kgroups", "point"), command("kgroups", "_record", "_groups", "ktheory")),
+    (("kgroups", "cpn:0"), command("kgroups", "_record", "_groups", "ktheory")),
     # cpn:N is certified on sparse maps, with γ products through _powers: no Smith form
-    (("kgroups", "cpn:12"), {"cli", "_record", "_groups", "_powers", "ktheory", "_certify"}),
+    (("kgroups", "cpn:12"),
+     command("kgroups", "_record", "_groups", "_powers", "ktheory", "_certify")),
     (("kgroups", "cpn:12", "--q", "1"),
-     {"cli", "_record", "_groups", "_powers", "ktheory", "_certify"}),
+     command("kgroups", "_record", "_groups", "_powers", "ktheory", "_certify")),
+    # only trace runs the old replay, which ktheory reads from _replay
+    (("trace", "3"),
+     command("trace", "_record", "_groups", "linalg", "homology", "ktheory", "_replay")),
+    (("trace", "3", "--certificates"), command("trace", "_record", "_groups", "linalg", "homology",
+                                               "ktheory", "_replay", "_certify", "_powers")),
+    (("ch", "cpn:3", "--class=0,1,0,0"),
+     command("ch", "_record", "_powers", "ktheory", "truncpoly")),
+    (("ch", "--rank", "2", "--chern", "1+2x+x^2", "--order", "3"),
+     command("ch", "_record", "_powers", "chern", "truncpoly")),
+    (("newton", "--k", "4"), command("newton", "_record", "_powers", "chern", "truncpoly")),
 ])
 def test_a_subcommand_runs_exactly_the_modules_it_needs(tmp_path, argv, expected):
     matrix, table = tmp_path / "m.matrix", tmp_path / "z3.table"
@@ -86,12 +108,12 @@ def test_a_subcommand_runs_exactly_the_modules_it_needs(tmp_path, argv, expected
 
 
 @pytest.mark.parametrize("argv, unused", [
-    (("ring", "3"), {"linalg", "homology"}),
-    (("ch", "cpn:3", "--class=0,1,0,0"), {"linalg", "homology"}),
+    (("ring", "3"), {"linalg", "homology", "_replay"}),
+    (("ch", "cpn:3", "--class=0,1,0,0"), {"linalg", "homology", "_replay"}),
     (("trace", "3"), {"truncpoly", "chern", "grothendieck", "_elimination", "_certify"}),
     (("trace", "3", "--certificates"), {"truncpoly", "chern", "grothendieck", "_elimination"}),
     (("kgroups", "cpn:3"),
-     {"truncpoly", "chern", "grothendieck", "_elimination", "linalg", "homology"}),
+     {"truncpoly", "chern", "grothendieck", "_elimination", "linalg", "homology", "_replay"}),
 ])
 def test_a_subcommand_leaves_other_layers_unrun(argv, unused):
     ran, _, _ = probe(*argv)
@@ -182,7 +204,7 @@ def test_help_and_errors_are_argparse_own(argv):
 def test_ring_runs_only_the_ring_it_prints():
     # the γ-power ring has int coefficients: truncpoly and the rationals stay unloaded
     ran, _, rationals = probe("ring", "5")
-    assert ran == {"cli", "_record", "ktheory", "_powers"}
+    assert ran == command("ring", "_record", "ktheory", "_powers")
     assert rationals == set()
 
 
@@ -240,3 +262,11 @@ def test_star_import_binds_every_export():
 def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         kproj.nonexistent
+
+
+def test_ktheory_reads_the_replay_from_its_own_module():
+    from kproj import _replay, ktheory
+    for name in ("InductionStep", "InductionTrace", "replay_induction"):
+        assert getattr(ktheory, name) is getattr(_replay, name)
+    with pytest.raises(AttributeError, match="'kproj.ktheory' has no attribute 'nonexistent'"):
+        ktheory.nonexistent

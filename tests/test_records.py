@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import kproj
+from kproj import _certify
 from kproj._record import Record
 from kproj.chern import FormalBundle, NewtonPolynomial, newton_s
 from kproj.grothendieck import FiniteCommutativeMonoid, FreeCommutativeMonoid
@@ -144,15 +145,36 @@ def test_a_record_takes_one_value_per_field():
         InductionTrace(1, (), Z, Z)
 
 
+def test_multipoly_terms_are_read_only():
+    built, made = FACTORIES["MultiPoly"](), FACTORIES["MultiPoly"]() * 1
+    for m in (built, made, -built, built + built, built * built, newton_s(3).expression):
+        before, held = hash(m), {m}
+        with pytest.raises(TypeError):
+            m.terms[(2,) * m.variable_count] = 1
+        with pytest.raises(TypeError):
+            del m.terms[next(iter(m.terms))]
+        assert hash(m) == before and m in held
+
+
+def test_certificate_maps_compare_by_value_and_do_not_hash():
+    stage, again = next(_certify.stages(3)), next(_certify.stages(3))
+    identity = _certify.SparseMap.identity(2)
+    for a, b in ((identity, _certify.SparseMap.identity(2)), (stage, again)):
+        assert a == b and a is not b
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(a).__name__}'"):
+            hash(a)
+    assert identity != _certify.SparseMap.zero(2, 2)
+
+
 def test_only_record_stores_fields():
     # Record.__init__ and Record._make are the one way a value's fields are
     # written: no other module reaches past Record.__setattr__ or __init__
     package = Path(kproj.__file__).resolve().parent
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         if path.name == "_record.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            where = f"{path.relative_to(package)}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 assert (node.value.id, node.attr) not in {("object", "__setattr__"),
                                                           ("object", "__new__")}, where
@@ -276,22 +298,56 @@ def test_import_loads_no_dataclasses():
     assert proc.stdout.strip() == ""
 
 
+PACKAGE = Path(kproj.__file__).resolve().parent
+COMMANDS = PACKAGE / "_commands"
+
+
+def import_faults(path: Path, source: str) -> list[str]:
+    """The lines of source, a file of the package at path, that break the import rule.
+
+    README "Library contract": `from .mod import name` would run mod whenever
+    its importer runs, so a module imports its siblings with `from . import`;
+    cli's __version__ is an attribute of the package, and Record a base class.
+    A command module of kproj._commands reaches the library with
+    `from .. import` and its sibling command modules with `from . import`,
+    and copies no name: a tracer rebinds functions on their modules only.
+    """
+    modules = {p.stem for p in PACKAGE.glob("*.py")} | {COMMANDS.name}
+    if path.parent == COMMANDS:
+        allowed = {(2, None): modules, (1, None): {p.stem for p in COMMANDS.glob("*.py")}}
+    else:
+        allowed = {(1, None): modules | {"__version__"}, (1, "_record"): {"Record"}}
+    faults = []
+    for node in ast.walk(ast.parse(source, str(path))):
+        names = {alias.name for alias in getattr(node, "names", ())}
+        where = f"{path.relative_to(PACKAGE)}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Import):
+            if any(name.split(".")[0] == "kproj" for name in names):
+                faults.append(where)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "kproj"):
+            if not names <= allowed.get((node.level, node.module), set()):
+                faults.append(where)
+    return faults
+
+
 def test_modules_reach_each_other_as_modules():
-    # README "Library contract": `from .mod import name` would run mod whenever
-    # its importer runs, so a module imports its siblings with `from . import`;
-    # cli's __version__ is an attribute of the package, and Record a base class
-    package = Path(kproj.__file__).resolve().parent
-    modules = {path.stem for path in package.glob("*.py")}
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            names = [alias.name for alias in getattr(node, "names", ())]
-            if isinstance(node, ast.Import):
-                assert not any(name.split(".")[0] == "kproj" for name in names), path.name
-            elif isinstance(node, ast.ImportFrom) and (
-                    node.level or (node.module or "").split(".")[0] == "kproj"):
-                where = f"{path.name}:{node.lineno}"
-                if (node.level, node.module) == (1, "_record"):
-                    assert names == ["Record"], where
-                else:
-                    assert (node.level, node.module) == (1, None), where
-                    assert set(names) <= modules | {"__version__"}, where
+    paths = sorted(PACKAGE.rglob("*.py"))
+    assert COMMANDS / "kgroups.py" in paths
+    for path in paths:
+        assert import_faults(path, path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("file, line", [
+    ("_commands/kgroups.py", "from ..ktheory import k_groups"),
+    ("_commands/kgroups.py", "from kproj.ktheory import k_groups"),
+    ("_commands/kgroups.py", "from . import ktheory"),  # not a command module
+    ("_commands/trace.py", "from .._record import Record"),
+    ("_commands/trace.py", "import kproj.ktheory"),
+    ("ktheory.py", "from .linalg import IntegerMatrix"),
+    ("ktheory.py", "from .. import linalg"),
+    ("cli.py", "from ._commands import kgroups"),
+])
+def test_the_import_rule_catches_a_copied_name(file, line):
+    path = PACKAGE / file
+    assert import_faults(path, path.read_text(encoding="utf-8") + line + "\n")
