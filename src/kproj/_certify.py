@@ -23,11 +23,15 @@ g v = 0 is f (r v), so ker g = im f) and g σ = I at the quotient (g is
 onto), each identity on the rank the window gives that position (the
 certifying-algorithm pattern of McConnell, Mehlhorn, Näher and
 Schweitzer, 2011).  Each stage adds two verdicts on the paper's other
-ingredients: the Chern character carries the sphere generator γ^(k+1)
-onto the integral generator of H^(2k+2)(CP^(k+1)), read as
-sum_j (-1)^(k+1-j) C(k+1, j) j^(k+1) = (k+1)!, the top coefficient of
-(e^x - 1)^(k+1) scaled by (k+1)!; and multiplication by γ carries γ^k to
-γ^(k+1), computed through k_ring_mul.
+ingredients, both read off its sphere class c_k, the generator's image
+(column 0 of map 0, row i standing for γ^(i+1)).  Chern: the character
+carries c_k onto ±x^(k+1), the integral generator of H^(2k+2)(CP^(k+1)).
+ch is multiplicative and ch(γ) = λx + (higher terms), so ch(γ^i) starts
+at λ^i x^i, and ch(c_k) = ±x^(k+1) exactly when c_k is a γ^(k+1) alone
+with a λ^(k+1) = ±1.  Bott: multiplication by γ, the Bott class of CP^1,
+carries c_(k-1) onto c_k in K(CP^(k+1)), computed through k_ring_mul, so
+consecutive windows are linked as their ranks are; c_(-1) is the unit of
+K(point).
 
 Every map is a SparseMap, whose products cost the nonzeros they touch,
 and a failed identity, a wrong shape included, makes its verdict false;
@@ -38,10 +42,6 @@ built, so a certifying process runs neither linalg nor homology.
 """
 
 from __future__ import annotations
-
-from itertools import compress, repeat
-from math import comb, factorial
-from operator import mul
 
 from . import _groups, _record, ktheory
 from ._record import Record
@@ -185,30 +185,20 @@ def _exactness(ranks, maps, splittings) -> tuple[bool, ...]:
     return tuple(verdicts)
 
 
-def _top_character(m: int) -> int:
-    """m! times the x^m coefficient of ch(γ^m) = (e^x - 1)^m, on ints.
-
-    The sum over j of (-1)^(m-j) C(m, j) j^m, its terms of each sign
-    summed at C speed.
-    """
-    def terms(start):
-        js = range(start, 0, -2)
-        return sum(map(mul, map(comb, repeat(m), js), map(pow, js, repeat(m))))
-    return terms(m) - terms(m - 1)
-
-
-def _gamma_product(k: int) -> tuple[tuple[int, int], ...]:
-    """The nonzero (degree, coefficient) terms of γ · γ^k on CP^(k+1)."""
-    power = ktheory.KClass(k + 1, (0,) * k + (1, 0))
-    coeffs = ktheory.k_ring_mul(ktheory.KClass.gamma(k + 1), power).coeffs
-    return tuple((d, coeffs[d]) for d in compress(range(k + 2), coeffs))
+def _coordinates(column: dict, n: int) -> tuple[int, ...] | None:
+    """(c_0, .., c_n) of the class on CP^n with c_(i+1) = column[i]; None for a row past n - 1."""
+    coeffs = [0] * (n + 1)
+    for i, v in column.items():
+        if not 0 <= i < n:
+            return None
+        coeffs[i + 1] = v
+    return tuple(coeffs)
 
 
 class Stage(Record):
     """One certified stage: the window, its splittings and its verdicts."""
 
-    _fields = ("k", "ranks", "maps", "splittings", "top_character", "product", "exactness",
-               "chern", "bott")
+    _fields = ("k", "ranks", "maps", "splittings", "exactness", "chern", "bott")
     __hash__ = None
 
     def failures(self) -> tuple[str, ...]:
@@ -236,18 +226,9 @@ class Stage(Record):
             "maps": [m.payload() for m in self.maps],
             "splittings": [{"retraction": retraction.payload(), "section": section.payload()}
                            for retraction, section in self.splittings],
-            "top_character": str(self.top_character),
-            "product": self.product,
             "verdicts": {"exactness": self.exactness, "chern": self.chern, "bott": self.bott},
             "text": self.render(),
         }
-
-
-def _stage(k: int, spheres: tuple[int, int], previous: tuple[int, int]) -> Stage:
-    ranks, maps, splittings = _window(spheres, previous)
-    top, product = _top_character(k + 1), _gamma_product(k)
-    return Stage(k, ranks, maps, splittings, top, product, _exactness(ranks, maps, splittings),
-                 top == factorial(k + 1), product == ((k + 1, 1),))
 
 
 def stages(n: int):
@@ -258,10 +239,19 @@ def stages(n: int):
     A caller that keeps only the verdicts holds one stage's maps at a time.
     """
     _record.check_int(n, "the induction needs n >= 0", 0)
-    previous = (0, 0)  # K~ and K^1 of the point
+    KClass, lam = ktheory.KClass, ktheory.CH_GAMMA_LEAD
+    # the point: K~ and K^1, the coordinates of its sphere class c_(-1) (the unit), λ^0
+    previous, below, lead = (0, 0), (1,), 1
     for k in range(n):
         spheres = (ktheory.reduced_sphere_k(2 * k + 2).free_rank,
                    ktheory.reduced_sphere_k(2 * k + 3).free_rank)
-        stage = _stage(k, spheres, previous)
-        yield stage
-        previous = stage.ranks[1], stage.ranks[4]
+        ranks, maps, splittings = _window(spheres, previous)
+        column, lead = maps[0].columns.get(0, {}), lead * lam
+        sphere = _coordinates(column, k + 1)
+        # γ · c_(k-1) = c_k, c_(k-1) lifted by its coordinates: any lift gives the same
+        # product, since two lifts differ by a multiple of γ^(k+1), which γ kills
+        bott = (below is not None and sphere is not None and ktheory.k_ring_mul(
+            KClass.gamma(k + 1), KClass(k + 1, below + (0,))) == KClass(k + 1, sphere))
+        yield Stage(k, ranks, maps, splittings, _exactness(ranks, maps, splittings),
+                    column.keys() == {k} and column[k] * lead in (1, -1), bott)
+        previous, below = (ranks[1], ranks[4]), sphere

@@ -18,9 +18,9 @@ kgroups share is kept here.
 # bytecode cache) on a shared 2-vCPU x86-64 host under Python 3.11, so N
 # stays at most 200 until trace 200 runs in under 0.5 s.  kgroups cpn:N
 # certifies the induction instead, O(k) sparse entries at stage k, about N^2
-# in all (0.16-0.23 s end to end at N = 200, quartiles of 21; 0.07 s of it
-# certifying, in-process), and keeps the same bound until the certificate
-# replaces the replay in trace
+# in all (0.10-0.14 s end to end at N = 200, quartiles of 11 uncached runs;
+# 0.04-0.07 s of it certifying, in-process), and keeps the same bound until
+# the certificate replaces the replay in trace
 REPLAY_MAX_N = 200
 
 

@@ -220,6 +220,11 @@ def chern_character_map(a: KClass) -> truncpoly.TruncPoly:
     return truncpoly.TruncPoly(n, coeffs)
 
 
+# λ, the x-coefficient of ch(γ) = exp(x) - 1: ch(γ^i) starts at λ^i x^i, which is all
+# the certifier's Chern verdict reads of the character
+CH_GAMMA_LEAD = 1
+
+
 def ch_matrix(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """Character matrix on the power basis, returned row-major.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial, gcd
+from math import factorial, gcd
 
 
 def det_cofactor(rows) -> int:
@@ -377,16 +377,16 @@ def power_sum(k: int, n: int) -> MultiPoly:
     return MultiPoly(n, terms)
 
 
-def stirling2_rows(n: int) -> list[list[int]]:
-    """Stirling numbers of the second kind: row m holds S(m, 0), .., S(m, m), for m <= n.
+def stirling2_rows():
+    """Stirling numbers of the second kind: row m holds S(m, 0), .., S(m, m), for m = 0, 1, ..
 
-    Built row by row from S(m, k) = k S(m-1, k) + S(m-1, k-1).
+    Built row by row from S(m, k) = k S(m-1, k) + S(m-1, k-1), without end.
     """
-    rows = [[1]]
-    for m in range(1, n + 1):
-        prev = rows[-1] + [0]
-        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, m + 1)])
-    return rows
+    row = [1]
+    while True:
+        yield row
+        prev = row + [0]
+        row = [0] + [k * prev[k] + prev[k - 1] for k in range(1, len(prev))]
 
 
 def stirling_character(coeffs) -> list[Fraction]:
@@ -397,7 +397,7 @@ def stirling_character(coeffs) -> list[Fraction]:
     """
     return [Fraction(sum(c * factorial(k) * row[k] for k, c in enumerate(coeffs) if k <= m),
                      factorial(m))
-            for m, row in enumerate(stirling2_rows(len(coeffs) - 1))]
+            for m, row in zip(range(len(coeffs)), stirling2_rows())]
 
 
 def verify_certificates(document: dict) -> list[dict]:
@@ -410,6 +410,20 @@ def verify_certificates(document: dict) -> list[dict]:
     middle, quotient) being the identity on rank i.  Each stage starts
     from the sphere ranks (1, 0) and the previous stage's conclusions (the
     point's (0, 0) first).  Returns the verdicts as the document has them.
+
+    Stage index m - 1 reads its sphere class c = sum_i c_i γ^i off column
+    0 of map 0, row i - 1 holding c_i, and nothing else for its other two
+    verdicts; both are false unless map 0 has m rows, so that c lies in
+    K~(CP^m):
+    - chern: ch(c) = ±x^m in Q[x]/(x^(m+1)).  ch(γ^i) = (exp(x) - 1)^i =
+      sum_d i! S(d, i) x^d / d!, so d! [x^d] ch(c) = sum_i c_i i! S(d, i),
+      which must be 0 for d < m and ±m! at d = m.  S(d, i) = 0 for d < i, so
+      only degrees from the lowest power of c up are summed, over its nonzeros.
+    - bott: γ times the previous stage's class (the unit γ^0 of the point's
+      K before stage 0) is c in K(CP^m).  γ^a γ^b = γ^(a+b), and γ^(m+1) = 0
+      there; the previous class lies in K(CP^(m-1)), so the product is that
+      class shifted up one power, with no term past γ^m to drop.
+    The Stirling rows are built once per document, one more per stage.
     """
     def read(m):
         rows, cols, out = m["rows"], m["cols"], {}
@@ -441,7 +455,16 @@ def verify_certificates(document: dict) -> list[dict]:
     def eye(n):
         return n, n, {(i, i): 1 for i in range(n)}
 
-    verdicts, previous = [], [0, 0]
+    def chern(c, m):
+        if not c:
+            return False
+        sums = [sum(v * factorials[i] * stirling[d][i] for i, v in c.items() if i <= d)
+                for d in range(min(c), m + 1)]
+        return sums[-1] in (factorials[m], -factorials[m]) and not any(sums[:-1])
+
+    verdicts, previous, below = [], [0, 0], {0: 1}
+    stirling_rows = stirling2_rows()
+    stirling, factorials = [next(stirling_rows)], [1]  # S(d, .) and d! for d = 0, .., m
     for index, stage in enumerate(document["result"]["certificates"]["stages"]):
         ranks, maps = stage["ranks"], [read(m) for m in stage["maps"]]
         linked = (stage["stage"] == index and [ranks[0], ranks[3]] == [1, 0]
@@ -455,8 +478,12 @@ def verify_certificates(document: dict) -> list[dict]:
                 exactness.append(linked and composite is not None and not composite[2]
                                  and identity == eye(ranks[j]))
         previous, m = [ranks[1], ranks[4]], index + 1
-        top = sum((-1) ** (m - j) * comb(m, j) * j ** m for j in range(m + 1))
-        verdicts.append({"exactness": exactness,
-                         "chern": int(stage["top_character"]) == top == factorial(m),
-                         "bott": stage["product"] == [[m, 1]]})
+        stirling.append(next(stirling_rows))
+        factorials.append(factorials[-1] * m)
+        c = ({i + 1: v for (i, j), v in maps[0][2].items() if j == 0}
+             if maps[0] is not None and maps[0][0] == m else None)
+        shifted = None if below is None else {a + 1: v for a, v in below.items()}
+        verdicts.append({"exactness": exactness, "chern": chern(c, m),
+                         "bott": c is not None and shifted == c})
+        below = c
     return verdicts

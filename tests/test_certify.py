@@ -1,9 +1,12 @@
 """The certified induction: its windows, splittings and verdicts, the verifier, and exit 3.
 
 Each mutation corrupts one input of the certifier, or one field of a
-certificate document, and must flip exactly the verdict it targets:
-exactness for the generator, the restriction, the retraction and the
-section, chern for a character coefficient, bott for the γ product.
+certificate document, and must flip exactly the verdicts it targets,
+stage by stage.  The chern and bott verdicts read the sphere class, the
+generator's image, so a corrupted generator at stage k flips exactness
+and chern there and bott at stages k and k + 1; the restriction, the
+retraction and the section flip exactness alone; the x-coefficient of
+ch(γ) flips chern at every stage, and the γ product bott.
 """
 
 import contextlib
@@ -13,7 +16,6 @@ import json
 import subprocess
 import sys
 from collections import Counter
-from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -24,7 +26,8 @@ import kproj._certify as certify_module
 import kproj.ktheory as ktheory_module
 from kproj._certify import SparseMap, stages
 from kproj.cli import main
-from kproj.ktheory import FalseVerdictError, Space, k_groups, replay_induction
+from kproj.ktheory import (FalseVerdictError, KClass, Space, chern_character_map, k_groups,
+                           replay_induction)
 from kproj.linalg import FgAbelianGroup
 
 from oracles import verify_certificates
@@ -35,6 +38,11 @@ def failing(verdicts) -> set[str]:
     return {name for v in verdicts for name, holds in (
         ("exactness", all(v["exactness"])), ("chern", v["chern"]), ("bott", v["bott"]))
         if not holds}
+
+
+def failing_by_stage(verdicts) -> list[set[str]]:
+    """The names of the false verdicts of each stage, in stage order."""
+    return [failing([v]) for v in verdicts]
 
 
 def stage_verdicts(n):
@@ -56,8 +64,12 @@ class TestCertifier:
         assert generator == SparseMap(3, 1, {0: {2: 1}})  # the sphere generator is γ^3
         assert restriction == SparseMap(2, 3, {0: {0: 1}, 1: {1: 1}})  # γ^3 restricts to 0
         assert all(m.columns == {} for m in stage.maps[2:])  # connecting maps and K^1 are zero
-        assert stage.top_character == factorial(3)
-        assert stage.product == ((3, 1),)
+        assert (stage.chern, stage.bott) == (True, True)  # read off γ^3 and γ^2 alone
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_the_character_lead_is_the_x_coefficient_of_ch_gamma(self, n):
+        # the Chern verdict reads λ from ktheory.CH_GAMMA_LEAD, not from the character
+        assert chern_character_map(KClass.gamma(n)).coeffs[1] == ktheory_module.CH_GAMMA_LEAD
 
     @pytest.mark.parametrize("n", [1, 2, 7, 40])
     def test_every_verdict_holds_and_concludes_the_groups(self, n):
@@ -103,7 +115,8 @@ class TestCertifier:
         assert certify_module._add(a, SparseMap(big, big, {0: {5: -3}, 9: {1: 4}})) is None
 
 
-# one mutation per verdict: (name, what it corrupts, the verdict it flips)
+# one corrupted map of the certifier each: (name, replacement, the false verdicts of
+# stages 0..4, in the certifier and in the verifier alike)
 def double_generator(p, s):
     return SparseMap(p + s, s, {i: {p + i: 2} for i in range(s)})
 
@@ -120,26 +133,55 @@ def doubled_retraction(p, s):
     return SparseMap(s, p + s, {p + i: {i: 2} for i in range(s)})
 
 
-def double_top_binomial(m, j):
-    return 2 * comb(m, j) if j == m else comb(m, j)
-
-
+EXACTNESS, CHERN, BOTT = {"exactness"}, {"chern"}, {"bott"}
+# stage 0 has p = 0: its restriction and section are empty, so their corruptions miss it
+MAPS_ONLY = [set()] + [EXACTNESS] * 4
+# 2γ^(k+1) at every stage: γ · 2γ^k = 2γ^(k+1) from stage 1 on, but γ · 1 != 2γ at stage 0
+DOUBLED = [EXACTNESS | CHERN | BOTT] + [EXACTNESS | CHERN] * 4
 CERTIFIER_MUTATIONS = [
-    ("_generator", double_generator, "exactness"),
-    ("_restriction", drop_restriction_coordinate, "exactness"),
-    ("_section", doubled_section, "exactness"),
-    ("_retraction", doubled_retraction, "exactness"),
-    ("comb", double_top_binomial, "chern"),
+    ("_generator", double_generator, DOUBLED),
+    ("_restriction", drop_restriction_coordinate, MAPS_ONLY),
+    ("_section", doubled_section, MAPS_ONLY),
+    ("_retraction", doubled_retraction, [EXACTNESS] * 5),
+]
+
+
+# the sphere class of stage k replaced by another: (name, k, the generator's map)
+SPHERE_CLASSES = [
+    # -2γ^2 + γ^3 on CP^3: its γ^3 coefficient is 1 and ch = -2x^2 - x^3 ends in -x^3,
+    # but the lower term stays
+    ("lower_term", 2, SparseMap(3, 1, {0: {1: -2, 2: 1}})),
+    ("outside_the_space", 3, SparseMap(5, 1, {0: {4: 1}})),  # γ^5, which K(CP^4) lacks
 ]
 
 
 class TestCertifierMutations:
-    @pytest.mark.parametrize("name, corrupt, verdict", CERTIFIER_MUTATIONS,
+    @pytest.mark.parametrize("name, corrupt, flipped", CERTIFIER_MUTATIONS,
                              ids=[m[0] for m in CERTIFIER_MUTATIONS])
-    def test_a_corrupted_input_flips_exactly_its_verdict(self, monkeypatch, name, corrupt,
-                                                         verdict):
+    def test_a_corrupted_input_flips_exactly_its_verdict(self, monkeypatch, capsys, name, corrupt,
+                                                         flipped):
         monkeypatch.setattr(certify_module, name, corrupt)
-        assert failing(stage_verdicts(5)) == {verdict}
+        assert failing_by_stage(stage_verdicts(5)) == flipped
+        doc = certificate_document(capsys, 5, expected_code=3)
+        assert failing_by_stage(verify_certificates(doc)) == flipped
+
+    def test_a_corrupted_character_lead_flips_chern(self, monkeypatch, capsys):
+        monkeypatch.setattr(ktheory_module, "CH_GAMMA_LEAD", 2)
+        assert failing_by_stage(stage_verdicts(5)) == [CHERN] * 5
+        # the verifier reads the maps alone, which are sound: it disagrees with the document
+        doc = certificate_document(capsys, 5, expected_code=3)
+        assert failing(verify_certificates(doc)) == set()
+
+    @pytest.mark.parametrize("k, image", [c[1:] for c in SPHERE_CLASSES],
+                             ids=[c[0] for c in SPHERE_CLASSES])
+    def test_a_wrong_sphere_class_fails_chern_and_bott(self, monkeypatch, capsys, k, image):
+        generator = certify_module._generator
+        monkeypatch.setattr(certify_module, "_generator",
+                            lambda p, s: image if p == k else generator(p, s))
+        expected = [set()] * k + [EXACTNESS | CHERN | BOTT, BOTT] + [set()] * (3 - k)
+        assert failing_by_stage(stage_verdicts(5)) == expected
+        doc = certificate_document(capsys, 5, expected_code=3)
+        assert failing_by_stage(verify_certificates(doc)) == expected
 
     def test_a_corrupted_gamma_product_flips_bott(self, monkeypatch):
         product = ktheory_module.k_ring_mul
@@ -200,21 +242,26 @@ def edit_section(stage):
     stage["splittings"][0]["section"]["entries"][0][2] = 2
 
 
-def edit_character(stage):
-    stage["top_character"] = str(2 * int(stage["top_character"]))
+def edit_lower_power(stage):
+    stage["maps"][0]["entries"][0][0] -= 1  # the sphere class γ^(k+1) becomes γ^k
 
 
-def edit_product(stage):
-    stage["product"][0][1] = 2
+def edit_sphere_class(stage):
+    # -γ^(k+1), with the retraction negated to match: the window stays exact and
+    # ch(-γ^(k+1)) = -x^(k+1) is still a generator, but γ · c_(k-1) = γ^(k+1)
+    stage["maps"][0]["entries"][0][2] = -1
+    stage["splittings"][0]["retraction"]["entries"][0][2] = -1
 
 
+# the false verdicts of stages 3 and 4 after an edit of stage 3
+LINKED = [EXACTNESS | CHERN | BOTT, BOTT]
 DOCUMENT_MUTATIONS = [
-    ("generator", edit_generator, "exactness"),
-    ("restriction", edit_restriction, "exactness"),
-    ("retraction", edit_retraction, "exactness"),
-    ("section", edit_section, "exactness"),
-    ("character", edit_character, "chern"),
-    ("product", edit_product, "bott"),
+    ("generator", edit_generator, LINKED),
+    ("restriction", edit_restriction, [EXACTNESS, set()]),
+    ("retraction", edit_retraction, [EXACTNESS, set()]),
+    ("section", edit_section, [EXACTNESS, set()]),
+    ("lower_power", edit_lower_power, LINKED),
+    ("sphere_class", edit_sphere_class, [BOTT, BOTT]),
 ]
 
 
@@ -237,14 +284,12 @@ class TestVerifier:
         assert failing(verdicts) == set()
         assert certified[-1]["ranks"][1] + 1 == doc["result"]["k0"]["free_rank"] == n + 1
 
-    @pytest.mark.parametrize("name, edit, verdict", DOCUMENT_MUTATIONS,
+    @pytest.mark.parametrize("name, edit, flipped", DOCUMENT_MUTATIONS,
                              ids=[m[0] for m in DOCUMENT_MUTATIONS])
-    def test_a_corrupted_document_flips_exactly_its_verdict(self, capsys, name, edit, verdict):
+    def test_a_corrupted_document_flips_exactly_its_verdict(self, capsys, name, edit, flipped):
         doc = certificate_document(capsys, 6)
         edit(doc["result"]["certificates"]["stages"][3])
-        verdicts = verify_certificates(doc)
-        assert failing(verdicts[3:4]) == {verdict}
-        assert failing(verdicts[:3] + verdicts[4:]) == set()
+        assert failing_by_stage(verify_certificates(doc)) == [set()] * 3 + flipped + [set()]
 
     def test_a_corrupted_retraction_fails_the_sphere_and_the_middle(self, capsys):
         doc = certificate_document(capsys, 6)
@@ -308,7 +353,8 @@ class TestFalseVerdictExit:
                             lambda p, s: double_generator(p, s) if p == 3 else generator(p, s))
 
     def test_k_groups_raise_a_false_verdict_error(self, stage_3_corrupted):
-        with pytest.raises(FalseVerdictError, match="stage 3 .* CP\\^5 fails its exactness"):
+        with pytest.raises(FalseVerdictError, match="stage 3 .* CP\\^5 fails its "
+                                                     "exactness and chern and bott verdict$"):
             k_groups(Space.cpn(5), 0)
         assert not issubclass(FalseVerdictError, ValueError)
         assert k_groups(Space.cpn(3), 0) == FgAbelianGroup.free(4)  # stages 0..2 hold
@@ -320,24 +366,25 @@ class TestFalseVerdictExit:
         assert code == 3
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: stage 3 of the certified induction for CP^5 fails its exactness verdict"]
+            "error: stage 3 of the certified induction for CP^5 fails its exactness and chern "
+            "and bott verdict"]
 
     def test_trace_prints_the_false_verdict_then_exits_3(self, capsys, stage_3_corrupted):
         doc = certificate_document(capsys, 5, expected_code=3)
         certificates = doc["result"]["certificates"]
         assert certificates["certified"] is False
-        assert [all(s["verdicts"]["exactness"]) for s in certificates["stages"]] == [
-            True, True, True, False, True]
-        assert failing(verify_certificates(doc)) == {"exactness"}
+        expected = [set()] * 3 + [EXACTNESS | CHERN | BOTT, BOTT]
+        assert failing_by_stage(s["verdicts"] for s in certificates["stages"]) == expected
+        assert failing_by_stage(verify_certificates(doc)) == expected
 
     def test_the_human_trace_marks_the_stage_and_exits_3(self, capsys, stage_3_corrupted):
         assert main(["trace", "5", "--certificates"]) == 3
         lines = capsys.readouterr().out.splitlines()
         assert lines[-2:] == [
             "certified stage 3: Z -> Z^4 -> Z^3 -> 0 -> 0 -> 0 "
-            "[exactness FAILED; chern ok; bott ok]",
+            "[exactness FAILED; chern FAILED; bott FAILED]",
             "certified stage 4: Z -> Z^5 -> Z^4 -> 0 -> 0 -> 0 "
-            "[exactness ok; chern ok; bott ok]",
+            "[exactness ok; chern ok; bott FAILED]",
         ]
 
     def test_bad_input_still_exits_2(self, capsys):
