@@ -35,10 +35,12 @@ K(point).
 
 Every map is a SparseMap, whose products cost the nonzeros they touch,
 and a failed identity, a wrong shape included, makes its verdict false;
-nothing here raises for one.  A SparseMap and a Stage compare by value
-but are unhashable: maps are built column by column, in dicts, and are
-never used as keys.  No Smith form and no IntegerMatrix is
-built, so a certifying process runs neither linalg nor homology.
+nothing here raises for one.  No map here has two nonzeros in a column,
+so a product over such a column fails closed, as a sum over overlapping
+columns does.  A SparseMap and a Stage compare by value but are
+unhashable: maps are built column by column, in dicts, and are never
+used as keys.  No Smith form and no IntegerMatrix is built, so a
+certifying process runs neither linalg nor homology.
 """
 
 from __future__ import annotations
@@ -73,12 +75,14 @@ class SparseMap(Record):
 
 
 def _compose(a: SparseMap | None, b: SparseMap | None) -> SparseMap | None:
-    """a after b, or None when either is None or the shapes do not compose.
+    """a after b, for a b with at most one nonzero per column; else None.
 
-    Each nonzero b[t, j] is paired with the nonzeros of column t of a
-    only, so the product costs the nonzeros it touches.  A column of b
-    with one entry, as in most maps here, scales a column of a; when the
-    entry is 1 the product shares that column, which no map mutates.
+    On γ-power coordinates no map a certificate holds has more, so such a
+    product is not one the certificate forms: its None fails the identity
+    it was meant to form, as do either argument None and shapes that do
+    not compose.  Column j is column t of a scaled by b[t, j], so the
+    product costs the nonzeros it touches, and shares that column, which
+    no map mutates, when b[t, j] is 1; a zero a gives zero without a read.
     """
     if a is None or b is None or a.cols != b.rows:
         return None
@@ -86,22 +90,12 @@ def _compose(a: SparseMap | None, b: SparseMap | None) -> SparseMap | None:
     if not left:
         return SparseMap(a.rows, b.cols, out)
     for j, column in b.columns.items():
-        if len(column) == 1:
-            (t, v), = column.items()
-            total = left.get(t)
-            if total is None:
-                continue
-            if v != 1:
-                total = {i: w * v for i, w in total.items()}
-        else:
-            total = {}
-            for t, v in column.items():
-                for i, w in left.get(t, {}).items():
-                    total[i] = total.get(i, 0) + w * v
-            total = {i: x for i, x in total.items() if x}
-            if not total:
-                continue
-        out[j] = total
+        if len(column) != 1:
+            return None
+        (t, v), = column.items()
+        total = left.get(t)
+        if total is not None:
+            out[j] = total if v == 1 else {i: w * v for i, w in total.items()}
     return SparseMap(a.rows, b.cols, out)
 
 

@@ -24,6 +24,7 @@ kgroups share is kept here.
 REPLAY_MAX_N = 200
 
 
-def check_replay_size(n: int) -> None:
+def check_induction_size(n: int, induction: str) -> None:
+    """ValueError naming the induction that would run, unless N is at most REPLAY_MAX_N."""
     if n > REPLAY_MAX_N:
-        raise ValueError(f"the induction replay needs N at most {REPLAY_MAX_N}")
+        raise ValueError(f"{induction} needs N at most {REPLAY_MAX_N}")

@@ -6,7 +6,7 @@ from .. import _certify, _commands, ktheory
 
 
 def run(args) -> tuple[dict, dict]:
-    _commands.check_replay_size(args.n)
+    _commands.check_induction_size(args.n, "the induction replay")
     trace = ktheory.replay_induction(args.n)
     result = {
         "kind": "induction-trace",

@@ -1,9 +1,10 @@
 """Arithmetic on coefficient lists against the powers 1, x, x^2, .. of one variable.
 
-The truncated product, powering by squaring and the signed-sum renderer
-are shared by the truncated polynomials of truncpoly and by the
-virtual-bundle ring of ktheory.  None of them needs a Fraction, so the
-ring can use them without loading truncpoly or the fractions module.
+The truncated product and the signed-sum renderer are shared by the
+truncated polynomials of truncpoly and by the virtual-bundle ring of
+ktheory; powering, like every operator derived from the product, is
+_record.Ring's.  Neither needs a Fraction, so the ring can use them
+without loading truncpoly or the fractions module.
 
 The product and the renderer cost the nonzero coefficients:
 itertools.compress picks out the nonzero indices at C speed, and only
@@ -15,8 +16,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import compress
-
-from . import _record
 
 
 def truncated_product(a: Sequence, b: Sequence) -> list:
@@ -39,18 +38,6 @@ def truncated_product(a: Sequence, b: Sequence) -> list:
                     break
                 out[i + j] += ai * b[j]
     return out
-
-
-def power(base, exponent: int, one):
-    """base ** exponent by repeated squaring in a commutative ring with unit one."""
-    _record.check_int(exponent, "exponent must be a nonnegative integer", 0)
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        base = base * base
-        exponent >>= 1
-    return result
 
 
 @lru_cache(maxsize=4)

@@ -1,6 +1,9 @@
-"""Record, the base of the package's immutable value types, and the argument policy.
+"""Record, the base of the package's immutable value types; Ring, the base
+of its ring elements; and the argument policy.
 
 Not dataclasses: importing them costs every kproj process about 30 ms.
+Ring is here, not in _powers, because every process that defines a ring
+element runs this module and not all of them run _powers.
 
 The policy: a size, degree, index or exponent is an int, never a bool,
 within its bounds, and an integer vector holds ints only; any other
@@ -78,3 +81,44 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Ring:
+    """The operators of a Record that is an element of a commutative ring with unit.
+
+    A class mixes Ring in after Record and writes the primitives: _one(),
+    the unit of self's ring, and __add__ and __mul__, which take an element
+    of the same ring or a scalar the class names, raise ValueError for two
+    elements of different sizes and return NotImplemented for any other
+    operand, so that Python raises TypeError.  Every other operator is
+    written here, once: -x = x * -1, x - y = -(-x + y), c + x = x + c,
+    c - x = -x + c, c * x = x * c, and x ** k by repeated squaring.
+    """
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        # y is handed to __add__ as it came, so a bool or a foreign operand is
+        # refused there, not turned into an int by negating it first
+        total = (-self).__add__(other)
+        return total if total is NotImplemented else -total
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __pow__(self, exponent: int):
+        check_int(exponent, "exponent must be a nonnegative integer", 0)
+        result, base = self._one(), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            base = base * base
+            exponent >>= 1
+        return result

@@ -152,6 +152,8 @@ class FiniteCommutativeMonoid(Record):
 
     @classmethod
     def from_text(cls, text: str) -> "FiniteCommutativeMonoid":
+        if not isinstance(text, str):
+            raise ValueError("Cayley table text must be a str")
         tokens = text.split()
         if len(tokens) < 2:
             raise ValueError("Cayley table text must start with 'n identity_index'")

@@ -75,6 +75,8 @@ class Space(Record):
 
     @classmethod
     def parse(cls, spec: str) -> "Space":
+        if not isinstance(spec, str):
+            raise ValueError("a space spec must be a str")
         spec = spec.strip().lower()
         if spec == "point":
             return cls.point()
@@ -105,7 +107,7 @@ class Space(Record):
 # ----------------------------------------------------------------------
 
 
-class KClass(Record):
+class KClass(Record, _record.Ring):
     """Virtual bundle on projective n-space, written in powers of γ.
 
     coeffs[k] multiplies the k-th power of the reduced Hopf class; the
@@ -150,30 +152,21 @@ class KClass(Record):
         if self.n != other.n:
             raise ValueError("classes live on different ambient spaces")
 
-    def __add__(self, other: "KClass") -> "KClass":
+    def _one(self) -> "KClass":
+        return KClass.unit(self.n)
+
+    def __add__(self, other):
+        if type(other) is not KClass:
+            return NotImplemented
         self._check_ambient(other)
         return KClass(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "KClass":
-        return KClass(self.n, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "KClass") -> "KClass":
-        return self + (-other)
 
     def __mul__(self, other):
         if type(other) is int:
             return KClass(self.n, tuple(other * c for c in self.coeffs))
-        if not isinstance(other, KClass):
+        if type(other) is not KClass:
             return NotImplemented
         return k_ring_mul(self, other)
-
-    def __rmul__(self, other):
-        if type(other) is int:
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "KClass":
-        return _powers.power(self, exponent, KClass.unit(self.n))
 
     def render(self) -> str:
         return _powers.render_powers(self.coeffs, "γ")

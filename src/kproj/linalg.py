@@ -123,11 +123,15 @@ class IntegerMatrix(Record):
             raise ValueError("matrix shapes do not match")
 
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        if type(other) is not IntegerMatrix:
+            return NotImplemented
         self._check_same_shape(other)
         return IntegerMatrix._make(self.rows, self.cols,
                                    tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        if type(other) is not IntegerMatrix:
+            return NotImplemented
         self._check_same_shape(other)
         return IntegerMatrix._make(self.rows, self.cols,
                                    tuple(map(sub, self.entries, other.entries)))
@@ -140,6 +144,8 @@ class IntegerMatrix(Record):
     __rmul__ = __mul__
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        if type(other) is not IntegerMatrix:
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
         if self._is_identity:  # matrices are immutable, so a side may be shared
@@ -183,6 +189,8 @@ class IntegerMatrix(Record):
 
     @classmethod
     def from_text(cls, text: str) -> "IntegerMatrix":
+        if not isinstance(text, str):
+            raise ValueError("matrix text must be a str")
         tokens = text.split()
         if len(tokens) < 2:
             raise ValueError("matrix text must start with 'rows cols'")

@@ -6,10 +6,11 @@ is a checkable property of a value, not a separate type, since the same
 carrier has to hold integer cohomology classes and rational character
 expansions.  MultiPoly is a sparse exact multivariate polynomial used as
 the brute-force side of symmetric-function identities.  Both are
-immutable Records, compared and hashed by value.  The truncated product,
-powering and the signed-sum renderer come from the private _powers
-module, which the virtual-bundle ring of the ktheory module uses too, so
-that ring N loads neither this module nor fractions.
+immutable Records, compared and hashed by value, and each writes only
+its own sum, product and unit: the other operators are _record.Ring's.
+The truncated product and the signed-sum renderer come from the private
+_powers module, which the virtual-bundle ring of the ktheory module uses
+too, so that ring N loads neither this module nor fractions.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def _exact(c) -> Fraction:
     raise ValueError("coefficients must be exact integers or fractions")
 
 
-class TruncPoly(Record):
+class TruncPoly(Record, _record.Ring):
     """Element of Q[x]/(x^(order+1)); coeffs[k] is the degree-k coefficient."""
 
     _fields = ("order", "coeffs")
@@ -85,6 +86,9 @@ class TruncPoly(Record):
 
     # -- arithmetic -------------------------------------------------------
 
+    def _one(self) -> "TruncPoly":
+        return TruncPoly.one(self.order)
+
     def __add__(self, other):
         if type(other) in _SCALARS:
             other = TruncPoly.constant(self.order, other)
@@ -93,21 +97,6 @@ class TruncPoly(Record):
         self._check_order(other)
         return TruncPoly(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncPoly(self.order, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if type(other) in _SCALARS:
-            other = TruncPoly.constant(self.order, other)
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if type(other) in _SCALARS:
             return TruncPoly(self.order, tuple(c * other for c in self.coeffs))
@@ -115,11 +104,6 @@ class TruncPoly(Record):
             return NotImplemented
         self._check_order(other)
         return TruncPoly(self.order, _powers.truncated_product(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        return _powers.power(self, exponent, TruncPoly.one(self.order))
 
     # -- rendering --------------------------------------------------------
 
@@ -138,6 +122,8 @@ class TruncPoly(Record):
         Every sign must lead a term and every "*" stand before x: "1-+x",
         "1+x+", "-" and "2*-x" are rejected.
         """
+        if not isinstance(text, str):
+            raise ValueError("polynomial text must be a str")
         if order is not None:
             _record.check_int(order, "truncation order must be nonnegative", 0)
         compact = re.sub(r"\s+", "", text)
@@ -206,7 +192,7 @@ def pairing_matrix(n: int) -> linalg.IntegerMatrix:
 # ----------------------------------------------------------------------
 
 
-class MultiPoly(Record):
+class MultiPoly(Record, _record.Ring):
     """Exact multivariate polynomial; terms maps exponent tuples to nonzero Fractions.
 
     terms is a read-only view of a dict that no other code holds, so a
@@ -252,6 +238,9 @@ class MultiPoly(Record):
 
     # -- arithmetic -------------------------------------------------------
 
+    def _one(self) -> "MultiPoly":
+        return MultiPoly.constant(self.variable_count, 1)
+
     def __add__(self, other):
         if type(other) in _SCALARS:
             other = MultiPoly.constant(self.variable_count, other)
@@ -266,22 +255,6 @@ class MultiPoly(Record):
             elif e in terms:
                 del terms[e]
         return MultiPoly._make(self.variable_count, MappingProxyType(terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly._make(self.variable_count,
-                               MappingProxyType({e: -c for e, c in self.terms.items()}))
-
-    def __sub__(self, other):
-        if type(other) in _SCALARS:
-            other = MultiPoly.constant(self.variable_count, other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if type(other) in _SCALARS:
@@ -303,11 +276,6 @@ class MultiPoly(Record):
                 else:
                     terms.pop(e, None)
         return MultiPoly._make(self.variable_count, MappingProxyType(terms))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int):
-        return _powers.power(self, exponent, MultiPoly.constant(self.variable_count, 1))
 
     # -- evaluation ---------------------------------------------------------
 

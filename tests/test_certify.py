@@ -106,8 +106,10 @@ class TestCertifier:
         # a 10^6 x 10^6 map with two nonzeros composes without reading its zeros
         big = 10 ** 6
         a = SparseMap(big, big, {0: {5: 3}, 7: {0: -1}})
-        b = SparseMap(big, 2, {0: {0: 2}, 1: {7: 1, 0: 1}})
-        assert certify_module._compose(a, b) == SparseMap(big, 2, {0: {5: 6}, 1: {0: -1, 5: 3}})
+        b = SparseMap(big, 3, {0: {0: 2}, 1: {7: 1}, 2: {9: 4}})
+        assert certify_module._compose(a, b) == SparseMap(big, 3, {0: {5: 6}, 1: {0: -1}})
+        # a column with two entries is none the certificate forms: it fails closed
+        assert certify_module._compose(a, SparseMap(big, 2, {0: {0: 2}, 1: {7: 1, 0: 1}})) is None
         assert certify_module._add(a, SparseMap(big, big, {9: {1: 4}})) == SparseMap(
             big, big, {0: {5: 3}, 7: {0: -1}, 9: {1: 4}})
         # a sum whose columns overlap is none the certificate forms: it fails closed

@@ -110,6 +110,21 @@ class TestParsers:
     def test_space_parse(self, text):
         accepts_or_value_error(Space.parse, text)
 
+    # the hypothesis tests above draw only str texts; the bytes of a good
+    # text were once accepted by the matrix and monoid parsers
+    @pytest.mark.parametrize("parse, text", [
+        (Space.parse, "cpn:2"),
+        (IntegerMatrix.from_text, "1 1 5"),
+        (FiniteCommutativeMonoid.from_text, "1 0 0"),
+        (TruncPoly.parse, "1+x"),
+    ], ids=["space", "matrix", "monoid", "truncpoly"])
+    @pytest.mark.parametrize("convert", [lambda text: 3, lambda text: None, str.encode, str.split],
+                             ids=["int", "none", "bytes", "tokens"])
+    def test_a_text_not_of_type_str_is_a_value_error(self, parse, text, convert):
+        parse(text)
+        with pytest.raises(ValueError, match="must be a str"):
+            parse(convert(text))
+
 
 # a size or index that is not an int: a bool, a float equal to an int, and worse
 NON_INT_SIZES = st.one_of(st.booleans(), st.integers(0, 4).map(float), st.floats(),

@@ -118,6 +118,19 @@ class TestExpNilpotent:
         assert exp_nilpotent(p) * exp_nilpotent(q) == exp_nilpotent(p + q)
 
 
+@st.composite
+def ring_pairs(draw):
+    """Two elements of one ring: classes on CP^n, truncated or multivariate polynomials."""
+    kind, size = draw(st.sampled_from([KClass, TruncPoly, MultiPoly])), draw(st.integers(0, 3))
+    if kind is MultiPoly:
+        terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * size), small_fractions,
+                                max_size=4)
+        return MultiPoly(size, draw(terms)), MultiPoly(size, draw(terms))
+    entries = st.integers(-4, 4) if kind is KClass else small_fractions
+    coeffs = st.lists(entries, min_size=size + 1, max_size=size + 1)
+    return kind(size, draw(coeffs)), kind(size, draw(coeffs))
+
+
 class TestExactScalars:
     # a float coefficient used to enter as its binary value, and a bool
     # passed as a scalar factor; both now fail
@@ -132,12 +145,39 @@ class TestExactScalars:
         (lambda: MultiPoly(2, {(1, 0): 1}) * True, TypeError),
         (lambda: IntegerMatrix.identity(2) * True, TypeError),
         (lambda: True * IntegerMatrix.identity(2), TypeError),
+        # an operand an operator does not take is Python's TypeError, never an
+        # AttributeError from inside the class
+        (lambda: KClass.gamma(2) + 3, TypeError),
+        (lambda: KClass.gamma(2) - 3, TypeError),
+        (lambda: KClass.gamma(2) + TruncPoly.one(2), TypeError),
+        (lambda: IntegerMatrix.identity(2) + 3, TypeError),
+        (lambda: IntegerMatrix.identity(2) - 3, TypeError),
+        (lambda: IntegerMatrix.identity(2) @ 3, TypeError),
+        (lambda: KClass.gamma(2) + "a", TypeError),
+        (lambda: "a" - KClass.gamma(2), TypeError),
+        (lambda: IntegerMatrix.identity(2) + MultiPoly.constant(2, 1), TypeError),
     ], ids=["truncpoly-float", "constant-float", "multipoly-float", "kclass-times-bool",
             "bool-times-kclass", "truncpoly-times-bool", "bool-times-truncpoly",
-            "multipoly-times-bool", "matrix-times-bool", "bool-times-matrix"])
+            "multipoly-times-bool", "matrix-times-bool", "bool-times-matrix",
+            "kclass-plus-int", "kclass-minus-int", "kclass-plus-truncpoly", "matrix-plus-int",
+            "matrix-minus-int", "matrix-at-int", "kclass-plus-str", "str-minus-kclass",
+            "matrix-plus-multipoly"])
     def test_rejects_inexact_scalars(self, build, error):
         with pytest.raises(error):
             build()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ring_pairs(), st.integers(-3, 3))
+    def test_derived_operators_follow_the_primitives(self, pair, m):
+        # every operator but +, * and the unit comes from _record.Ring
+        a, b = pair
+        assert a - b == a + b * -1 == -(b - a)
+        assert m * a == a * m
+        assert a ** 3 == a * a * a
+        assert a ** 0 * b == b
+        for exponent in (-1, True):
+            with pytest.raises(ValueError):
+                a ** exponent
 
     def test_an_int_still_scales_a_class(self):
         assert KClass(1, (0, 1)) * 2 == 2 * KClass(1, (0, 1)) == KClass(1, (0, 2))
