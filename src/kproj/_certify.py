@@ -190,23 +190,22 @@ def _coordinates(column: dict, n: int) -> tuple[int, ...] | None:
 
 
 class Stage(Record):
-    """One certified stage: the window, its splittings and its verdicts."""
+    """Stage k of the certified induction for CP^n: the window, its splittings and its verdicts."""
 
-    _fields = ("k", "ranks", "maps", "splittings", "exactness", "chern", "bott")
+    _fields = ("n", "k", "ranks", "maps", "splittings", "exactness", "chern", "bott")
     __hash__ = None
 
-    def failures(self) -> tuple[str, ...]:
-        """The names of the verdicts that are false."""
-        return tuple(name for name, holds in (("exactness", all(self.exactness)),
-                                              ("chern", self.chern), ("bott", self.bott))
-                     if not holds)
+    def verdicts(self) -> tuple[tuple[str, str, bool], ...]:
+        """(where, name, holds) of exactness, at all six positions, chern and bott."""
+        where = f"stage {self.k} of the certified induction for CP^{self.n}"
+        return ((where, "exactness", all(self.exactness)), (where, "chern", self.chern),
+                (where, "bott", self.bott))
 
     def render(self) -> str:
         """The six groups and each verdict: "Z -> Z^2 -> Z -> 0 -> 0 -> 0 [exactness ok; ..]"."""
-        failed = self.failures()
         return (" -> ".join(_groups.FgAbelianGroup.free(r).render() for r in self.ranks)
-                + " [" + "; ".join(f"{name} {'FAILED' if name in failed else 'ok'}"
-                                   for name in ("exactness", "chern", "bott")) + "]")
+                + " [" + "; ".join(f"{name} {'ok' if holds else 'FAILED'}"
+                                   for _, name, holds in self.verdicts()) + "]")
 
     def payload(self) -> dict:
         """The stage as trace --certificates writes it: every map and splitting, each verdict."""
@@ -246,6 +245,6 @@ def stages(n: int):
         # product, since two lifts differ by a multiple of γ^(k+1), which γ kills
         bott = (below is not None and sphere is not None and ktheory.k_ring_mul(
             KClass.gamma(k + 1), KClass(k + 1, below + (0,))) == KClass(k + 1, sphere))
-        yield Stage(k, ranks, maps, splittings, _exactness(ranks, maps, splittings),
+        yield Stage(n, k, ranks, maps, splittings, _exactness(ranks, maps, splittings),
                     column.keys() == {k} and column[k] * lead in (1, -1), bott)
         previous, below = (ranks[1], ranks[4]), sphere

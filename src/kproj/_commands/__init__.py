@@ -4,8 +4,9 @@ cli declares the grammar and names each subcommand's module in its
 SUBCOMMANDS table; main imports that module alone, so a process compiles
 the code of the one command it runs.  Each module has
 
-    run(args) -> (inputs, result)   the echo of the inputs and the result payload
-    report(result) -> str           the human lines for that result
+    run(args) -> (inputs, result, verdicts)   the echo of the inputs, the result
+        payload, and each verdict as (where, name, holds), named as the report prints it
+    report(result) -> str                     the human lines for that result
 
 and reaches the library as modules (ktheory.k_groups(...), never a name
 copied out of a module), so that a function rebound on its module, as a

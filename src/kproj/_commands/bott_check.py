@@ -5,14 +5,11 @@ from __future__ import annotations
 from .. import ktheory
 
 
-def run(args) -> tuple[dict, dict]:
+def run(args) -> tuple[dict, dict, tuple]:
     matrix = ktheory.bott_matrix()
-    result = {
-        "kind": "bott-check",
-        "matrix": matrix.row_lists(),
-        "unimodular": ktheory.bott_check(),
-    }
-    return {}, result
+    unimodular = ktheory.bott_check()
+    result = {"kind": "bott-check", "matrix": matrix.row_lists(), "unimodular": unimodular}
+    return {}, result, (("the periodicity instance on the 2-sphere", "unimodular", unimodular),)
 
 
 def report(result: dict) -> str:

@@ -14,7 +14,7 @@ def _poly_payload(p: truncpoly.TruncPoly) -> dict:
     }
 
 
-def run(args) -> tuple[dict, dict]:
+def run(args) -> tuple[dict, dict, tuple]:
     # the degree-k coefficient of ch has a denominator up to k!; at order 1700
     # it exceeds Python's default int-to-str limit of 4300 digits
     max_order = truncpoly.PARSE_MAX_ORDER
@@ -29,7 +29,7 @@ def run(args) -> tuple[dict, dict]:
         bundle = chern.FormalBundle(args.rank, total)
         character = chern.chern_character(bundle, args.order)
         inputs = {"rank": args.rank, "chern": args.chern, "order": args.order}
-        return inputs, _poly_payload(character)
+        return inputs, _poly_payload(character), ()
     if args.space is None or args.klass is None:
         raise ValueError("ch needs a space spec with --class, or --rank/--chern/--order")
     if args.rank is not None or args.order is not None:
@@ -46,7 +46,7 @@ def run(args) -> tuple[dict, dict]:
         )
     character = ktheory.chern_character_map(ktheory.KClass(space.parameter, tuple(coeffs)))
     inputs = {"space": str(space), "class": args.klass}
-    return inputs, _poly_payload(character)
+    return inputs, _poly_payload(character), ()
 
 
 def report(result: dict) -> str:

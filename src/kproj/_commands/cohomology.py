@@ -21,7 +21,7 @@ def _space_complex(space: ktheory.Space):
     return homology.cpn_complex(0)
 
 
-def run(args) -> tuple[dict, dict]:
+def run(args) -> tuple[dict, dict, tuple]:
     space = ktheory.Space.parse(args.space)
     complex_ = _space_complex(space)
     if args.degree is not None:
@@ -37,7 +37,7 @@ def run(args) -> tuple[dict, dict]:
     inputs = {"space": str(space)}
     if args.degree is not None:
         inputs["degree"] = args.degree
-    return inputs, result
+    return inputs, result, ()
 
 
 def report(result: dict) -> str:

@@ -15,7 +15,7 @@ from .. import grothendieck
 GROTH_MAX_ORDER = 512
 
 
-def run(args) -> tuple[dict, dict]:
+def run(args) -> tuple[dict, dict, tuple]:
     with open(args.table, "r", encoding="utf-8") as handle:
         text = handle.read()
     header = text.split(maxsplit=1)
@@ -24,7 +24,7 @@ def run(args) -> tuple[dict, dict]:
     monoid = grothendieck.FiniteCommutativeMonoid.from_text(text)
     group = grothendieck.completion(monoid)
     result = {"kind": "group", **group.carrier.payload(), "classes": group.class_count}
-    return {"table": args.table}, result
+    return {"table": args.table}, result, ()
 
 
 def report(result: dict) -> str:

@@ -10,7 +10,7 @@ from .. import chern
 NEWTON_MAX_K = 40
 
 
-def run(args) -> tuple[dict, dict]:
+def run(args) -> tuple[dict, dict, tuple]:
     if args.k > NEWTON_MAX_K:
         raise ValueError(f"--k must be at most {NEWTON_MAX_K}: s_k has p(k) terms")
     poly = chern.newton_s(args.k)
@@ -25,7 +25,7 @@ def run(args) -> tuple[dict, dict]:
         "terms": terms,
         "text": poly.render(),
     }
-    return {"k": args.k}, result
+    return {"k": args.k}, result, ()
 
 
 def report(result: dict) -> str:

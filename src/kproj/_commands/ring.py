@@ -10,7 +10,7 @@ from .. import ktheory
 RING_MAX_N = 200
 
 
-def run(args) -> tuple[dict, dict]:
+def run(args) -> tuple[dict, dict, tuple]:
     n = args.n
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -29,7 +29,7 @@ def run(args) -> tuple[dict, dict]:
         "basis": basis,
         "products": table,
     }
-    return {"n": n}, result
+    return {"n": n}, result, ()
 
 
 def report(result: dict) -> str:

@@ -14,7 +14,7 @@ SMITH_MAX_SIDE = 100
 SMITH_MAX_BITS = 24
 
 
-def run(args) -> tuple[dict, dict]:
+def run(args) -> tuple[dict, dict, tuple]:
     with open(args.matrix, "r", encoding="utf-8") as handle:
         text = handle.read()
     header = text.split(maxsplit=2)[:2]
@@ -32,7 +32,7 @@ def run(args) -> tuple[dict, dict]:
         "rank": form.rank,
         "cokernel": {"kind": "group", **linalg.cokernel(matrix).payload()},
     }
-    return {"matrix": args.matrix}, result
+    return {"matrix": args.matrix}, result, ()
 
 
 def report(result: dict) -> str:

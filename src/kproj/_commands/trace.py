@@ -5,9 +5,14 @@ from __future__ import annotations
 from .. import _certify, _commands, ktheory
 
 
-def run(args) -> tuple[dict, dict]:
+def run(args) -> tuple[dict, dict, tuple]:
     _commands.check_induction_size(args.n, "the induction replay")
     trace = ktheory.replay_induction(args.n)
+    verdicts = []
+    for step in trace.steps:
+        where = f"step {step.index} of the induction replay for CP^{trace.n}"
+        verdicts += ((where, "exactness", all(step.exactness)),
+                     (where, "five-lemma", step.five_lemma is not False))
     result = {
         "kind": "induction-trace",
         "space": f"cpn:{trace.n}",
@@ -20,13 +25,15 @@ def run(args) -> tuple[dict, dict]:
     if args.certificates:
         # the human report prints one line per stage: only the machine
         # document writes each stage's maps and splittings
-        machine, certified, stages = args.format == "machine", True, []
+        machine, stages, certified = args.format == "machine", [], []
         for stage in _certify.stages(args.n):
-            certified = certified and not stage.failures()
+            certified += stage.verdicts()
             stages.append(stage.payload() if machine else {"stage": stage.k, "text": stage.render()})
+        verdicts += certified
         inputs["certificates"] = True
-        result["certificates"] = {"certified": certified, "stages": stages}
-    return inputs, result
+        result["certificates"] = {"certified": all(holds for _, _, holds in certified),
+                                  "stages": stages}
+    return inputs, result, tuple(verdicts)
 
 
 def report(result: dict) -> str:

@@ -114,11 +114,13 @@ class Ring:
         return self.__mul__(other)
 
     def __pow__(self, exponent: int):
+        # from the top bit down, so x ** 1 makes no product and x ** 3 two
         check_int(exponent, "exponent must be a nonnegative integer", 0)
-        result, base = self._one(), self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
+        if not exponent:
+            return self._one()
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result

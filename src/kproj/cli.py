@@ -4,13 +4,15 @@ Every subcommand prints either a human-readable report (the default) or a
 machine-readable JSON document selected with --format machine.  Each
 subcommand is a private module of kproj._commands, which main imports
 only to run that subcommand, so a process compiles no other command's
-code.  Its run returns the echo of its inputs and a result payload that
-json writes as it is; its report renders the payload, and the machine
-document is the one object {format_version, command, inputs,
-result}, written with sorted keys and an indent of two.  Results go to
-stdout, diagnostics to stderr, and the exit status is zero exactly when
-the computation succeeded: 2 for bad input, and 3 when a verdict of the
-certified induction is false, which good input never meets.
+code.  Its run returns the echo of its inputs, a result payload that
+json writes as it is, and its verdicts; its report renders the payload,
+and the machine document is the one object {format_version, command,
+inputs, result}, written with sorted keys and an indent of two.  Results
+go to stdout, diagnostics to stderr, and the exit status is zero exactly
+when the computation succeeded: 2 for bad input, and 3 when a verdict is
+false, which good input never meets.  main alone applies that rule: after
+any result, one stderr line names the first place with a false verdict,
+and a library's FalseVerdictError leaves no result, only its verdicts.
 
 The grammar, top-level options and subcommands with their arguments, is
 declared once, as tables that two readers share.  A plain command line
@@ -184,21 +186,24 @@ def main(argv=None) -> int:
         # argparse reads "--opt=--" as an empty list, not as the text "--"
         if [] in vars(args).values():
             raise ValueError("'--' is not an option value")
-        inputs, result = command.run(args)
+        inputs, result, verdicts = command.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ktheory.FalseVerdictError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if args.format == "machine":
-        import json  # here, not at the top: --version and human reports never load json
-
-        print(json.dumps({"format_version": FORMAT_VERSION, "command": args.subcommand,
-                          "inputs": inputs, "result": result}, indent=2, sort_keys=True))
+        verdicts = exc.verdicts  # the library returned no result it could not certify
     else:
-        print(command.report(result))
-    return 3 if result.get("certificates", {}).get("certified") is False else 0
+        if args.format == "machine":
+            import json  # here, not at the top: --version and human reports never load json
+
+            print(json.dumps({"format_version": FORMAT_VERSION, "command": args.subcommand,
+                              "inputs": inputs, "result": result}, indent=2, sort_keys=True))
+        else:
+            print(command.report(result))
+    if not all(holds for _, _, holds in verdicts):
+        print(f"error: {ktheory.FalseVerdictError(verdicts)}", file=sys.stderr)
+        return 3
+    return 0
 
 
 def main_entry():

@@ -290,11 +290,19 @@ def k_groups(space: Space, q: int) -> _groups.FgAbelianGroup:
 
 
 class FalseVerdictError(Exception):
-    """A verdict of the certified induction is false: the groups are not certified.
+    """A verdict is false: what it certifies is not certified.
 
-    Not a ValueError: the input was good, and the CLI gives it an exit
-    status of its own.
+    verdicts holds (where, name, holds) triples; the message, worded here
+    alone, names the first where with a false verdict and each false one
+    there.  Not a ValueError: the input was good, and the CLI gives it an
+    exit status of its own.
     """
+
+    def __init__(self, verdicts):
+        self.verdicts = tuple(verdicts)
+        where = next(where for where, _, holds in self.verdicts if not holds)
+        names = [name for at, name, holds in self.verdicts if at == where and not holds]
+        super().__init__(f"{where} fails its {' and '.join(names)} verdict")
 
 
 def _k_groups_by_parity(space: Space) -> tuple[_groups.FgAbelianGroup, _groups.FgAbelianGroup]:
@@ -306,10 +314,8 @@ def _k_groups_by_parity(space: Space) -> tuple[_groups.FgAbelianGroup, _groups.F
         return tuple(reduced_sphere_k(m + parity).direct_sum(reduced_sphere_k(parity))
                      for parity in (0, 1))
     for stage in _certify.stages(space.parameter):
-        failures = stage.failures()
-        if failures:
-            raise FalseVerdictError(f"stage {stage.k} of the certified induction for "
-                                    f"{space.label()} fails its {' and '.join(failures)} verdict")
+        if not all(holds for _, _, holds in stage.verdicts()):
+            raise FalseVerdictError(stage.verdicts())
     # the last stage concludes K~ and K^1 of CP^n; K^0 adds the basepoint's Z
     reduced, odd = stage.ranks[1], stage.ranks[4]
     return _groups.FgAbelianGroup.free(reduced + 1), _groups.FgAbelianGroup.free(odd)

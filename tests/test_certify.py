@@ -58,7 +58,7 @@ class TestCertifier:
     def test_stage_windows_on_gamma_powers(self):
         certified = list(stages(4))
         assert [s.ranks for s in certified] == [(1, k + 1, k, 0, 0, 0) for k in range(4)]
-        assert not any(s.failures() for s in certified)
+        assert all(holds for s in certified for _, _, holds in s.verdicts())
         stage = certified[2]
         generator, restriction = stage.maps[:2]
         assert generator == SparseMap(3, 1, {0: {2: 1}})  # the sphere generator is γ^3
@@ -115,6 +115,9 @@ class TestCertifier:
         # a sum whose columns overlap is none the certificate forms: it fails closed
         assert certify_module._add(a, a) is None
         assert certify_module._add(a, SparseMap(big, big, {0: {5: -3}, 9: {1: 4}})) is None
+        # so do a missing factor and factors whose shapes do not compose
+        for left, right in ((None, b), (a, None), (b, a)):
+            assert certify_module._compose(left, right) is None
 
 
 # one corrupted map of the certifier each: (name, replacement, the false verdicts of
@@ -136,6 +139,9 @@ def doubled_retraction(p, s):
 
 
 EXACTNESS, CHERN, BOTT = {"exactness"}, {"chern"}, {"bott"}
+# a wrong sphere class at stage k: its window and character fail, and so does the
+# link γ · c_(k-1) = c_k at stages k and k + 1
+LINKED = [EXACTNESS | CHERN | BOTT, BOTT]
 # stage 0 has p = 0: its restriction and section are empty, so their corruptions miss it
 MAPS_ONLY = [set()] + [EXACTNESS] * 4
 # 2γ^(k+1) at every stage: γ · 2γ^k = 2γ^(k+1) from stage 1 on, but γ · 1 != 2γ at stage 0
@@ -148,12 +154,21 @@ CERTIFIER_MUTATIONS = [
 ]
 
 
-# the sphere class of stage k replaced by another: (name, k, the generator's map)
+def at_stage(k, make, replacement):
+    """make, building replacement in place of the map of stage k's even half (p = k)."""
+    return lambda p, s: replacement if p == k else make(p, s)
+
+
+# the sphere class of stage k replaced by another: (name, k, the generator's map, the
+# retraction's map or None to keep it, the false verdicts of stages k and k + 1)
 SPHERE_CLASSES = [
     # -2γ^2 + γ^3 on CP^3: its γ^3 coefficient is 1 and ch = -2x^2 - x^3 ends in -x^3,
     # but the lower term stays
-    ("lower_term", 2, SparseMap(3, 1, {0: {1: -2, 2: 1}})),
-    ("outside_the_space", 3, SparseMap(5, 1, {0: {4: 1}})),  # γ^5, which K(CP^4) lacks
+    ("lower_term", 2, SparseMap(3, 1, {0: {1: -2, 2: 1}}), None, LINKED),
+    ("outside_the_space", 3, SparseMap(5, 1, {0: {4: 1}}), None, LINKED),  # γ^5, not in K(CP^4)
+    # -γ^3, with the retraction negated to match: the window stays exact and
+    # ch(-γ^3) = -x^3 is still a generator, but γ · γ^2 = γ^3
+    ("negated", 2, SparseMap(3, 1, {0: {2: -1}}), SparseMap(1, 3, {2: {0: -1}}), [BOTT, BOTT]),
 ]
 
 
@@ -174,16 +189,26 @@ class TestCertifierMutations:
         doc = certificate_document(capsys, 5, expected_code=3)
         assert failing(verify_certificates(doc)) == set()
 
-    @pytest.mark.parametrize("k, image", [c[1:] for c in SPHERE_CLASSES],
+    @pytest.mark.parametrize("k, image, retraction, flipped", [c[1:] for c in SPHERE_CLASSES],
                              ids=[c[0] for c in SPHERE_CLASSES])
-    def test_a_wrong_sphere_class_fails_chern_and_bott(self, monkeypatch, capsys, k, image):
-        generator = certify_module._generator
-        monkeypatch.setattr(certify_module, "_generator",
-                            lambda p, s: image if p == k else generator(p, s))
-        expected = [set()] * k + [EXACTNESS | CHERN | BOTT, BOTT] + [set()] * (3 - k)
+    def test_a_wrong_sphere_class_fails_chern_and_bott(self, monkeypatch, capsys, k, image,
+                                                       retraction, flipped):
+        for name, replacement in (("_generator", image), ("_retraction", retraction)):
+            if replacement is not None:
+                monkeypatch.setattr(certify_module, name,
+                                    at_stage(k, getattr(certify_module, name), replacement))
+        expected = [set()] * k + flipped + [set()] * (3 - k)
         assert failing_by_stage(stage_verdicts(5)) == expected
         doc = certificate_document(capsys, 5, expected_code=3)
         assert failing_by_stage(verify_certificates(doc)) == expected
+
+    def test_an_odd_sphere_row_reaches_k1(self, monkeypatch):
+        # Z in the odd dimensions from 5 up: the odd halves carry it up the induction
+        table = ktheory_module.reduced_sphere_k
+        monkeypatch.setattr(ktheory_module, "reduced_sphere_k",
+                            lambda i: FgAbelianGroup.free(1) if i % 2 and i >= 5 else table(i))
+        assert failing(stage_verdicts(3)) == set()
+        assert k_groups(Space.cpn(3), 1) == FgAbelianGroup.free(2)
 
     def test_a_corrupted_gamma_product_flips_bott(self, monkeypatch):
         product = ktheory_module.k_ring_mul
@@ -256,7 +281,6 @@ def edit_sphere_class(stage):
 
 
 # the false verdicts of stages 3 and 4 after an edit of stage 3
-LINKED = [EXACTNESS | CHERN | BOTT, BOTT]
 DOCUMENT_MUTATIONS = [
     ("generator", edit_generator, LINKED),
     ("restriction", edit_restriction, [EXACTNESS, set()]),

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kproj
+from kproj import _certify, homology, ktheory
 from kproj._commands.cohomology import COHOMOLOGY_MAX_TOP
 from kproj._commands.groth import GROTH_MAX_ORDER
 from kproj._commands.smith import SMITH_MAX_BITS, SMITH_MAX_SIDE
@@ -25,6 +26,7 @@ from kproj.cli import (
     build_parser,
     main,
 )
+from kproj.linalg import IntegerMatrix
 
 
 def run(capsys, *argv):
@@ -506,6 +508,100 @@ class TestBottCommand:
         doc = run_machine(capsys, "bott-check")
         assert doc.result["matrix"] == [[1, 1], [0, 1]]
         assert doc.result["unimodular"] is True
+
+
+# one corruption per verdict, each flipping that verdict alone
+def double_retraction(monkeypatch):
+    monkeypatch.setattr(_certify, "_retraction", lambda p, s: _certify.SparseMap(
+        s, p + s, {p + i: {i: 2} for i in range(s)}))
+
+
+def double_character_lead(monkeypatch):
+    monkeypatch.setattr(ktheory, "CH_GAMMA_LEAD", 2)
+
+
+def double_gamma_product(monkeypatch):
+    product = ktheory.k_ring_mul
+    monkeypatch.setattr(ktheory, "k_ring_mul", lambda a, b: product(a, b) * 2)
+
+
+def refute_five_lemma(monkeypatch):
+    monkeypatch.setattr(homology, "five_lemma_check", lambda ladder: False)
+
+
+def singular_bott_matrix(monkeypatch):
+    monkeypatch.setattr(ktheory, "bott_matrix",
+                        lambda: IntegerMatrix.from_rows([[2, 0], [0, 1]]))
+
+
+# the command line each reporting command runs in VERDICT_TABLE
+VERDICT_LINES = {
+    "trace": ("trace", "3", "--certificates"),
+    "kgroups": ("kgroups", "cpn:3"),
+    "bott-check": ("bott-check",),
+}
+STAGE_0 = "error: stage 0 of the certified induction for CP^3 fails its"
+# every (command, verdict name) the CLI can report: the corruption that flips it, the
+# one stderr line it then gives with exit 3, and whether the result is still printed
+VERDICT_TABLE = [
+    ("trace", "exactness", double_retraction, f"{STAGE_0} exactness verdict", True),
+    ("trace", "chern", double_character_lead, f"{STAGE_0} chern verdict", True),
+    ("trace", "bott", double_gamma_product, f"{STAGE_0} bott verdict", True),
+    ("trace", "five-lemma", refute_five_lemma,
+     "error: step 1 of the induction replay for CP^3 fails its five-lemma verdict", True),
+    # k_groups returns no group it could not certify
+    ("kgroups", "exactness", double_retraction, f"{STAGE_0} exactness verdict", False),
+    ("kgroups", "chern", double_character_lead, f"{STAGE_0} chern verdict", False),
+    ("kgroups", "bott", double_gamma_product, f"{STAGE_0} bott verdict", False),
+    ("bott-check", "unimodular", singular_bott_matrix,
+     "error: the periodicity instance on the 2-sphere fails its unimodular verdict", True),
+]
+
+
+def stated_verdicts(argv):
+    """Every verdict the command of argv states: those its run returns or raises, and those
+    of each certified stage it reads, which k_groups raises only when one is false."""
+    args = _read(list(argv))
+    command = importlib.import_module(f"kproj._commands.{SUBCOMMANDS[args.subcommand][1]}")
+    read, verdicts = _certify.Stage.verdicts, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_certify.Stage, "verdicts",
+                      lambda stage: verdicts.extend(read(stage)) or read(stage))
+        try:
+            verdicts += command.run(args)[2]
+        except ktheory.FalseVerdictError as exc:
+            verdicts += exc.verdicts
+    return verdicts
+
+
+class TestVerdictTable:
+    @pytest.mark.parametrize("format_", ["human", "machine"])
+    @pytest.mark.parametrize("command, name, corrupt, line, printed", VERDICT_TABLE,
+                             ids=[f"{row[0]} {row[1]}" for row in VERDICT_TABLE])
+    def test_a_false_verdict_is_exit_3_and_one_line(self, capsys, monkeypatch, format_,
+                                                    command, name, corrupt, line, printed):
+        corrupt(monkeypatch)
+        code, out, err = run(capsys, "--format", format_, *VERDICT_LINES[command])
+        assert (code, err) == (3, line + "\n")
+        assert bool(out) is printed
+        verdicts = stated_verdicts(VERDICT_LINES[command])
+        assert {n for _, n, holds in verdicts if not holds} == {name}
+
+    def test_every_stated_verdict_has_a_row(self, tmp_path, monkeypatch):
+        # a good input of each subcommand; a verdict without a row fails here
+        for file, text in TestPinnedDocuments.FILES.items():
+            (tmp_path / file).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        lines = {"cohomology": ("cohomology", "cpn:2"), "ring": ("ring", "3"),
+                 "ch": ("ch", "cpn:3", "--class=0,1,0,0"), "newton": ("newton", "--k", "3"),
+                 "groth": ("groth", "--table", "z3.table"),
+                 "smith": ("smith", "--matrix", "m3.matrix"), **VERDICT_LINES}
+        assert set(lines) == set(SUBCOMMANDS)
+        for command, argv in lines.items():
+            verdicts = stated_verdicts(argv)
+            assert all(holds for _, _, holds in verdicts), command
+            assert {name for _, name, _ in verdicts} == {
+                row[1] for row in VERDICT_TABLE if row[0] == command}, command
 
 
 class TestDocumentRoundtrip:

@@ -72,6 +72,18 @@ class TestTruncPolyArithmetic:
         assert p ** 4 == expected
         assert p ** 0 == TruncPoly.one(4)
 
+    @pytest.mark.parametrize("exponent, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2),
+                                                    (5, 3), (7, 4), (8, 3)])
+    def test_a_power_squares_once_per_bit_below_the_top(self, monkeypatch, exponent, products):
+        # and multiplies by the base once per set bit below the top
+        p, expected = poly(8, 1, 1, -2), TruncPoly.one(8)
+        for _ in range(exponent):
+            expected = expected * p
+        calls, mul = [], TruncPoly.__mul__
+        monkeypatch.setattr(TruncPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        assert p ** exponent == expected
+        assert len(calls) == products
+
     def test_integrality_flag(self):
         assert poly(2, 1, 2).is_integral()
         assert not poly(2, Fraction(1, 2)).is_integral()
