@@ -1,8 +1,8 @@
 """The subcommands of kproj.cli, one private module each.
 
-cli declares the grammar and names each subcommand's module in its
-SUBCOMMANDS table; main imports that module alone, so a process compiles
-the code of the one command it runs.  Each module has
+Each module is named as its subcommand, with _ for -, and main imports
+that module alone, so a process compiles the code of the one command it
+runs.  Each module has
 
     run(args) -> (inputs, result, verdicts)   the echo of the inputs, the result
         payload, and each verdict as (where, name, holds), named as the report prints it

@@ -11,14 +11,12 @@ COHOMOLOGY_MAX_TOP = 30000
 
 
 def _space_complex(space: ktheory.Space):
-    top = 2 * space.parameter if space.kind == "cpn" else space.parameter
+    top = space.parameter if space.kind == "sphere" else 2 * space.parameter
     if top > COHOMOLOGY_MAX_TOP:
         raise ValueError(f"the cell complex needs top degree at most {COHOMOLOGY_MAX_TOP}")
-    if space.kind == "cpn":
-        return homology.cpn_complex(space.parameter)
     if space.kind == "sphere":
         return homology.sphere_complex(space.parameter)
-    return homology.cpn_complex(0)
+    return homology.cpn_complex(space.parameter)  # the point is CP^0: its parameter is 0
 
 
 def run(args) -> tuple[dict, dict, tuple]:

@@ -75,9 +75,10 @@ def _identity_ladder(window: homology.GroupSequence) -> homology.Ladder:
     return homology.Ladder(window, window, verticals)
 
 
-def _check_window(window: homology.GroupSequence) -> tuple[tuple[bool, ...], bool]:
+def _check_window(window: homology.GroupSequence) -> tuple[tuple[bool, ...], bool | None]:
+    # exactness is a hypothesis of the Five Lemma: a window without it gets no Five Lemma verdict
     exact = tuple(homology.is_exact_at(window, i) for i in (1, 2, 3))
-    verdict = homology.five_lemma_check(_identity_ladder(window))
+    verdict = homology.five_lemma_check(_identity_ladder(window)) if all(exact) else None
     return exact, verdict
 
 

@@ -48,20 +48,20 @@ OPTIONS = {
                  "help": "output format (default: human)"},
     "--version": {"action": "store_true", "help": "print library and format versions and exit"},
 }
-# each subcommand is (help, its module in kproj._commands, arguments)
+# each subcommand is (help, arguments); its module in kproj._commands is its name, with _ for -
 SUBCOMMANDS = {
-    "cohomology": ("integral cohomology of a space", "cohomology", {
+    "cohomology": ("integral cohomology of a space", {
         "space": {"help": SPACE_HELP},
         "--degree": {"type": int, "default": None},
     }),
-    "kgroups": ("K-group of a space in one degree", "kgroups", {
+    "kgroups": ("K-group of a space in one degree", {
         "space": {"help": SPACE_HELP},
         "--q": {"type": int, "default": 0},
     }),
-    "ring": ("the virtual-bundle ring on cpn:N", "ring", {
+    "ring": ("the virtual-bundle ring on cpn:N", {
         "n": {"type": int},
     }),
-    "ch": ("Chern character of a class or formal bundle", "ch", {
+    "ch": ("Chern character of a class or formal bundle", {
         "space": {"nargs": "?", "default": None,
                   "help": "ambient space cpn:N for the class form"},
         "--class": {"dest": "klass", "default": None,
@@ -71,23 +71,23 @@ SUBCOMMANDS = {
                     "help": "total Chern class, e.g. \"1+2x+x^2\" (bundle form)"},
         "--order": {"type": int, "default": None, "help": "truncation order (bundle form)"},
     }),
-    "trace": ("replay the K-group induction for cpn:N", "trace", {
+    "trace": ("replay the K-group induction for cpn:N", {
         "n": {"type": int},
         "--certificates": {"action": "store_true",
                            "help": "add the certified induction: per stage its window, maps, "
                                    "splittings and verdicts"},
     }),
-    "newton": ("Newton polynomial s_k", "newton", {
+    "newton": ("Newton polynomial s_k", {
         "--k": {"type": int, "required": True},
     }),
-    "groth": ("group completion of a Cayley-table monoid", "groth", {
+    "groth": ("group completion of a Cayley-table monoid", {
         "--table": {"required": True, "help": "Cayley table file"},
     }),
-    "smith": ("Smith normal form of a matrix file", "smith", {
+    "smith": ("Smith normal form of a matrix file", {
         "--matrix": {"required": True,
                      "help": "matrix file: first line 'rows cols', then entries"},
     }),
-    "bott-check": ("periodicity instance on the 2-sphere", "bott_check", {}),
+    "bott-check": ("periodicity instance on the 2-sphere", {}),
 }
 
 
@@ -103,7 +103,7 @@ def build_parser():
     for flag, settings in OPTIONS.items():
         parser.add_argument(flag, **settings)
     sub = parser.add_subparsers(dest="subcommand")
-    for name, (help_, _, arguments) in SUBCOMMANDS.items():
+    for name, (help_, arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_)
         for flag, settings in arguments.items():
             p.add_argument(flag, **settings)
@@ -147,7 +147,7 @@ def _read(argv):
         elif values["subcommand"] is None:
             if word not in SUBCOMMANDS:
                 return None
-            values["subcommand"], (_, _, arguments) = word, SUBCOMMANDS[word]
+            values["subcommand"], (_, arguments) = word, SUBCOMMANDS[word]
             positionals = [name for name in arguments if not name.startswith("-")]
             continue
         elif not positionals or optioned and arguments[positionals[0]].get("nargs") == "?":
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
     if args.version:
         print(f"kproj {__version__} (format {FORMAT_VERSION})")
         return 0
-    command = import_module(f"{__package__}._commands.{SUBCOMMANDS[args.subcommand][1]}")
+    command = import_module(f"{__package__}._commands.{args.subcommand.replace('-', '_')}")
     try:
         # argparse reads "--opt=--" as an empty list, not as the text "--"
         if [] in vars(args).values():

@@ -105,10 +105,9 @@ class FiniteCommutativeMonoid(Record):
         if _associativity_failure(table, _generators(table)) is not None:
             x, y, z = _associativity_failure(table, range(n))
             raise ValueError(f"table is not associative at ({x}, {y}, {z})")
-        e = identity
-        for x in range(n):
-            if table[e][x] != x or table[x][e] != x:
-                raise ValueError("identity element does not act as identity")
+        # the table is commutative, so its identity row is its identity column too
+        if table[identity] != tuple(range(n)):
+            raise ValueError("identity element does not act as identity")
         super().__init__(table, identity)
 
     @property

@@ -282,8 +282,8 @@ def k_groups(space: Space, q: int) -> _groups.FgAbelianGroup:
     Degrees are reduced modulo two.  Sphere values are assembled from the
     axiom table through the suspension relation (the based sphere with a
     disjoint basepoint suspends to a wedge of two spheres); projective
-    spaces are read off the certified induction, never looked up, and a
-    false verdict raises FalseVerdictError.
+    spaces, the point CP^0 among them, are read off the certified
+    induction, never looked up, and a false verdict raises FalseVerdictError.
     """
     _record.check_int(q, "degree must be an integer")
     return _k_groups_by_parity(space)[q % 2]
@@ -307,17 +307,16 @@ class FalseVerdictError(Exception):
 
 def _k_groups_by_parity(space: Space) -> tuple[_groups.FgAbelianGroup, _groups.FgAbelianGroup]:
     """The K-groups of a space in degrees 0 and 1; at most one certification."""
-    if space.kind == "point" or (space.kind == "cpn" and space.parameter == 0):
-        return reduced_sphere_k(0), reduced_sphere_k(1)
     if space.kind == "sphere":
         m = space.parameter
         return tuple(reduced_sphere_k(m + parity).direct_sum(reduced_sphere_k(parity))
                      for parity in (0, 1))
+    reduced = odd = 0  # K~ and K^1 of the point, CP^0, where the induction starts
     for stage in _certify.stages(space.parameter):
         if not all(holds for _, _, holds in stage.verdicts()):
             raise FalseVerdictError(stage.verdicts())
+        reduced, odd = stage.ranks[1], stage.ranks[4]
     # the last stage concludes K~ and K^1 of CP^n; K^0 adds the basepoint's Z
-    reduced, odd = stage.ranks[1], stage.ranks[4]
     return _groups.FgAbelianGroup.free(reduced + 1), _groups.FgAbelianGroup.free(odd)
 
 

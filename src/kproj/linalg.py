@@ -223,10 +223,9 @@ class SmithForm(Record):
     determinant +-1.
 
     Every part is computed on first read and then kept.  Reading d or
-    rank first builds no transforms: d of a zero matrix is empty, and any
-    other d comes from _elimination._invariant_factors, which works
-    modulo a multiple of a determinantal divisor, and that is all that
-    cokernel needs.  The first
+    rank first builds no transforms: d comes from
+    _elimination._invariant_factors, which works modulo a multiple of a
+    determinantal divisor, and that is all that cokernel needs.  The first
     read of u or v runs _eliminate, which builds the transforms, in closed
     form or by _elimination._eliminate; it keeps d, u and v, so a caller
     that reads a transform first pays for one elimination only.  d is
@@ -237,8 +236,6 @@ class SmithForm(Record):
 
     @cached_property
     def d(self) -> tuple[int, ...]:
-        if self.a.is_zero():  # as every boundary of cpn_complex and sphere_complex is
-            return ()
         return _elimination._invariant_factors(self.a)
 
     @cached_property

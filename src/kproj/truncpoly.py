@@ -174,17 +174,9 @@ def pairing_matrix(n: int) -> linalg.IntegerMatrix:
     as the unimodularity witness for the cup-product pairing.
     """
     _record.check_int(n, "order must be nonnegative", 0)
-    rows = []
-    for p in range(n + 1):
-        xp = TruncPoly.monomial(n, p)
-        row = []
-        for q in range(n + 1):
-            c = (xp * TruncPoly.monomial(n, q)).coefficient(n)
-            if c.denominator != 1:
-                raise RuntimeError("pairing produced a non-integer")
-            row.append(int(c))
-        rows.append(row)
-    return linalg.IntegerMatrix.from_rows(rows, cols=n + 1)
+    monomials = [TruncPoly.monomial(n, p) for p in range(n + 1)]
+    return linalg.IntegerMatrix.from_rows(
+        [int((xp * xq).coefficient(n)) for xq in monomials] for xp in monomials)
 
 
 # ----------------------------------------------------------------------

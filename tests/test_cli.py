@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -55,9 +56,14 @@ class TestCohomologyCommand:
         assert out.strip() == "H^3 = Z"
 
     def test_point(self, capsys):
-        code, out, _ = run(capsys, "cohomology", "cpn:0")
-        assert code == 0
-        assert out.strip() == "H^0 = Z"
+        # the point is CP^0, one cell in degree 0, and each echoes its own spec
+        for spec in ("point", "cpn:0"):
+            code, out, _ = run(capsys, "cohomology", spec)
+            assert (code, out) == (0, "H^0 = Z\n")
+            doc = run_machine(capsys, "cohomology", spec)
+            assert doc.inputs == {"space": spec}
+            assert doc.result["rows"] == [{"label": "H^0", "degree": 0, "kind": "group",
+                                           "free_rank": 1, "torsion": [], "text": "Z"}]
 
     def test_malformed_spec(self, capsys):
         code, out, err = run(capsys, "cohomology", "cpn;2")
@@ -525,6 +531,10 @@ def double_gamma_product(monkeypatch):
     monkeypatch.setattr(ktheory, "k_ring_mul", lambda a, b: product(a, b) * 2)
 
 
+def refute_replay_exactness(monkeypatch):
+    monkeypatch.setattr(homology, "is_exact_at", lambda sequence, i: False)
+
+
 def refute_five_lemma(monkeypatch):
     monkeypatch.setattr(homology, "five_lemma_check", lambda ladder: False)
 
@@ -541,28 +551,41 @@ VERDICT_LINES = {
     "bott-check": ("bott-check",),
 }
 STAGE_0 = "error: stage 0 of the certified induction for CP^3 fails its"
-# every (command, verdict name) the CLI can report: the corruption that flips it, the
-# one stderr line it then gives with exit 3, and whether the result is still printed
-VERDICT_TABLE = [
-    ("trace", "exactness", double_retraction, f"{STAGE_0} exactness verdict", True),
-    ("trace", "chern", double_character_lead, f"{STAGE_0} chern verdict", True),
-    ("trace", "bott", double_gamma_product, f"{STAGE_0} bott verdict", True),
-    ("trace", "five-lemma", refute_five_lemma,
-     "error: step 1 of the induction replay for CP^3 fails its five-lemma verdict", True),
+STEP_1 = "error: step 1 of the induction replay for CP^3 fails its"
+# every (command, verdict name) the CLI can report at each kind of place, by test id: the
+# corruption that flips it, the one stderr line it then gives with exit 3, which names the
+# place, and whether the result is still printed
+VERDICT_TABLE = {
+    "trace exactness": ("trace", "exactness", double_retraction, f"{STAGE_0} exactness verdict",
+                        True),
+    "trace chern": ("trace", "chern", double_character_lead, f"{STAGE_0} chern verdict", True),
+    "trace bott": ("trace", "bott", double_gamma_product, f"{STAGE_0} bott verdict", True),
+    "trace replay exactness": ("trace", "exactness", refute_replay_exactness,
+                               f"{STEP_1} exactness verdict", True),
+    "trace five-lemma": ("trace", "five-lemma", refute_five_lemma,
+                         f"{STEP_1} five-lemma verdict", True),
     # k_groups returns no group it could not certify
-    ("kgroups", "exactness", double_retraction, f"{STAGE_0} exactness verdict", False),
-    ("kgroups", "chern", double_character_lead, f"{STAGE_0} chern verdict", False),
-    ("kgroups", "bott", double_gamma_product, f"{STAGE_0} bott verdict", False),
-    ("bott-check", "unimodular", singular_bott_matrix,
-     "error: the periodicity instance on the 2-sphere fails its unimodular verdict", True),
-]
+    "kgroups exactness": ("kgroups", "exactness", double_retraction,
+                          f"{STAGE_0} exactness verdict", False),
+    "kgroups chern": ("kgroups", "chern", double_character_lead, f"{STAGE_0} chern verdict",
+                      False),
+    "kgroups bott": ("kgroups", "bott", double_gamma_product, f"{STAGE_0} bott verdict", False),
+    "bott-check unimodular": ("bott-check", "unimodular", singular_bott_matrix,
+                              "error: the periodicity instance on the 2-sphere fails its "
+                              "unimodular verdict", True),
+}
+
+
+def place(text):
+    """The kind of place a verdict's where or a stderr line names: its numbers left out."""
+    return re.sub(r"\d+", "N", text.removeprefix("error: ").partition(" fails its ")[0])
 
 
 def stated_verdicts(argv):
     """Every verdict the command of argv states: those its run returns or raises, and those
     of each certified stage it reads, which k_groups raises only when one is false."""
     args = _read(list(argv))
-    command = importlib.import_module(f"kproj._commands.{SUBCOMMANDS[args.subcommand][1]}")
+    command = importlib.import_module(f"kproj._commands.{args.subcommand.replace('-', '_')}")
     read, verdicts = _certify.Stage.verdicts, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_certify.Stage, "verdicts",
@@ -576,8 +599,8 @@ def stated_verdicts(argv):
 
 class TestVerdictTable:
     @pytest.mark.parametrize("format_", ["human", "machine"])
-    @pytest.mark.parametrize("command, name, corrupt, line, printed", VERDICT_TABLE,
-                             ids=[f"{row[0]} {row[1]}" for row in VERDICT_TABLE])
+    @pytest.mark.parametrize("command, name, corrupt, line, printed", VERDICT_TABLE.values(),
+                             ids=list(VERDICT_TABLE))
     def test_a_false_verdict_is_exit_3_and_one_line(self, capsys, monkeypatch, format_,
                                                     command, name, corrupt, line, printed):
         corrupt(monkeypatch)
@@ -600,8 +623,9 @@ class TestVerdictTable:
         for command, argv in lines.items():
             verdicts = stated_verdicts(argv)
             assert all(holds for _, _, holds in verdicts), command
-            assert {name for _, name, _ in verdicts} == {
-                row[1] for row in VERDICT_TABLE if row[0] == command}, command
+            assert {(place(where), name) for where, name, _ in verdicts} == {
+                (place(row[3]), row[1]) for row in VERDICT_TABLE.values()
+                if row[0] == command}, command
 
 
 class TestDocumentRoundtrip:
@@ -691,7 +715,7 @@ class TestTopLevel:
 
     def test_each_subcommand_names_a_module_of_its_own(self):
         package = Path(kproj.__file__).resolve().parent / "_commands"
-        modules = [module for _, module, _ in SUBCOMMANDS.values()]
+        modules = [name.replace("-", "_") for name in SUBCOMMANDS]
         assert sorted(modules) == sorted({p.stem for p in package.glob("*.py")} - {"__init__"})
         for module in modules:
             command = importlib.import_module(f"kproj._commands.{module}")
@@ -857,7 +881,7 @@ def argparse_namespace(argv):
         return None
 
 
-FLAGS = sorted({*OPTIONS, *(name for _, _, arguments in SUBCOMMANDS.values()
+FLAGS = sorted({*OPTIONS, *(name for _, arguments in SUBCOMMANDS.values()
                             for name in arguments if name.startswith("-"))})
 NAMES = [*FLAGS, *SUBCOMMANDS]
 VALUES = st.one_of(
@@ -900,7 +924,7 @@ def command_lines(draw):
         return [word for group in draw(st.permutations(groups)) for word in group]
 
     name = draw(st.sampled_from(list(SUBCOMMANDS)))
-    argv = [*spelt(OPTIONS), name, *spelt(SUBCOMMANDS[name][2])]
+    argv = [*spelt(OPTIONS), name, *spelt(SUBCOMMANDS[name][1])]
     for stray in draw(st.lists(WORDS, max_size=1)):
         argv.insert(draw(st.integers(0, len(argv))), stray)
     return argv

@@ -162,8 +162,12 @@ class TestMonoidConstruction:
 
     def test_rejects_bad_identity(self):
         table = ((0, 0), (0, 0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^identity element does not act as identity$"):
             FiniteCommutativeMonoid(table, 1)
+        # the identity's row is read as its column too, once the table is known to commute
+        for identity in (0, 1):
+            with pytest.raises(ValueError, match=r"^table is not commutative at \(0, 1\)$"):
+                FiniteCommutativeMonoid(((0, 1), (0, 1)), identity)
 
     def test_rejects_empty_table(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ Each case starts a fresh interpreter.  A kproj module counts as run when
 its object in sys.modules is a plain module: a lazy module not loaded yet
 is of a subclass, and turns into a plain module when it loads.  The
 private _certify, _elimination, _groups, _powers and _replay are
-registered the same way: the first runs only to certify the induction of
-cpn:N, the second only for a nonzero matrix that linalg cannot decompose
-in closed form, the third for abelian groups, with linalg or without it,
+registered the same way: the first runs only to read K-groups off the
+certified induction of cpn:N or the point, the second only for a matrix
+that linalg cannot decompose in closed form, a zero matrix's invariant
+factors included, the third for abelian groups, with linalg or without it,
 the fourth only for arithmetic on power-basis coefficients, and the last
 only for the replay that trace prints.  Each subcommand's code is a
 module of the private kproj._commands, which cli imports for that
@@ -74,15 +75,16 @@ def command(name, *modules):
      command("smith", "_record", "linalg", "_groups", "_elimination")),
     # the group table is classified by counting element orders: no matrix at all
     (("groth", "--table", "{table}"), command("groth", "_record", "_groups", "grothendieck")),
-    # every boundary of cpn:N is zero, and a zero matrix has no invariant factor
-    (("cohomology", "cpn:3"),
-     command("cohomology", "_record", "linalg", "_groups", "homology", "ktheory")),
+    # every boundary of cpn:N is zero, and the Bareiss pass of _elimination finds no pivot
+    (("cohomology", "cpn:3"), command("cohomology", "_record", "linalg", "_groups", "homology",
+                                      "ktheory", "_elimination")),
     (("bott-check",),
      command("bott_check", "_record", "linalg", "_groups", "_elimination", "ktheory")),
-    # the K-groups of a sphere, the point and cpn:0 are read off the axiom table
+    # the K-groups of a sphere are read off the axiom table; the point is cpn:0, the
+    # certified induction with no stage, and so no γ product
     (("kgroups", "sphere:4"), command("kgroups", "_record", "_groups", "ktheory")),
-    (("kgroups", "point"), command("kgroups", "_record", "_groups", "ktheory")),
-    (("kgroups", "cpn:0"), command("kgroups", "_record", "_groups", "ktheory")),
+    (("kgroups", "point"), command("kgroups", "_record", "_groups", "ktheory", "_certify")),
+    (("kgroups", "cpn:0"), command("kgroups", "_record", "_groups", "ktheory", "_certify")),
     # cpn:N is certified on sparse maps, with γ products through _powers: no Smith form
     (("kgroups", "cpn:12"),
      command("kgroups", "_record", "_groups", "_powers", "ktheory", "_certify")),
